@@ -33,10 +33,11 @@ from .linalg import opnorm, trace_norm
 from .models import Generator, Model
 from .propagator import (
     Scheme,
+    _check_window,
+    _ordered_product,
     make_partition,
     product_approximant,
     reference_propagator,
-    step_factor,
 )
 
 __all__ = [
@@ -207,18 +208,12 @@ class ConvergenceReport:
     notes: tuple[str, ...] = ()
 
 
-def _oracle_for(model: Model, s: float, t: float, tol_ref: float):
+def _oracle(model: Model, s: float, t: float, tol_ref: float) -> np.ndarray:
+    """U(s, t): the exact propagator when the model has one, else the
+    (memoized) reference oracle at ``tol_ref``."""
     if model.exact is not None:
-        return (lambda a, b: np.asarray(model.exact(a, b))), "exact"
-    cache: dict[tuple[float, float], np.ndarray] = {}
-
-    def oracle(a: float, b: float) -> np.ndarray:
-        key = (a, b)
-        if key not in cache:
-            cache[key] = reference_propagator(model, a, b, tol_ref).U
-        return cache[key]
-
-    return oracle, f"reference(tol={tol_ref:g})"
+        return np.asarray(model.exact(s, t))
+    return reference_propagator(model, s, t, tol_ref).U
 
 
 def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
@@ -240,8 +235,8 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
         )
     if not 0.0 <= slack < 1.0:
         raise ValidationError(f"slack must lie in [0, 1), got {slack}")
-    oracle, oracle_label = _oracle_for(model, s, t, tol_ref)
-    u_star = oracle(s, t)
+    oracle_label = "exact" if model.exact is not None else f"reference(tol={tol_ref:g})"
+    u_star = _oracle(model, s, t, tol_ref)
 
     err_op, err_tr = [], []
     for n in ns:
@@ -414,17 +409,17 @@ def verify_lifting(model: Model, scheme: Scheme, s: float, t: float, n: int,
     if n < 4 or n % 2 != 0:
         raise ValidationError(f"lifting check requires even n >= 4, got {n}")
     part = make_partition(s, t, n)
+    _check_window(model, part.s, part.t)
     tau = part.step
     k_n = n // 2
     mid = s + k_n * tau
 
-    early = _ordered_product_slice(model, scheme, part.points[:k_n], tau)
-    late = _ordered_product_slice(model, scheme, part.points[k_n:], tau)
+    early = _ordered_product(model, part.points[:k_n], tau, scheme)
+    late = _ordered_product(model, part.points[k_n:], tau, scheme)
     u_n = late @ early
 
-    oracle, _ = _oracle_for(model, s, t, tol_ref)
-    u_early = oracle(s, mid)
-    u_late = oracle(mid, t)
+    u_early = _oracle(model, s, mid, tol_ref)
+    u_late = _oracle(model, mid, t, tol_ref)
     u_full = u_late @ u_early
 
     e_late = opnorm(late - u_late)
@@ -442,14 +437,6 @@ def verify_lifting(model: Model, scheme: Scheme, s: float, t: float, n: int,
         half_tr_norms=(float(tr_early), float(tr_u_late)),
         c_ts=float(c_ts), holds=bool(holds),
     )
-
-
-def _ordered_product_slice(model: Model, scheme: Scheme, sample_times: np.ndarray,
-                           tau: float) -> np.ndarray:
-    u = np.eye(model.dim)
-    for t_k in sample_times:
-        u = step_factor(scheme, model, float(t_k), tau) @ u
-    return u
 
 
 @dataclass(frozen=True)

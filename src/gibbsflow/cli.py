@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,8 +57,6 @@ EXIT_VALIDATION = 1
 EXIT_ACCURACY = 2
 EXIT_IO = 3
 
-THREADS_ENV = "GIBBSFLOW_THREADS"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -77,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="YAML experiment configuration")
             p.add_argument("--seed", type=int, default=None,
                            help="override the configured seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: ${THREADS_ENV} or 1)")
         p.add_argument("--output", default=None, metavar="PATH",
                        help="output path ('-' for stdout; default from config)")
         p.add_argument("--format", default=None, choices=("csv", "jsonl", "plot"),
@@ -94,32 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("input", metavar="PATH", help="stored JSONL stream ('-' for stdin)")
     common(rep, needs_config=False)
     return parser
-
-
-def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(f"${THREADS_ENV} must be an integer, got {env!r}")
-        if value < 1:
-            raise ValidationError(f"${THREADS_ENV} must be >= 1, got {value}")
-        return value
-    return 1
-
-
-def _fan_out(jobs: Sequence[Callable[[], dict]], threads: int) -> list:
-    """Run independent record jobs, preserving submission order."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -155,7 +123,7 @@ def _timed(label: str, fn: Callable[[], dict]) -> Callable[[], dict]:
     return job
 
 
-def _cmd_run(config: ExperimentConfig, threads: int) -> tuple[ReportEnvelope, int]:
+def _cmd_run(config: ExperimentConfig) -> tuple[ReportEnvelope, int]:
     model = build_model(config)
     envelope = ReportEnvelope()
     envelope.add(meta_record(config.to_dict(), config.seed))
@@ -173,29 +141,23 @@ def _cmd_run(config: ExperimentConfig, threads: int) -> tuple[ReportEnvelope, in
         return _timed(f"convergence[{scheme_name}]", fn)
 
     jobs = [convergence_job(name) for name in config.schemes]
-    results, exit_code = _run_jobs(jobs, [f"run:{n}" for n in config.schemes], threads)
+    results, exit_code = _run_jobs(jobs, [f"run:{n}" for n in config.schemes])
     for record in results:
         envelope.add(record)
     return envelope, exit_code
 
 
-def _run_jobs(jobs: Sequence[Callable[[], dict]], stages: Sequence[str],
-              threads: int) -> tuple[list, int]:
+def _run_jobs(jobs: Sequence[Callable[[], dict]],
+              stages: Sequence[str]) -> tuple[list, int]:
     """Execute jobs; a failing job degrades to a failure record."""
     exit_code = EXIT_OK
 
-    def guarded(job: Callable[[], dict], stage: str) -> Callable[[], dict]:
-        def fn() -> dict:
-            try:
-                return job()
-            except AccuracyError as exc:
-                return failure_record(stage, exc)
-            except ValidationError as exc:
-                return failure_record(stage, exc)
-
-        return fn
-
-    records = _fan_out([guarded(j, s) for j, s in zip(jobs, stages)], threads)
+    records = []
+    for job, stage in zip(jobs, stages):
+        try:
+            records.append(job())
+        except (AccuracyError, ValidationError) as exc:
+            records.append(failure_record(stage, exc))
     for record in records:
         if record.get("kind") == "failure":
             code = (EXIT_ACCURACY if record["error"] == "AccuracyError"
@@ -206,7 +168,7 @@ def _run_jobs(jobs: Sequence[Callable[[], dict]], stages: Sequence[str],
     return records, exit_code
 
 
-def _cmd_verify(config: ExperimentConfig, threads: int) -> tuple[ReportEnvelope, int]:
+def _cmd_verify(config: ExperimentConfig) -> tuple[ReportEnvelope, int]:
     model = build_model(config)
     envelope = ReportEnvelope()
     envelope.add(meta_record(config.to_dict(), config.seed))
@@ -246,13 +208,13 @@ def _cmd_verify(config: ExperimentConfig, threads: int) -> tuple[ReportEnvelope,
                     verify_contraction(model, Scheme(sn), config.s, config.t, nn))))
             stages.append(f"contraction:{scheme_name}:n={n}")
 
-    records, exit_code = _run_jobs(jobs, stages, threads)
+    records, exit_code = _run_jobs(jobs, stages)
     for record in records:
         envelope.add(record)
     return envelope, exit_code
 
 
-def _cmd_constants(config: ExperimentConfig, threads: int) -> tuple[ReportEnvelope, int]:
+def _cmd_constants(config: ExperimentConfig) -> tuple[ReportEnvelope, int]:
     model = build_model(config)
     envelope = ReportEnvelope()
     envelope.add(meta_record(config.to_dict(), config.seed))
@@ -282,7 +244,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         force=True,
     )
     try:
-        threads = _thread_count(args)
         if args.command == "report":
             envelope, exit_code = _cmd_report(args)
             fmt = args.format or "jsonl"
@@ -292,7 +253,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             command = {"run": _cmd_run, "verify": _cmd_verify,
                        "constants": _cmd_constants}[args.command]
             start = time.perf_counter()
-            envelope, exit_code = command(config, threads)
+            envelope, exit_code = command(config)
             log.info("%s completed in %.3fs", args.command,
                      time.perf_counter() - start)
             fmt = args.format or config.output_format

@@ -49,7 +49,11 @@ PROFILE_SAMPLES = 1001
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """Scalar coefficient t -> b(t) with a closed-form antiderivative."""
+    """Scalar coefficient t -> b(t) with a closed-form antiderivative.
+
+    ``value`` accepts a time or an array of times; a constant profile may
+    return a scalar for either.
+    """
 
     label: str
     value: Callable[[float], float]
@@ -128,8 +132,9 @@ class Generator:
 class PerturbationFamily:
     """Time-dependent perturbation B(t) with declared (alpha, beta).
 
-    ``heat_factor``, when provided, returns the entries of e^{-tau B(t)}
-    faster than the generic spectral route; it must agree with it.
+    ``heat_factor(t, tau)``, when provided, returns the entries of
+    e^{-tau B(t)} faster than the generic spectral route and must agree with
+    it: shape (d, d) for one time t, (n, d, d) for a 1-D array of n times.
     ``breakpoints`` lists the times where t -> B(t) is not smooth, so
     quadratures can align panel edges with them.
     """
@@ -139,7 +144,7 @@ class PerturbationFamily:
     beta: float
     descriptor: str
     breakpoints: tuple[float, ...] = ()
-    heat_factor: Optional[Callable[[float, float], np.ndarray]] = None
+    heat_factor: Optional[Callable[[float | np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -185,6 +190,21 @@ def evaluate_perturbation(model: Model, t: float, validate: bool = False) -> Her
     return b
 
 
+def _profile_values(profile: TimeProfile, t) -> np.ndarray:
+    """b(t) for a time or an array of times, shaped like ``t``."""
+    t = np.asarray(t, dtype=float)
+    values = np.asarray(profile.value(t), dtype=float)
+    return values if values.shape == t.shape else np.full(t.shape, values)
+
+
+def _diagonal(entries: np.ndarray) -> np.ndarray:
+    """Diagonal matrices from the last axis: (..., d) -> (..., d, d)."""
+    d = entries.shape[-1]
+    out = np.zeros(entries.shape[:-1] + (d * d,))
+    out[..., ::d + 1] = entries
+    return out.reshape(entries.shape + (d,))
+
+
 def _check_profile_nonneg(profile: TimeProfile, horizon: float) -> None:
     ts = np.linspace(0.0, horizon, PROFILE_SAMPLES)
     vals = np.asarray([profile.value(t) for t in ts])
@@ -217,7 +237,7 @@ def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
         beta=beta,
         descriptor=f"scalar b={b.label}",
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
-        heat_factor=lambda t, tau: np.array([[math.exp(-tau * b.value(t))]]),
+        heat_factor=lambda t, tau: np.exp(-tau * _profile_values(b, t))[..., None, None],
     )
     return Model(generator, family, horizon, exact,
                  descriptor=f"scalar(a={a:g}, b={b.label}, alpha={alpha:g}, beta={beta:g})")
@@ -254,7 +274,8 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
         beta=beta,
         descriptor=f"commuting b={b.label}",
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
-        heat_factor=lambda t, tau: np.diag(np.exp(-tau * b.value(t) * d0)),
+        heat_factor=lambda t, tau: _diagonal(
+            np.exp((-tau * _profile_values(b, t))[..., None] * d0)),
     )
     return Model(generator, family, horizon, exact,
                  descriptor=f"commuting(dim={lam.size}, b={b.label}, "
@@ -303,21 +324,24 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
     envelope = kink_profile(t0, beta, scale=1.0, offset=1.0)
     generator = Generator(np.diag(lam))
 
-    def rotated_basis(t: float) -> np.ndarray:
-        # R(omega t) @ q0 touches only the first two rows of q0.
-        v = np.array(q0)
-        c, s = math.cos(omega * t), math.sin(omega * t)
-        v[0, :] = c * q0[0, :] - s * q0[1, :]
-        v[1, :] = s * q0[0, :] + c * q0[1, :]
+    def rotated_basis(t) -> np.ndarray:
+        # R(omega t) @ q0 touches only the first two rows of q0; an array of
+        # times gives one basis per time.
+        t = np.asarray(t, dtype=float)
+        v = np.array(np.broadcast_to(q0, t.shape + q0.shape))
+        c, s = np.cos(omega * t)[..., None], np.sin(omega * t)[..., None]
+        v[..., 0, :] = c * q0[0, :] - s * q0[1, :]
+        v[..., 1, :] = s * q0[0, :] + c * q0[1, :]
         return v
 
     def evaluate(t: float) -> HermitianOperator:
         v = rotated_basis(t)
         return HermitianOperator((v * (envelope.value(t) * mu)) @ v.T)
 
-    def heat_factor(t: float, tau: float) -> np.ndarray:
+    def heat_factor(t, tau: float) -> np.ndarray:
         v = rotated_basis(t)
-        return (v * np.exp(-tau * envelope.value(t) * mu)) @ v.T
+        decay = np.exp((-tau * _profile_values(envelope, t))[..., None] * mu)
+        return (v * decay[..., None, :]) @ np.swapaxes(v, -1, -2)
 
     family = PerturbationFamily(
         evaluate=evaluate,

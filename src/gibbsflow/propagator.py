@@ -21,14 +21,14 @@ All factors are contractions, so ||U_n|| <= e^{-(t-s)} (A >= 1).
 from __future__ import annotations
 
 import enum
-import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AccuracyError, ValidationError
-from .linalg import HermitianOperator, heat, opnorm, trace_norm
+from .errors import AccuracyError, TimeRangeError, ValidationError
+from .linalg import heat, opnorm, trace_norm
 from .models import Model
 from .quadrature import QuadratureSpec, integrate_matrix
 
@@ -47,6 +47,13 @@ __all__ = [
 CONTRACTION_SLACK = 1e-10
 # Hard cap on the number of cells the reference oracle may use.
 REFERENCE_MAX_STEPS = 2 ** 20
+# Bytes of cell factors the product kernel builds at once.  Larger batches
+# raise peak memory without making the product faster.
+BATCH_BYTES = 64 * 1024
+
+# Reference results per model instance, keyed by (s, t, tol, n0).  Weak keys
+# make a model's results live no longer than the model.
+_REFERENCE_MEMO: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
 
 
 class Scheme(enum.Enum):
@@ -108,12 +115,24 @@ class PropagatorResult:
         object.__setattr__(self, "U", u)
 
 
-def _heat_of_perturbation(model: Model, t: float, tau: float) -> np.ndarray:
-    """Entries of e^{-tau B(t)}, using the family fast path when present."""
+def _check_window(model: Model, s: float, t: float) -> None:
+    """Reject windows reaching outside the model horizon [0, T]."""
+    if not (0.0 <= s and t <= model.horizon):
+        raise TimeRangeError(
+            f"window [{s!r}, {t!r}] outside the model horizon [0, {model.horizon!r}]"
+        )
+
+
+def _heat_of_perturbation(model: Model, times: np.ndarray, tau: float) -> np.ndarray:
+    """Entries of e^{-tau B(t)} for every t in ``times``, shape (n, d, d).
+
+    Uses the family's batched ``heat_factor`` when present, otherwise the
+    spectral route one time at a time.
+    """
     fast = model.perturbation.heat_factor
     if fast is not None:
-        return fast(t, tau)
-    return heat(model.perturbation.evaluate(t), tau)
+        return fast(times, tau)
+    return np.array([heat(model.perturbation.evaluate(float(t_k)), tau) for t_k in times])
 
 
 def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndarray:
@@ -121,7 +140,7 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
     if tau <= 0:
         raise ValidationError(f"cell width must be positive, got {tau}")
     a = model.generator.operator
-    eb = _heat_of_perturbation(model, t_k, tau)
+    eb = _heat_of_perturbation(model, np.array([float(t_k)]), tau)[0]
     if scheme is Scheme.LEFT:
         return heat(a, tau) @ eb
     if scheme is Scheme.RIGHT:
@@ -132,36 +151,57 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
     raise ValidationError(f"unknown scheme {scheme!r}")
 
 
+def _pairwise(factors: np.ndarray) -> np.ndarray:
+    """Ordered product of a stack (later factors on the left) by pairwise halving."""
+    while len(factors) > 1:
+        paired = factors[1::2] @ factors[0:-1:2]
+        if len(factors) % 2:
+            paired = np.concatenate((paired, factors[-1:]))
+        factors = paired
+    return factors[0]
+
+
 def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
                      scheme: Scheme) -> np.ndarray:
-    """Product of cell factors, later times applied on the left."""
-    a = model.generator.operator
-    dim = model.dim
-    u = np.eye(dim)
-    if scheme is Scheme.SYMMETRIC:
-        half = heat(a, 0.5 * tau)
-        for t_k in sample_times:
-            eb = _heat_of_perturbation(model, t_k, tau)
-            u = half @ (eb @ (half @ u))
-    elif scheme is Scheme.LEFT:
-        ea = heat(a, tau)
-        for t_k in sample_times:
-            eb = _heat_of_perturbation(model, t_k, tau)
-            u = ea @ (eb @ u)
-    elif scheme is Scheme.RIGHT:
-        ea = heat(a, tau)
-        for t_k in sample_times:
-            eb = _heat_of_perturbation(model, t_k, tau)
-            u = eb @ (ea @ u)
-    else:
+    """Product of cell factors, later times applied on the left.
+
+    Factors are built a batch of at most ``BATCH_BYTES`` at a time and each
+    batch is reduced pairwise; batch products are merged like a binary
+    counter, so the whole product is a balanced tree whose rounding error
+    grows with log n.  The symmetric scheme shares the half steps of
+    neighbouring cells: half eB_n eA eB_{n-1} ... eA eB_1 half.
+    """
+    if scheme not in (Scheme.LEFT, Scheme.RIGHT, Scheme.SYMMETRIC):
         raise ValidationError(f"unknown scheme {scheme!r}")
-    return u
+    a = model.generator.operator
+    n = len(sample_times)
+    ea = heat(a, tau)
+    half = heat(a, 0.5 * tau) if scheme is Scheme.SYMMETRIC else None
+    batch = max(1, BATCH_BYTES // (8 * model.dim ** 2))
+    levels: list[int] = []
+    products: list[np.ndarray] = []
+    for start in range(0, n, batch):
+        eb = _heat_of_perturbation(model, sample_times[start:start + batch], tau)
+        factors = eb @ ea if scheme is Scheme.RIGHT else ea @ eb
+        if half is not None and start + batch >= n:
+            factors[-1] = half @ eb[-1]
+        product, level = _pairwise(factors), 0
+        while levels and levels[-1] == level:
+            product = product @ products.pop()
+            level = levels.pop() + 1
+        products.append(product)
+        levels.append(level)
+    u = products.pop()
+    while products:
+        u = u @ products.pop()
+    return u @ half if half is not None else u
 
 
 def product_approximant(scheme: Scheme, model: Model, s: float, t: float,
                         n: int) -> PropagatorResult:
-    """The n-cell product approximant U_n over [s, t]."""
+    """The n-cell product approximant U_n over [s, t] within the model horizon."""
     part = make_partition(s, t, n)
+    _check_window(model, part.s, part.t)
     u = _ordered_product(model, part.points, part.step, scheme)
     return PropagatorResult(u, part.s, part.t, method=f"{scheme.value}(n={n})")
 
@@ -178,21 +218,9 @@ def _symmetric_midpoint_product(model: Model, s: float, t: float, n: int) -> np.
     return _ordered_product(model, midpoints, part.step, Scheme.SYMMETRIC)
 
 
-def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
-                         n0: int = 8, cross_validate: bool = False) -> PropagatorResult:
-    """High-accuracy oracle propagator over [s, t].
-
-    Computes midpoint-sampled symmetric products at n, 2n, 4n, ... and stops
-    once both the raw doubling difference ||U_{2n} - U_n||_1 and the
-    difference of successive Richardson extrapolants (4 U_{2n} - U_n)/3 fall
-    below tol/2, returning the last extrapolant.  Fails with the best
-    achieved estimate if the cell cap is reached first.
-
-    With ``cross_validate`` the result is additionally checked against the
-    perturbation-series construction within its tail bound.
-    """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol}")
+def _extrapolated_reference(model: Model, s: float, t: float, tol: float,
+                            n0: int) -> PropagatorResult:
+    """The doubling/extrapolation loop of ``reference_propagator``, uncached."""
     n = n0
     u_prev = _symmetric_midpoint_product(model, s, t, n)
     u_curr = _symmetric_midpoint_product(model, s, t, 2 * n)
@@ -212,22 +240,54 @@ def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
         if diff <= 0.5 * tol and extrap_diff <= 0.5 * tol:
             break
         extrap_prev = extrap
-    result = PropagatorResult(
+    extrap.setflags(write=False)
+    return PropagatorResult(
         extrap, float(s), float(t),
         method=f"reference(tol={tol:g}, n={2 * n}, diff={diff:.3e})",
     )
-    if cross_validate:
-        from .dyson import dyson_phillips_sum
 
-        eps = max(tol, 1e-8)
-        series = dyson_phillips_sum(model, s, t, eps)
-        gap = trace_norm(result.U - series.U)
-        budget = (series.tail_bound or 0.0) + 10.0 * eps + tol
-        if gap > budget:
-            raise AccuracyError(
-                "reference propagator disagrees with the perturbation series",
-                requested=budget, achieved=gap,
-            )
+
+def _cross_validate(model: Model, result: PropagatorResult, tol: float) -> None:
+    """Raise unless ``result`` agrees with the series within its tail bound."""
+    from .dyson import dyson_phillips_sum
+
+    eps = max(tol, 1e-8)
+    series = dyson_phillips_sum(model, result.s, result.t, eps)
+    gap = trace_norm(result.U - series.U)
+    budget = (series.tail_bound or 0.0) + 10.0 * eps + tol
+    if gap > budget:
+        raise AccuracyError(
+            "reference propagator disagrees with the perturbation series",
+            requested=budget, achieved=gap,
+        )
+
+
+def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
+                         n0: int = 8, cross_validate: bool = False) -> PropagatorResult:
+    """High-accuracy oracle propagator over [s, t].
+
+    Computes midpoint-sampled symmetric products at n, 2n, 4n, ... and stops
+    once both the raw doubling difference ||U_{2n} - U_n||_1 and the
+    difference of successive Richardson extrapolants (4 U_{2n} - U_n)/3 fall
+    below tol/2, returning the last extrapolant.  Fails with the best
+    achieved estimate if the cell cap is reached first.
+
+    Results are memoized per model instance and (s, t, tol, n0), with a
+    read-only ``U``, so every caller asking for the same window shares one
+    computation.  With ``cross_validate`` the result, cached or not, is
+    additionally checked against the perturbation-series construction within
+    its tail bound.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be positive, got {tol}")
+    _check_window(model, s, t)
+    memo = _REFERENCE_MEMO.setdefault(model, {})
+    key = (float(s), float(t), float(tol), int(n0))
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _extrapolated_reference(model, s, t, tol, n0)
+    if cross_validate:
+        _cross_validate(model, result, tol)
     return result
 
 

@@ -3,8 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import gibbsflow as gf
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is reproducible.
+settings.register_profile("reproducible", derandomize=True, deadline=None, database=None)
+settings.load_profile("reproducible")
 
 
 def random_symmetric_psd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

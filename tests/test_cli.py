@@ -43,12 +43,12 @@ class TestRun:
         assert kinds == ["convergence", "convergence"]
         assert [r["scheme"] for r in records[2:]] == ["left", "symmetric"]
 
-    def test_byte_identical_across_thread_counts(self, config_path, tmp_path):
+    def test_byte_identical_across_runs(self, config_path, tmp_path):
         outs = []
-        for threads, name in ((1, "a.jsonl"), (4, "b.jsonl")):
+        for name in ("a.jsonl", "b.jsonl"):
             out = tmp_path / name
             assert cli.main(["run", "--config", config_path,
-                             "--output", str(out), "--threads", str(threads)]) == 0
+                             "--output", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -134,15 +134,6 @@ class TestExitCodes:
         records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         failures = [r for r in records if r["kind"] == "failure"]
         assert failures and failures[0]["error"] == "AccuracyError"
-
-    def test_bad_threads_flag(self, config_path):
-        assert cli.main(["run", "--config", config_path, "--threads", "0"]) == 1
-
-    def test_threads_env_fallback(self, config_path, monkeypatch, capsys):
-        monkeypatch.setenv("GIBBSFLOW_THREADS", "2")
-        assert cli.main(["run", "--config", config_path]) == 0
-        monkeypatch.setenv("GIBBSFLOW_THREADS", "zero")
-        assert cli.main(["run", "--config", config_path]) == 1
 
 
 class TestVerbose:

@@ -1,0 +1,103 @@
+"""Properties of the batched pairwise ordered-product kernel.
+
+Every scheme on rotating and commuting models, and on a family without a
+batched ``heat_factor``.  The batch size is drawn too, so products cross
+batch boundaries (including one-cell batches) and odd stack lengths.
+"""
+import dataclasses
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gibbsflow as gf
+from gibbsflow import propagator
+
+from conftest import make_rotating, random_symmetric_psd
+
+ROTATING = make_rotating(dim=5, seed=7)
+MODELS = {
+    "rotating": ROTATING,
+    "commuting": gf.commuting_model(np.linspace(1.0, 3.0, 4), [0.6, 0.1, 0.9, 0.3],
+                                    gf.kink_profile(0.45, 0.5)),
+    "spectral": dataclasses.replace(
+        ROTATING, perturbation=dataclasses.replace(ROTATING.perturbation, heat_factor=None)),
+}
+
+models = st.sampled_from(sorted(MODELS))
+schemes = st.sampled_from(list(gf.Scheme))
+batch_cells = st.integers(1, 40)
+windows = st.tuples(st.floats(0.0, 0.5), st.floats(0.05, 0.5))
+
+
+def _kernel(model, scheme, s, t, n, cells):
+    """The kernel's product with batches of ``cells`` cells."""
+    part = gf.make_partition(s, t, n)
+    with mock.patch.object(propagator, "BATCH_BYTES", cells * 8 * model.dim ** 2):
+        return propagator._ordered_product(model, part.points, part.step, scheme)
+
+
+def _loop(model, scheme, points, tau):
+    u = np.eye(model.dim)
+    for t_k in points:
+        u = gf.step_factor(scheme, model, float(t_k), tau) @ u
+    return u
+
+
+def _rel(a, b):
+    return gf.opnorm(a - b) / gf.opnorm(b)
+
+
+@given(models, schemes, windows, st.integers(1, 300), batch_cells)
+@settings(max_examples=40)
+def test_matches_per_cell_loop(name, scheme, window, n, cells):
+    model = MODELS[name]
+    s, width = window
+    part = gf.make_partition(s, s + width, n)
+    kernel = _kernel(model, scheme, part.s, part.t, n, cells)
+    assert _rel(kernel, _loop(model, scheme, part.points, part.step)) <= 1e-12
+
+
+@given(models, schemes, windows, st.integers(1, 150), batch_cells)
+@settings(max_examples=40)
+def test_product_splits_into_halves(name, scheme, window, m, cells):
+    model = MODELS[name]
+    s, width = window
+    part = gf.make_partition(s, s + width, 2 * m)
+    with mock.patch.object(propagator, "BATCH_BYTES", cells * 8 * model.dim ** 2):
+        full = propagator._ordered_product(model, part.points, part.step, scheme)
+        early = propagator._ordered_product(model, part.points[:m], part.step, scheme)
+        late = propagator._ordered_product(model, part.points[m:], part.step, scheme)
+    assert _rel(full, late @ early) <= 1e-12
+
+
+@given(models, schemes, windows, st.integers(1, 300), batch_cells)
+@settings(max_examples=40)
+def test_contracts_at_generator_rate(name, scheme, window, n, cells):
+    model = MODELS[name]
+    s, width = window
+    u = _kernel(model, scheme, s, s + width, n, cells)
+    bound = math.exp(-width * float(model.generator.eigenvalues[0]))
+    assert gf.opnorm(u) <= bound * (1.0 + 1e-12)
+
+
+def _constant_model(dim, seed):
+    """Non-commuting model with B constant in time; no batched heat factor."""
+    rng = np.random.default_rng(seed)
+    b = gf.HermitianOperator(random_symmetric_psd(rng, dim))
+    family = gf.PerturbationFamily(evaluate=lambda t: b, alpha=0.0, beta=1.0,
+                                   descriptor="constant")
+    return gf.Model(gf.Generator(np.diag(np.linspace(1.0, 4.0, dim))), family)
+
+
+CONSTANT = _constant_model(4, 19)
+
+
+@given(windows, st.integers(1, 300), batch_cells)
+@settings(max_examples=40)
+def test_symmetric_scheme_is_palindromic_for_constant_b(window, n, cells):
+    s, width = window
+    u = _kernel(CONSTANT, gf.Scheme.SYMMETRIC, s, s + width, n, cells)
+    assert gf.opnorm(u - u.T) <= 1e-12 * gf.opnorm(u)

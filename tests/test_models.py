@@ -153,6 +153,29 @@ class TestRotatingModel:
         assert rotating_small.exact is None
 
 
+class TestBatchedHeatFactor:
+    @pytest.mark.parametrize("build", [
+        lambda: gf.scalar_model(1.0, gf.linear_profile(1.0)),
+        lambda: gf.scalar_model(1.0, gf.constant_profile(0.4)),
+        lambda: gf.commuting_model([1.0, 2.0, 3.0], [0.3, 0.2, 0.1],
+                                   gf.kink_profile(0.4, 0.5)),
+        lambda: gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.constant_profile(1.0)),
+        lambda: make_rotating(dim=5, seed=3),
+    ])
+    def test_array_of_times_stacks_single_times(self, build):
+        model = build()
+        ts = np.array([0.0, 0.13, 0.4, 0.5, 0.77, 1.0])
+        tau = 0.05
+        batched = model.perturbation.heat_factor(ts, tau)
+        assert batched.shape == (ts.size, model.dim, model.dim)
+        for t, factor in zip(ts, batched):
+            single = model.perturbation.heat_factor(float(t), tau)
+            assert single.shape == (model.dim, model.dim)
+            assert np.allclose(factor, single, rtol=0, atol=1e-15)
+            spectral = gf.heat(model.perturbation.evaluate(float(t)), tau)
+            assert np.allclose(factor, spectral, rtol=0, atol=1e-13)
+
+
 class TestTimeValidation:
     def test_outside_horizon(self, scalar_linear):
         with pytest.raises(gf.TimeRangeError):

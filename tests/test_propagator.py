@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbsflow as gf
+from gibbsflow import dyson, propagator
 
 from conftest import make_rotating
 
@@ -155,6 +156,77 @@ class TestReferencePropagator:
     def test_tolerance_validation(self, scalar_linear):
         with pytest.raises(gf.ValidationError):
             gf.reference_propagator(scalar_linear, 0.0, 1.0, tol=0.0)
+
+
+class TestReferenceMemo:
+    @pytest.fixture
+    def computations(self, monkeypatch):
+        """Counts the reference computations that miss the memo."""
+        calls = []
+        compute = propagator._extrapolated_reference
+
+        def counted(*args):
+            calls.append(args[1:])
+            return compute(*args)
+
+        monkeypatch.setattr(propagator, "_extrapolated_reference", counted)
+        return calls
+
+    def test_repeated_call_reuses_result(self, rotating_small, computations):
+        first = gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
+        second = gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
+        assert second is first
+        assert len(computations) == 1
+
+    def test_cached_u_is_read_only(self, rotating_small):
+        ref = gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
+        with pytest.raises(ValueError):
+            ref.U[0, 0] = 0.0
+
+    def test_new_tolerance_window_or_model_recomputes(self, rotating_small, computations):
+        gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
+        gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-8)
+        gf.reference_propagator(rotating_small, 0.5, 1.0, 1e-9)
+        gf.reference_propagator(make_rotating(dim=4, seed=11), 0.0, 0.5, 1e-9)
+        assert len(computations) == 4
+
+    def test_cross_validation_runs_on_cache_hit(self, rotating_small, computations,
+                                                monkeypatch):
+        gf.reference_propagator(rotating_small, 0.1, 0.45, 1e-9)
+
+        def far_off(model, s, t, eps):
+            return gf.PropagatorResult(np.zeros((model.dim, model.dim)), s, t,
+                                       method="test", tail_bound=0.0)
+
+        monkeypatch.setattr(dyson, "dyson_phillips_sum", far_off)
+        with pytest.raises(gf.AccuracyError):
+            gf.reference_propagator(rotating_small, 0.1, 0.45, 1e-9, cross_validate=True)
+        assert len(computations) == 1
+
+    def test_three_scheme_run_computes_oracle_once(self, rotating_small, computations):
+        for scheme in gf.Scheme:
+            gf.run_convergence(rotating_small, scheme, 0.0, 1.0, [4, 8, 16],
+                               tol_ref=1e-9)
+        assert computations == [(0.0, 1.0, 1e-9, 8)]
+
+
+class TestHorizon:
+    def test_product_past_horizon_rejected(self, rotating_small):
+        with pytest.raises(gf.TimeRangeError):
+            gf.product_approximant(gf.Scheme.LEFT, rotating_small, 0.0, 3.0, 8)
+
+    def test_product_before_zero_rejected(self, scalar_linear):
+        with pytest.raises(gf.TimeRangeError):
+            gf.product_approximant(gf.Scheme.SYMMETRIC, scalar_linear, -0.5, 0.5, 8)
+
+    def test_reference_outside_horizon_rejected(self, rotating_small):
+        with pytest.raises(gf.TimeRangeError):
+            gf.reference_propagator(rotating_small, 0.5, 1.5, 1e-8)
+        with pytest.raises(gf.TimeRangeError):
+            gf.reference_propagator(rotating_small, -0.1, 0.5, 1e-8)
+
+    def test_whole_horizon_accepted(self, scalar_linear):
+        gf.product_approximant(gf.Scheme.RIGHT, scalar_linear, 0.0, 1.0, 4)
 
 
 class TestIntegralEquationResidual:
