@@ -52,6 +52,7 @@ from .models import (
     givens_rotation,
     kink_profile,
     linear_profile,
+    perturbation_entries,
     rotating_model,
     scalar_model,
 )
@@ -105,7 +106,8 @@ __all__ = [
     # models
     "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
     "Generator", "PerturbationFamily", "Model", "evaluate_perturbation",
-    "scalar_model", "commuting_model", "rotating_model", "givens_rotation",
+    "perturbation_entries", "scalar_model", "commuting_model", "rotating_model",
+    "givens_rotation",
     # quadrature
     "QuadratureSpec", "panel_edges", "integrate_matrix",
     # propagator

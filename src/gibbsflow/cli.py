@@ -8,9 +8,11 @@ verify     structural checks: ordered-product bound ensemble, split-product
 constants  perturbation/smoothing constants for the configured model
 report     re-emit a stored JSONL record stream in another format
 
-Exit codes: 0 success, 1 validation failure, 2 numerical-accuracy failure,
-3 I/O failure.  JSONL output is byte-identical for a fixed configuration and
-seed; wall-clock timings only ever go to stderr.
+Exit codes: 0 success, 1 validation failure (``ValidationError`` and its
+subclasses, ``DomainError``, ``NoKnownRateError``), 2 numerical failure
+(``AccuracyError``, ``DecompositionError``), 3 I/O failure.  JSONL output
+is byte-identical for a fixed configuration and seed; wall-clock timings
+only ever go to stderr.
 """
 from __future__ import annotations
 
@@ -33,7 +35,13 @@ from .analysis import (
 )
 from .config import ExperimentConfig, build_model, parse_config
 from .constants import estimate_constants
-from .errors import AccuracyError, ConfigError, ValidationError
+from .errors import (
+    AccuracyError,
+    ConfigError,
+    DecompositionError,
+    GibbsflowError,
+    ValidationError,
+)
 from .propagator import Scheme
 from .reports import (
     ReportEnvelope,
@@ -56,6 +64,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ACCURACY = 2
 EXIT_IO = 3
+
+
+def _exit_code(exc: GibbsflowError) -> int:
+    """Numerical failures exit 2; every other package error is a validation failure."""
+    if isinstance(exc, (AccuracyError, DecompositionError)):
+        return EXIT_ACCURACY
+    return EXIT_VALIDATION
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,20 +166,15 @@ def _run_jobs(jobs: Sequence[Callable[[], dict]],
               stages: Sequence[str]) -> tuple[list, int]:
     """Execute jobs; a failing job degrades to a failure record."""
     exit_code = EXIT_OK
-
     records = []
     for job, stage in zip(jobs, stages):
         try:
             records.append(job())
-        except (AccuracyError, ValidationError) as exc:
-            records.append(failure_record(stage, exc))
-    for record in records:
-        if record.get("kind") == "failure":
-            code = (EXIT_ACCURACY if record["error"] == "AccuracyError"
-                    else EXIT_VALIDATION)
-            exit_code = max(exit_code, code)
-            log.error("stage %s failed: %s", record["stage"],
-                      "; ".join(record["messages"]))
+        except GibbsflowError as exc:
+            record = failure_record(stage, exc)
+            records.append(record)
+            exit_code = max(exit_code, _exit_code(exc))
+            log.error("stage %s failed: %s", stage, "; ".join(record["messages"]))
     return records, exit_code
 
 
@@ -264,12 +274,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for message in exc.messages:
             print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValidationError as exc:
+    except GibbsflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except AccuracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ACCURACY
+        return _exit_code(exc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import fractional_power, opnorm
-from .models import Model
+from .models import Model, perturbation_entries
+from .propagator import _batch_length, _check_window
 
 __all__ = ["ConstantsReport", "estimate_constants", "contraction_coefficient"]
 
@@ -71,13 +72,25 @@ def smoothing_constant(eigenvalues: np.ndarray, delta: float, alpha: float) -> f
     return float(max(np.max(values), limit))
 
 
-def _relative_bound(model: Model, grid: int) -> float:
-    """Grid maximum of ||B(t) A^{-alpha}|| over the horizon."""
+def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Grid times on [0, T], c_alpha, and A^{-alpha} B(t) A^{-alpha} per time.
+
+    c_alpha is the grid maximum of ||B(t) A^{-alpha}||.  B is evaluated a
+    chunk of at most ``BATCH_BYTES`` at a time, so only the sandwiched stack
+    of shape (grid, d, d) is held in full.
+    """
     alpha = model.perturbation.alpha
     a = model.generator.operator
     a_neg = fractional_power(a, -alpha).entries if alpha != 0.0 else np.eye(model.dim)
     times = np.linspace(0.0, model.horizon, grid)
-    return max(opnorm(model.perturbation.evaluate(ti).entries @ a_neg) for ti in times)
+    sandwiched = np.empty((times.size, model.dim, model.dim))
+    c_alpha = 0.0
+    chunk = _batch_length(model.dim)
+    for start in range(0, times.size, chunk):
+        b = perturbation_entries(model, times[start:start + chunk])
+        c_alpha = max(c_alpha, *(opnorm(m) for m in b @ a_neg))
+        sandwiched[start:start + chunk] = a_neg @ b @ a_neg
+    return times, c_alpha, sandwiched
 
 
 def contraction_coefficient(model: Model, s: float, t: float, grid: int = 101) -> float:
@@ -88,8 +101,9 @@ def contraction_coefficient(model: Model, s: float, t: float, grid: int = 101) -
     """
     if not s < t:
         raise ValidationError(f"coefficient requires s < t, got s={s!r}, t={t!r}")
+    _check_window(model, s, t)
     alpha = model.perturbation.alpha
-    c_alpha = _relative_bound(model, grid)
+    _, c_alpha, _ = _horizon_samples(model, grid)
     m_alpha = smoothing_constant(model.generator.eigenvalues, t - s, alpha)
     return c_alpha * m_alpha * (t - s) ** (1.0 - alpha) / (1.0 - alpha)
 
@@ -104,17 +118,10 @@ def estimate_constants(model: Model, s: float, t: float, grid: int = 101) -> Con
         raise ValidationError(f"constants require s < t, got s={s!r}, t={t!r}")
     if not (isinstance(grid, (int, np.integer)) and grid >= 2):
         raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
+    _check_window(model, s, t)
     alpha = model.perturbation.alpha
     beta = model.perturbation.beta
-    a = model.generator.operator
-    a_neg = fractional_power(a, -alpha).entries if alpha != 0.0 else np.eye(model.dim)
-
-    times = np.linspace(0.0, model.horizon, grid)
-    b_entries = [model.perturbation.evaluate(ti).entries for ti in times]
-
-    c_alpha = max(opnorm(b @ a_neg) for b in b_entries)
-
-    sandwiched = [a_neg @ b @ a_neg for b in b_entries]
+    times, c_alpha, sandwiched = _horizon_samples(model, grid)
     l_alpha_beta = 0.0
     for i in range(grid):
         for j in range(i + 1, grid):

@@ -31,8 +31,8 @@ import numpy as np
 from .constants import contraction_coefficient
 from .errors import AccuracyError, ConfigError, ValidationError
 from .linalg import trace_norm
-from .models import Model
-from .propagator import PropagatorResult
+from .models import Model, perturbation_entries
+from .propagator import PropagatorResult, _batch_length, _check_window
 from .quadrature import QuadratureSpec, _leggauss, panel_edges
 
 __all__ = ["dyson_phillips_term", "dyson_phillips_sum"]
@@ -67,11 +67,7 @@ class _CollocationGrid:
         m_panels, p = nodes.shape
         self.nodes, self.weights, self.edges = nodes, weights, edges
 
-        def b_hat(time: float) -> np.ndarray:
-            b = model.perturbation.evaluate(float(time)).entries
-            return q.T @ b @ q
-
-        self.b_nodes = np.array([[b_hat(x) for x in row] for row in nodes])
+        self.b_nodes = _b_hat(model, q, nodes)                       # (M, P, d, d)
 
         # Semigroup scalings: across whole panels, node -> right edge,
         # left edge -> node.
@@ -88,9 +84,7 @@ class _CollocationGrid:
         fhalf = 0.5 * (hi - lo)
         self.fresh = fmid + fhalf * xi0[None, None, :]               # (M, P, P)
         self.fresh_w = fhalf * w0[None, None, :]                     # (M, P, P)
-        self.b_fresh = np.array(
-            [[[b_hat(x) for x in row] for row in panel] for panel in self.fresh]
-        )
+        self.b_fresh = _b_hat(model, q, self.fresh)                  # (M, P, P, d, d)
         self.exp_fresh = np.exp(-(nodes[..., None] - self.fresh)[..., None] * lam)  # (M,P,P,d)
 
         zeta = (self.fresh - mid[:, None, None]) / half[:, None, None]
@@ -125,6 +119,21 @@ class _CollocationGrid:
             values, end = self.level(values)
             out.append(self.q @ end @ self.q.T)
         return out
+
+
+def _b_hat(model: Model, q: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """q^T B(x) q for every time x in ``times``, shape times.shape + (d, d).
+
+    B is evaluated a chunk of at most ``BATCH_BYTES`` at a time.
+    """
+    d = q.shape[0]
+    flat = times.ravel()
+    out = np.empty((flat.size, d, d))
+    chunk = _batch_length(d)
+    for start in range(0, flat.size, chunk):
+        b = perturbation_entries(model, flat[start:start + chunk])
+        out[start:start + chunk] = q.T @ b @ q
+    return out.reshape(times.shape + (d, d))
 
 
 def _barycentric_rows(base: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -176,6 +185,7 @@ def dyson_phillips_term(model: Model, s: float, t: float, k: int,
         raise ValidationError(f"series term requires s < t, got s={s!r}, t={t!r}")
     if not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DEPTH):
         raise ValidationError(f"series order must be an integer in [0, {MAX_DEPTH}], got {k!r}")
+    _check_window(model, s, t)
     if k == 0:
         return model.generator.heat(t - s)
     terms, _ = _doubling(model, s, t, int(k), quad, want="term")
@@ -207,6 +217,7 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
     """
     if not (np.isfinite(eps_tail) and eps_tail > 0):
         raise ValidationError(f"eps_tail must be positive, got {eps_tail}")
+    _check_window(model, s, t)
     if quad is None:
         quad = QuadratureSpec(tol=max(min(eps_tail / 10.0, 1e-8), 1e-13))
     xi = contraction_coefficient(model, s, t, grid)

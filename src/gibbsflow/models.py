@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ModelError, TimeRangeError
-from .linalg import HermitianOperator, heat
+from .errors import ModelError, TimeRangeError, ValidationError
+from .linalg import SYMMETRY_TOL, HermitianOperator, heat
 
 __all__ = [
     "TimeProfile",
@@ -36,6 +36,7 @@ __all__ = [
     "commuting_model",
     "rotating_model",
     "evaluate_perturbation",
+    "perturbation_entries",
     "givens_rotation",
 ]
 
@@ -132,6 +133,9 @@ class Generator:
 class PerturbationFamily:
     """Time-dependent perturbation B(t) with declared (alpha, beta).
 
+    ``entries(t)``, when provided, returns the entries of B(t): shape (d, d)
+    for one time t, (n, d, d) for a 1-D array of n times.  Read them through
+    ``perturbation_entries``, which validates them like ``HermitianOperator``.
     ``heat_factor(t, tau)``, when provided, returns the entries of
     e^{-tau B(t)} faster than the generic spectral route and must agree with
     it: shape (d, d) for one time t, (n, d, d) for a 1-D array of n times.
@@ -145,6 +149,7 @@ class PerturbationFamily:
     descriptor: str
     breakpoints: tuple[float, ...] = ()
     heat_factor: Optional[Callable[[float | np.ndarray, float], np.ndarray]] = None
+    entries: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -190,6 +195,44 @@ def evaluate_perturbation(model: Model, t: float, validate: bool = False) -> Her
     return b
 
 
+def perturbation_entries(model: Model, times) -> np.ndarray:
+    """Symmetrized entries of B(t) for a 1-D array of n times, shape (n, d, d).
+
+    Uses the family's batched ``entries`` when present, otherwise
+    ``evaluate`` one time at a time.  Either way every matrix gets the checks
+    of ``HermitianOperator``: finite entries and asymmetry within
+    ``SYMMETRY_TOL * (1 + max|B(t)|)``, then ``0.5 (B + B^T)``.
+    """
+    times = np.asarray(times, dtype=float)
+    shape = (times.size, model.dim, model.dim)
+    if times.ndim != 1:
+        raise ValidationError(f"times must be a 1-D array, got shape {times.shape}")
+    if times.size and not (0.0 <= times.min() and times.max() <= model.horizon):
+        raise TimeRangeError(
+            f"times [{times.min()!r}, {times.max()!r}] outside the model horizon "
+            f"[0, {model.horizon!r}]"
+        )
+    family = model.perturbation
+    if family.entries is None:
+        return np.array([family.evaluate(float(t)).entries for t in times]).reshape(shape)
+    b = np.asarray(family.entries(times), dtype=float)
+    if b.shape != shape:
+        raise ValidationError(f"perturbation entries have shape {b.shape}, expected {shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValidationError("perturbation entries must be finite")
+    bt = np.swapaxes(b, -1, -2)
+    scale = 1.0 + np.max(np.abs(b), axis=(1, 2), initial=0.0)
+    asym = np.max(np.abs(b - bt), axis=(1, 2), initial=0.0)
+    bad = asym > SYMMETRY_TOL * scale
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"perturbation is not symmetric at t={float(times[k])!r}: max|B - B^T| = "
+            f"{float(asym[k]):.3e} exceeds {SYMMETRY_TOL:g} * scale"
+        )
+    return 0.5 * (b + bt)
+
+
 def _profile_values(profile: TimeProfile, t) -> np.ndarray:
     """b(t) for a time or an array of times, shaped like ``t``."""
     t = np.asarray(t, dtype=float)
@@ -231,13 +274,17 @@ def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
     def exact(s: float, t: float) -> np.ndarray:
         return np.array([[math.exp(-a * (t - s) - b.integral(s, t))]])
 
+    def entries(t) -> np.ndarray:
+        return _profile_values(b, t)[..., None, None]
+
     family = PerturbationFamily(
-        evaluate=lambda t: HermitianOperator(np.array([[b.value(t)]])),
+        evaluate=lambda t: HermitianOperator(entries(t)),
         alpha=alpha,
         beta=beta,
         descriptor=f"scalar b={b.label}",
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
         heat_factor=lambda t, tau: np.exp(-tau * _profile_values(b, t))[..., None, None],
+        entries=entries,
     )
     return Model(generator, family, horizon, exact,
                  descriptor=f"scalar(a={a:g}, b={b.label}, alpha={alpha:g}, beta={beta:g})")
@@ -268,14 +315,18 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
         ib = b.integral(s, t)
         return np.diag(np.exp(-lam * (t - s) - d0 * ib))
 
+    def entries(t) -> np.ndarray:
+        return _diagonal(_profile_values(b, t)[..., None] * d0)
+
     family = PerturbationFamily(
-        evaluate=lambda t: HermitianOperator(np.diag(b.value(t) * d0)),
+        evaluate=lambda t: HermitianOperator(entries(t)),
         alpha=alpha,
         beta=beta,
         descriptor=f"commuting b={b.label}",
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
         heat_factor=lambda t, tau: _diagonal(
             np.exp((-tau * _profile_values(b, t))[..., None] * d0)),
+        entries=entries,
     )
     return Model(generator, family, horizon, exact,
                  descriptor=f"commuting(dim={lam.size}, b={b.label}, "
@@ -334,9 +385,10 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
         v[..., 1, :] = s * q0[0, :] + c * q0[1, :]
         return v
 
-    def evaluate(t: float) -> HermitianOperator:
+    def entries(t) -> np.ndarray:
         v = rotated_basis(t)
-        return HermitianOperator((v * (envelope.value(t) * mu)) @ v.T)
+        weights = _profile_values(envelope, t)[..., None] * mu
+        return (v * weights[..., None, :]) @ np.swapaxes(v, -1, -2)
 
     def heat_factor(t, tau: float) -> np.ndarray:
         v = rotated_basis(t)
@@ -344,12 +396,13 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
         return (v * decay[..., None, :]) @ np.swapaxes(v, -1, -2)
 
     family = PerturbationFamily(
-        evaluate=evaluate,
+        evaluate=lambda t: HermitianOperator(entries(t)),
         alpha=alpha,
         beta=beta,
         descriptor=f"rotating omega={omega:g}, envelope={envelope.label}",
         breakpoints=(t0,) if 0.0 < t0 < horizon else (),
         heat_factor=heat_factor,
+        entries=entries,
     )
     return Model(generator, family, horizon, None,
                  descriptor=f"rotating(dim={dim}, omega={omega:g}, t0={t0:g}, "

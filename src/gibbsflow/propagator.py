@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AccuracyError, TimeRangeError, ValidationError
 from .linalg import heat, opnorm, trace_norm
-from .models import Model
+from .models import Model, perturbation_entries
 from .quadrature import QuadratureSpec, integrate_matrix
 
 __all__ = [
@@ -47,13 +47,19 @@ __all__ = [
 CONTRACTION_SLACK = 1e-10
 # Hard cap on the number of cells the reference oracle may use.
 REFERENCE_MAX_STEPS = 2 ** 20
-# Bytes of cell factors the product kernel builds at once.  Larger batches
-# raise peak memory without making the product faster.
+# Bytes of matrices built at once: cell factors in the product kernel, B(t)
+# samples on the series and constants grids.  Larger batches raise peak
+# memory without making the work faster.
 BATCH_BYTES = 64 * 1024
 
 # Reference results per model instance, keyed by (s, t, tol, n0).  Weak keys
 # make a model's results live no longer than the model.
 _REFERENCE_MEMO: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
+
+
+def _batch_length(dim: int) -> int:
+    """Number of (dim, dim) matrices that fit in ``BATCH_BYTES``, at least one."""
+    return max(1, BATCH_BYTES // (8 * dim * dim))
 
 
 class Scheme(enum.Enum):
@@ -177,7 +183,7 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
     n = len(sample_times)
     ea = heat(a, tau)
     half = heat(a, 0.5 * tau) if scheme is Scheme.SYMMETRIC else None
-    batch = max(1, BATCH_BYTES // (8 * model.dim ** 2))
+    batch = _batch_length(model.dim)
     levels: list[int] = []
     products: list[np.ndarray] = []
     for start in range(0, n, batch):
@@ -302,11 +308,15 @@ def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],
     """
     if not s < t:
         raise ValidationError(f"residual requires s < t, got s={s!r}, t={t!r}")
+    _check_window(model, s, t)
     a = model.generator.operator
+    lam, q = a.spectrum()
 
-    def integrand(r: float) -> np.ndarray:
-        b = model.perturbation.evaluate(r).entries
-        return heat(a, t - r) @ b @ np.asarray(u_fn(s, r))
+    def integrand(r: np.ndarray) -> np.ndarray:
+        heats = (q * np.exp(-(t - r)[:, None] * lam)[:, None, :]) @ q.T
+        b = perturbation_entries(model, r)
+        u = np.array([np.asarray(u_fn(s, float(x)), dtype=float) for x in r])
+        return heats @ b @ u
 
     integral = integrate_matrix(integrand, s, t, quad,
                                 breakpoints=model.perturbation.breakpoints)

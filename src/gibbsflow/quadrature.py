@@ -17,6 +17,9 @@ from .linalg import trace_norm
 
 __all__ = ["QuadratureSpec", "panel_nodes", "integrate_matrix"]
 
+# Nodes per call of a vectorized integrand.
+CHUNK_NODES = 128
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -74,15 +77,31 @@ def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int,
     return nodes, weights
 
 
-def integrate_matrix(f: Callable[[float], np.ndarray], a: float, b: float,
+def integrate_matrix(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                      spec: QuadratureSpec = QuadratureSpec(),
                      breakpoints: Sequence[float] = ()) -> np.ndarray:
     """Integrate a matrix-valued function, doubling panels until two
-    refinements agree in trace norm within ``spec.tol``."""
+    refinements agree in trace norm within ``spec.tol``.
+
+    ``f`` is vectorized: it takes a 1-D array of n nodes and returns the n
+    values stacked, shape (n, d, d).  It is called on at most
+    ``CHUNK_NODES`` nodes at a time, so memory does not grow with the panel
+    count.
+    """
 
     def estimate(n_panels: int) -> np.ndarray:
         nodes, weights = panel_nodes(a, b, n_panels, spec.nodes_per_panel, breakpoints)
-        return sum(w * np.asarray(f(x)) for x, w in zip(nodes, weights))
+        total = 0.0
+        for start in range(0, nodes.size, CHUNK_NODES):
+            chunk = nodes[start:start + CHUNK_NODES]
+            values = np.asarray(f(chunk), dtype=float)
+            if values.ndim != 3 or values.shape[0] != chunk.size:
+                raise ValidationError(
+                    f"integrand must return shape ({chunk.size}, d, d) for "
+                    f"{chunk.size} nodes, got {values.shape}"
+                )
+            total = total + np.tensordot(weights[start:start + CHUNK_NODES], values, axes=1)
+        return total
 
     n_panels = spec.initial_panels
     prev = estimate(n_panels)

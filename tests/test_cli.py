@@ -5,7 +5,7 @@ import pytest
 
 import gibbsflow as gf
 from gibbsflow import cli
-from gibbsflow.errors import AccuracyError
+from gibbsflow.errors import AccuracyError, DecompositionError, DomainError
 
 CONFIG = """
 model:
@@ -134,6 +134,29 @@ class TestExitCodes:
         records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         failures = [r for r in records if r["kind"] == "failure"]
         assert failures and failures[0]["error"] == "AccuracyError"
+
+    def test_decomposition_error_in_a_job_returns_two(self, config_path, monkeypatch,
+                                                      capsys):
+        def breaks(*args, **kwargs):
+            raise DecompositionError("eigendecomposition did not converge", dim=3)
+
+        monkeypatch.setattr(cli, "run_convergence", breaks)
+        assert cli.main(["run", "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        records = [json.loads(l) for l in captured.out.splitlines()]
+        failures = [r for r in records if r["kind"] == "failure"]
+        assert len(failures) == 2  # one per configured scheme
+        assert all(r["error"] == "DecompositionError" for r in failures)
+        assert "Traceback" not in captured.err
+
+    def test_domain_error_outside_jobs_returns_one(self, config_path, monkeypatch, capsys):
+        def breaks(*args, **kwargs):
+            raise DomainError("power -0.5 is undefined at non-positive eigenvalue 0.0")
+
+        monkeypatch.setattr(cli, "estimate_constants", breaks)
+        assert cli.main(["constants", "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert "error: power -0.5" in err and "Traceback" not in err
 
 
 class TestVerbose:

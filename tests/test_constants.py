@@ -7,11 +7,13 @@ Frozen oracles:
   = (alpha/e)^alpha when delta * lambda_max >= alpha
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import gibbsflow as gf
+from gibbsflow import propagator
 from gibbsflow.constants import smoothing_constant
 
 from conftest import make_rotating
@@ -91,11 +93,25 @@ class TestEstimateConstants:
         assert 0 < rep.m_alpha <= 1.0
         assert rep.xi > 0
 
+    def test_independent_of_batch_size(self):
+        # 7 grid times per batch: 81 times span 12 batches, the last one partial
+        model = make_rotating(dim=4, seed=3, alpha=0.2)
+        whole = gf.estimate_constants(model, 0.0, 1.0, grid=81)
+        with mock.patch.object(propagator, "BATCH_BYTES", 7 * 8 * model.dim ** 2):
+            batched = gf.estimate_constants(model, 0.0, 1.0, grid=81)
+        assert batched == whole
+
     def test_validation(self, scalar_const):
         with pytest.raises(gf.ValidationError):
             gf.estimate_constants(scalar_const, 0.5, 0.5)
         with pytest.raises(gf.ValidationError):
             gf.estimate_constants(scalar_const, 0.0, 1.0, grid=1)
+
+    def test_window_outside_horizon_rejected(self, scalar_const):
+        with pytest.raises(gf.TimeRangeError):
+            gf.estimate_constants(scalar_const, 0.5, 1.5)
+        with pytest.raises(gf.TimeRangeError):
+            gf.estimate_constants(scalar_const, -0.5, 0.5)
 
     def test_report_rejects_inconsistent_xi(self):
         with pytest.raises(gf.ValidationError):
@@ -113,3 +129,9 @@ class TestContractionCoefficient:
         xi1 = gf.contraction_coefficient(scalar_const, 0.0, 0.5)
         xi2 = gf.contraction_coefficient(scalar_const, 0.0, 1.0)
         assert xi2 == pytest.approx(2.0 * xi1, rel=1e-12)
+
+    def test_window_outside_horizon_rejected(self, scalar_const):
+        with pytest.raises(gf.TimeRangeError):
+            gf.contraction_coefficient(scalar_const, 0.5, 1.5)
+        with pytest.raises(gf.TimeRangeError):
+            gf.contraction_coefficient(scalar_const, -0.5, 0.5)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import gibbsflow as gf
+from gibbsflow.dyson import _CollocationGrid
+from gibbsflow.propagator import _batch_length
 
 from conftest import make_rotating
 
@@ -106,3 +108,35 @@ class TestCertifiedSum:
                  for eps in (1e-4, 1e-8, 1e-12)]
         assert tails[0] > tails[1] > tails[2]
         assert tails[2] <= 1e-12
+
+
+class TestCollocationGrid:
+    def test_batched_b_matches_per_node_build(self):
+        model = make_rotating(dim=6, seed=4)
+        grid = _CollocationGrid(model, 0.1, 0.9, 16, 16)
+        q = grid.q
+        chunk = _batch_length(model.dim)
+        assert grid.nodes.size > chunk and grid.fresh.size > 4 * chunk
+
+        def per_node(times):
+            return np.array([q.T @ model.perturbation.evaluate(float(x)).entries @ q
+                             for x in times.ravel()]).reshape(times.shape + (6, 6))
+
+        for batched, times in ((grid.b_nodes, grid.nodes), (grid.b_fresh, grid.fresh)):
+            expected = per_node(times)
+            assert batched.shape == expected.shape
+            assert np.max(np.abs(batched - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+class TestHorizon:
+    def test_sum_outside_horizon_rejected(self, scalar_const):
+        with pytest.raises(gf.TimeRangeError):
+            gf.dyson_phillips_sum(scalar_const, 0.5, 1.5, 1e-8)
+        with pytest.raises(gf.TimeRangeError):
+            gf.dyson_phillips_sum(scalar_const, -0.5, 0.5, 1e-8)
+
+    def test_term_outside_horizon_rejected(self, scalar_const):
+        with pytest.raises(gf.TimeRangeError):
+            gf.dyson_phillips_term(scalar_const, 0.5, 1.5, 1)
+        with pytest.raises(gf.TimeRangeError):
+            gf.dyson_phillips_term(scalar_const, -0.5, 0.5, 0)

@@ -5,6 +5,7 @@ Frozen oracles (hand-derived):
 - commuting model lambdas=(1,3), d0=(2,1), b(tau)=tau on [0,1]:
   U(0,1) = diag(e^{-2}, e^{-3.5})
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -174,6 +175,90 @@ class TestBatchedHeatFactor:
             assert np.allclose(factor, single, rtol=0, atol=1e-15)
             spectral = gf.heat(model.perturbation.evaluate(float(t)), tau)
             assert np.allclose(factor, spectral, rtol=0, atol=1e-13)
+
+
+class TestBatchedEntries:
+    FAMILIES = [
+        lambda: gf.scalar_model(1.0, gf.kink_profile(0.4, 0.5, offset=0.1), beta=0.5),
+        lambda: gf.scalar_model(1.0, gf.constant_profile(0.4)),
+        lambda: gf.commuting_model([1.0, 2.0, 3.0], [0.3, 0.2, 0.1],
+                                   gf.kink_profile(0.4, 0.5), beta=0.5),
+        lambda: make_rotating(dim=5, seed=3),
+    ]
+    # 0, the horizon and each family's breakpoint (0.4 or 0.5) among them
+    TIMES = np.array([0.0, 0.13, 0.4, 0.5, 0.77, 1.0])
+
+    @pytest.mark.parametrize("build", FAMILIES)
+    def test_batch_matches_evaluate(self, build):
+        model = build()
+        batched = model.perturbation.entries(self.TIMES)
+        assert batched.shape == (self.TIMES.size, model.dim, model.dim)
+        checked = gf.perturbation_entries(model, self.TIMES)
+        for t, raw, b in zip(self.TIMES, batched, checked):
+            single = model.perturbation.evaluate(float(t)).entries
+            scale = np.max(np.abs(single))
+            assert np.max(np.abs(raw - single)) <= 1e-15 * scale
+            assert np.max(np.abs(b - single)) <= 1e-15 * scale
+            assert np.array_equal(b, b.T)
+
+    def test_family_without_entries_falls_back_to_evaluate(self):
+        model = make_rotating(dim=4, seed=7)
+        calls = []
+
+        def evaluate(t):
+            calls.append(t)
+            return model.perturbation.evaluate(t)
+
+        bare = dataclasses.replace(model, perturbation=dataclasses.replace(
+            model.perturbation, evaluate=evaluate, entries=None))
+        values = gf.perturbation_entries(bare, self.TIMES)
+        assert calls == list(self.TIMES)
+        assert np.array_equal(values, gf.perturbation_entries(model, self.TIMES))
+        assert gf.perturbation_entries(bare, np.array([])).shape == (0, 4, 4)
+
+    @staticmethod
+    def _with_entries(entries):
+        model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.constant_profile(1.0))
+        return dataclasses.replace(model, perturbation=dataclasses.replace(
+            model.perturbation, entries=entries))
+
+    def test_non_finite_entries_rejected(self):
+        def entries(ts):
+            b = np.zeros((len(ts), 2, 2))
+            b[-1, 0, 0] = np.nan
+            return b
+
+        with pytest.raises(gf.ValidationError, match="finite"):
+            gf.perturbation_entries(self._with_entries(entries), self.TIMES)
+
+    def test_asymmetric_entries_rejected(self):
+        def entries(ts):
+            b = np.ones((len(ts), 2, 2))
+            b[2, 0, 1] += 1e-9
+            return b
+
+        with pytest.raises(gf.ValidationError, match="t=0.4"):
+            gf.perturbation_entries(self._with_entries(entries), self.TIMES)
+
+    def test_asymmetry_within_tolerance_is_symmetrized(self):
+        def entries(ts):
+            b = np.ones((len(ts), 2, 2))
+            b[:, 0, 1] += 1e-13
+            return b
+
+        values = gf.perturbation_entries(self._with_entries(entries), self.TIMES)
+        assert np.all(values[:, 0, 1] == values[:, 1, 0])
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(gf.ValidationError, match="shape"):
+            gf.perturbation_entries(self._with_entries(lambda ts: np.ones((2, 2))),
+                                    self.TIMES)
+
+    def test_times_outside_horizon_rejected(self, rotating_small):
+        with pytest.raises(gf.TimeRangeError):
+            gf.perturbation_entries(rotating_small, np.array([0.5, 1.0 + 1e-12]))
+        with pytest.raises(gf.TimeRangeError):
+            gf.perturbation_entries(rotating_small, np.array([-1e-12, 0.5]))
 
 
 class TestTimeValidation:

@@ -225,6 +225,12 @@ class TestHorizon:
         with pytest.raises(gf.TimeRangeError):
             gf.reference_propagator(rotating_small, -0.1, 0.5, 1e-8)
 
+    def test_residual_outside_horizon_rejected(self, scalar_linear):
+        with pytest.raises(gf.TimeRangeError):
+            gf.integral_equation_residual(scalar_linear.exact, scalar_linear, 0.5, 1.5)
+        with pytest.raises(gf.TimeRangeError):
+            gf.integral_equation_residual(scalar_linear.exact, scalar_linear, -0.5, 0.5)
+
     def test_whole_horizon_accepted(self, scalar_linear):
         gf.product_approximant(gf.Scheme.RIGHT, scalar_linear, 0.0, 1.0, 4)
 
