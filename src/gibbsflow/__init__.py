@@ -49,7 +49,6 @@ from .models import (
     commuting_model,
     constant_profile,
     evaluate_perturbation,
-    givens_rotation,
     kink_profile,
     linear_profile,
     perturbation_entries,
@@ -107,7 +106,6 @@ __all__ = [
     "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
     "Generator", "PerturbationFamily", "Model", "evaluate_perturbation",
     "perturbation_entries", "scalar_model", "commuting_model", "rotating_model",
-    "givens_rotation",
     # quadrature
     "QuadratureSpec", "panel_edges", "integrate_matrix",
     # propagator

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 import time
 from typing import Callable, Optional, Sequence
@@ -117,6 +118,17 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         config = dataclasses.replace(config, seed=args.seed)
     return config
+
+
+def _check_output_path(path: str) -> None:
+    """Fail before any computation when ``path`` cannot be written."""
+    if path == "-":
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path!r} is a directory")
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise PermissionError(f"output directory {directory!r} is missing or not writable")
 
 
 def _emit(envelope: ReportEnvelope, path: str, fmt: str) -> None:
@@ -260,14 +272,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             path = args.output or "-"
         else:
             config = _load_config(args)
+            fmt = args.format or config.output_format
+            path = args.output or config.output_path
+            _check_output_path(path)
             command = {"run": _cmd_run, "verify": _cmd_verify,
                        "constants": _cmd_constants}[args.command]
             start = time.perf_counter()
             envelope, exit_code = command(config)
             log.info("%s completed in %.3fs", args.command,
                      time.perf_counter() - start)
-            fmt = args.format or config.output_format
-            path = args.output or config.output_path
         _emit(envelope, path, fmt)
         return exit_code
     except ConfigError as exc:

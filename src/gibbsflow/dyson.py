@@ -23,17 +23,13 @@ propagator composition law; truncation tails add across the composition.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import contraction_coefficient
-from .errors import AccuracyError, ConfigError, ValidationError
-from .linalg import trace_norm
+from .errors import ConfigError, ValidationError
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
-from .quadrature import QuadratureSpec, _leggauss, panel_edges
+from .quadrature import QuadratureSpec, _leggauss, _refine_panels, panel_edges
 
 __all__ = ["dyson_phillips_term", "dyson_phillips_sum"]
 
@@ -153,29 +149,13 @@ def _barycentric_rows(base: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _doubling(model: Model, s: float, t: float, depth: int, quad: QuadratureSpec,
-              want: str) -> tuple[list[np.ndarray], int]:
-    """Terms at the endpoint, with panel doubling on ``want`` (term or sum)."""
-
-    def target(terms: list[np.ndarray]) -> np.ndarray:
-        return terms[-1] if want == "term" else sum(terms)
-
-    n_panels = quad.initial_panels
-    grid = _CollocationGrid(model, s, t, n_panels, quad.nodes_per_panel)
-    prev_terms = grid.terms_at_endpoint(depth)
-    diff = float("inf")
-    for _ in range(quad.max_doublings):
-        n_panels *= 2
-        grid = _CollocationGrid(model, s, t, n_panels, quad.nodes_per_panel)
-        terms = grid.terms_at_endpoint(depth)
-        diff = trace_norm(target(terms) - target(prev_terms))
-        if diff <= quad.tol:
-            return terms, n_panels
-        prev_terms = terms
-    raise AccuracyError(
-        f"series quadrature did not converge within {quad.max_doublings} doublings",
-        requested=quad.tol, achieved=diff,
-    )
+def _refined(model: Model, s: float, t: float, depth: int, quad: QuadratureSpec,
+             pick) -> tuple[np.ndarray, int]:
+    """``pick`` of the endpoint terms S_0 .. S_depth, refined by panel doubling."""
+    return _refine_panels(
+        lambda n_panels: pick(_CollocationGrid(model, s, t, n_panels, quad.nodes_per_panel)
+                              .terms_at_endpoint(depth)),
+        quad)
 
 
 def dyson_phillips_term(model: Model, s: float, t: float, k: int,
@@ -188,8 +168,7 @@ def dyson_phillips_term(model: Model, s: float, t: float, k: int,
     _check_window(model, s, t)
     if k == 0:
         return model.generator.heat(t - s)
-    terms, _ = _doubling(model, s, t, int(k), quad, want="term")
-    return terms[-1]
+    return _refined(model, s, t, int(k), quad, lambda terms: terms[-1])[0]
 
 
 def _truncation_depth(xi: float, eps_tail: float) -> int | None:
@@ -244,10 +223,10 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
             model.generator.heat(t - s), float(s), float(t),
             method=f"dyson(depth=0, xi={xi:.4g})", tail_bound=float(tail),
         )
-    terms, n_panels = _doubling(model, s, t, depth, quad, want="sum")
+    u, n_panels = _refined(model, s, t, depth, quad, sum)
     tail = xi ** (depth + 1) / (1.0 - xi) if xi > 0 else 0.0
     return PropagatorResult(
-        sum(terms), float(s), float(t),
+        u, float(s), float(t),
         method=f"dyson(depth={depth}, xi={xi:.4g}, panels={n_panels})",
         tail_bound=float(tail),
     )

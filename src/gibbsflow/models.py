@@ -16,7 +16,7 @@ scalar and commuting models expose exact propagators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "rotating_model",
     "evaluate_perturbation",
     "perturbation_entries",
-    "givens_rotation",
 ]
 
 # Smallest admissible generator eigenvalue (A >= 1 up to rounding).
@@ -133,23 +132,21 @@ class Generator:
 class PerturbationFamily:
     """Time-dependent perturbation B(t) with declared (alpha, beta).
 
-    ``entries(t)``, when provided, returns the entries of B(t): shape (d, d)
-    for one time t, (n, d, d) for a 1-D array of n times.  Read them through
+    ``entries(ts)`` is the one description of B: for a 1-D array of n times
+    it returns the entries of every B(t), shape (n, d, d).  Read them through
     ``perturbation_entries``, which validates them like ``HermitianOperator``.
-    ``heat_factor(t, tau)``, when provided, returns the entries of
-    e^{-tau B(t)} faster than the generic spectral route and must agree with
-    it: shape (d, d) for one time t, (n, d, d) for a 1-D array of n times.
-    ``breakpoints`` lists the times where t -> B(t) is not smooth, so
-    quadratures can align panel edges with them.
+    ``heat_factor(ts, tau)``, when provided, returns the entries of every
+    e^{-tau B(t)}, shape (n, d, d), faster than the spectral route, and must
+    agree with it.  ``breakpoints`` lists the times where t -> B(t) is not
+    smooth, so quadratures can align panel edges with them.
     """
 
-    evaluate: Callable[[float], HermitianOperator]
+    entries: Callable[[np.ndarray], np.ndarray]
     alpha: float
     beta: float
     descriptor: str
     breakpoints: tuple[float, ...] = ()
-    heat_factor: Optional[Callable[[float | np.ndarray, float], np.ndarray]] = None
-    entries: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
+    heat_factor: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -183,11 +180,7 @@ class Model:
 
 def evaluate_perturbation(model: Model, t: float, validate: bool = False) -> HermitianOperator:
     """B(t) for t in [0, horizon]; with ``validate`` also check B(t) >= 0."""
-    if not 0.0 <= t <= model.horizon:
-        raise TimeRangeError(
-            f"t={t!r} outside the model horizon [0, {model.horizon!r}]"
-        )
-    b = model.perturbation.evaluate(t)
+    b = HermitianOperator(perturbation_entries(model, np.array([t]))[0])
     if validate:
         w, _ = b.spectrum()
         if w[0] < -NONNEG_TOL:
@@ -198,9 +191,8 @@ def evaluate_perturbation(model: Model, t: float, validate: bool = False) -> Her
 def perturbation_entries(model: Model, times) -> np.ndarray:
     """Symmetrized entries of B(t) for a 1-D array of n times, shape (n, d, d).
 
-    Uses the family's batched ``entries`` when present, otherwise
-    ``evaluate`` one time at a time.  Either way every matrix gets the checks
-    of ``HermitianOperator``: finite entries and asymmetry within
+    Every matrix of the family's ``entries`` gets the checks of
+    ``HermitianOperator``: finite entries and asymmetry within
     ``SYMMETRY_TOL * (1 + max|B(t)|)``, then ``0.5 (B + B^T)``.
     """
     times = np.asarray(times, dtype=float)
@@ -212,10 +204,7 @@ def perturbation_entries(model: Model, times) -> np.ndarray:
             f"times [{times.min()!r}, {times.max()!r}] outside the model horizon "
             f"[0, {model.horizon!r}]"
         )
-    family = model.perturbation
-    if family.entries is None:
-        return np.array([family.evaluate(float(t)).entries for t in times]).reshape(shape)
-    b = np.asarray(family.entries(times), dtype=float)
+    b = np.asarray(model.perturbation.entries(times), dtype=float)
     if b.shape != shape:
         raise ValidationError(f"perturbation entries have shape {b.shape}, expected {shape}")
     if not np.all(np.isfinite(b)):
@@ -233,11 +222,10 @@ def perturbation_entries(model: Model, times) -> np.ndarray:
     return 0.5 * (b + bt)
 
 
-def _profile_values(profile: TimeProfile, t) -> np.ndarray:
-    """b(t) for a time or an array of times, shaped like ``t``."""
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(profile.value(t), dtype=float)
-    return values if values.shape == t.shape else np.full(t.shape, values)
+def _profile_values(profile: TimeProfile, ts: np.ndarray) -> np.ndarray:
+    """b(t) for every time in ``ts``, shaped like ``ts``."""
+    values = np.asarray(profile.value(ts), dtype=float)
+    return values if values.shape == ts.shape else np.full(ts.shape, values)
 
 
 def _diagonal(entries: np.ndarray) -> np.ndarray:
@@ -246,6 +234,30 @@ def _diagonal(entries: np.ndarray) -> np.ndarray:
     out = np.zeros(entries.shape[:-1] + (d * d,))
     out[..., ::d + 1] = entries
     return out.reshape(entries.shape + (d,))
+
+
+def _spectral_family(profile: TimeProfile, mu: np.ndarray, basis=None,
+                     **fields) -> PerturbationFamily:
+    """The family B(t) = b(t) V(t) diag(mu) V(t)^T, with its heat factor.
+
+    ``basis(ts)`` returns V(t) for every time, shape (n, d, d); without it
+    V = I and the diagonal matrices are filled in directly.  ``fields`` are
+    the remaining ``PerturbationFamily`` fields.
+    """
+
+    def compose(ts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        if basis is None:
+            return _diagonal(weights)
+        v = basis(ts)
+        return (v * weights[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+    def entries(ts: np.ndarray) -> np.ndarray:
+        return compose(ts, _profile_values(profile, ts)[..., None] * mu)
+
+    def heat_factor(ts: np.ndarray, tau: float) -> np.ndarray:
+        return compose(ts, np.exp((-tau * _profile_values(profile, ts))[..., None] * mu))
+
+    return PerturbationFamily(entries=entries, heat_factor=heat_factor, **fields)
 
 
 def _check_profile_nonneg(profile: TimeProfile, horizon: float) -> None:
@@ -274,17 +286,12 @@ def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
     def exact(s: float, t: float) -> np.ndarray:
         return np.array([[math.exp(-a * (t - s) - b.integral(s, t))]])
 
-    def entries(t) -> np.ndarray:
-        return _profile_values(b, t)[..., None, None]
-
-    family = PerturbationFamily(
-        evaluate=lambda t: HermitianOperator(entries(t)),
+    family = _spectral_family(
+        b, np.ones(1),
         alpha=alpha,
         beta=beta,
         descriptor=f"scalar b={b.label}",
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
-        heat_factor=lambda t, tau: np.exp(-tau * _profile_values(b, t))[..., None, None],
-        entries=entries,
     )
     return Model(generator, family, horizon, exact,
                  descriptor=f"scalar(a={a:g}, b={b.label}, alpha={alpha:g}, beta={beta:g})")
@@ -315,35 +322,16 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
         ib = b.integral(s, t)
         return np.diag(np.exp(-lam * (t - s) - d0 * ib))
 
-    def entries(t) -> np.ndarray:
-        return _diagonal(_profile_values(b, t)[..., None] * d0)
-
-    family = PerturbationFamily(
-        evaluate=lambda t: HermitianOperator(entries(t)),
+    family = _spectral_family(
+        b, d0,
         alpha=alpha,
         beta=beta,
         descriptor=f"commuting b={b.label}",
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
-        heat_factor=lambda t, tau: _diagonal(
-            np.exp((-tau * _profile_values(b, t))[..., None] * d0)),
-        entries=entries,
     )
     return Model(generator, family, horizon, exact,
                  descriptor=f"commuting(dim={lam.size}, b={b.label}, "
                             f"alpha={alpha:g}, beta={beta:g})")
-
-
-def givens_rotation(dim: int, theta: float) -> np.ndarray:
-    """Rotation by theta in the (1, 2) coordinate plane of R^dim."""
-    if dim < 2:
-        raise ModelError(f"rotation requires dim >= 2, got {dim}")
-    r = np.eye(dim)
-    c, s = math.cos(theta), math.sin(theta)
-    r[0, 0] = c
-    r[0, 1] = -s
-    r[1, 0] = s
-    r[1, 1] = c
-    return r
 
 
 def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
@@ -375,34 +363,20 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
     envelope = kink_profile(t0, beta, scale=1.0, offset=1.0)
     generator = Generator(np.diag(lam))
 
-    def rotated_basis(t) -> np.ndarray:
-        # R(omega t) @ q0 touches only the first two rows of q0; an array of
-        # times gives one basis per time.
-        t = np.asarray(t, dtype=float)
-        v = np.array(np.broadcast_to(q0, t.shape + q0.shape))
-        c, s = np.cos(omega * t)[..., None], np.sin(omega * t)[..., None]
+    def rotated_basis(ts: np.ndarray) -> np.ndarray:
+        # R(omega t) @ q0 for every time; it touches only the first two rows.
+        v = np.array(np.broadcast_to(q0, ts.shape + q0.shape))
+        c, s = np.cos(omega * ts)[..., None], np.sin(omega * ts)[..., None]
         v[..., 0, :] = c * q0[0, :] - s * q0[1, :]
         v[..., 1, :] = s * q0[0, :] + c * q0[1, :]
         return v
 
-    def entries(t) -> np.ndarray:
-        v = rotated_basis(t)
-        weights = _profile_values(envelope, t)[..., None] * mu
-        return (v * weights[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-    def heat_factor(t, tau: float) -> np.ndarray:
-        v = rotated_basis(t)
-        decay = np.exp((-tau * _profile_values(envelope, t))[..., None] * mu)
-        return (v * decay[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-    family = PerturbationFamily(
-        evaluate=lambda t: HermitianOperator(entries(t)),
+    family = _spectral_family(
+        envelope, mu, rotated_basis,
         alpha=alpha,
         beta=beta,
         descriptor=f"rotating omega={omega:g}, envelope={envelope.label}",
         breakpoints=(t0,) if 0.0 < t0 < horizon else (),
-        heat_factor=heat_factor,
-        entries=entries,
     )
     return Model(generator, family, horizon, None,
                  descriptor=f"rotating(dim={dim}, omega={omega:g}, t0={t0:g}, "

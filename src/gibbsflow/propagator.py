@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyError, TimeRangeError, ValidationError
-from .linalg import heat, opnorm, trace_norm
+from .linalg import HermitianOperator, heat, opnorm, trace_norm
 from .models import Model, perturbation_entries
 from .quadrature import QuadratureSpec, integrate_matrix
 
@@ -133,12 +133,13 @@ def _heat_of_perturbation(model: Model, times: np.ndarray, tau: float) -> np.nda
     """Entries of e^{-tau B(t)} for every t in ``times``, shape (n, d, d).
 
     Uses the family's batched ``heat_factor`` when present, otherwise the
-    spectral route one time at a time.
+    spectral route on each matrix of ``perturbation_entries``.
     """
     fast = model.perturbation.heat_factor
     if fast is not None:
         return fast(times, tau)
-    return np.array([heat(model.perturbation.evaluate(float(t_k)), tau) for t_k in times])
+    return np.array([heat(HermitianOperator(b), tau)
+                     for b in perturbation_entries(model, times)])
 
 
 def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndarray:

@@ -103,6 +103,14 @@ def integrate_matrix(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             total = total + np.tensordot(weights[start:start + CHUNK_NODES], values, axes=1)
         return total
 
+    return _refine_panels(estimate, spec)[0]
+
+
+def _refine_panels(estimate: Callable[[int], np.ndarray],
+                   spec: QuadratureSpec) -> tuple[np.ndarray, int]:
+    """Double the panel count, from ``spec.initial_panels``, until two
+    successive ``estimate(n_panels)`` agree in trace norm within ``spec.tol``;
+    the last estimate and its panel count."""
     n_panels = spec.initial_panels
     prev = estimate(n_panels)
     diff = float("inf")
@@ -111,7 +119,7 @@ def integrate_matrix(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         curr = estimate(n_panels)
         diff = trace_norm(curr - prev)
         if diff <= spec.tol:
-            return curr
+            return curr, n_panels
         prev = curr
     raise AccuracyError(
         f"quadrature did not reach tolerance after {spec.max_doublings} doublings "

@@ -5,15 +5,15 @@ JSON-compatible payload).  Emitters consume record dicts only, so a stored
 JSONL stream can be re-emitted in any other format without recomputing.
 
 The JSONL emitter is byte-deterministic for a fixed (configuration, seed)
-pair: keys are sorted, floats are serialized at full precision, and
-wall-clock measurements (``seconds`` keys) are stripped before writing.
+pair: keys are sorted, floats are serialized at full precision, and no
+record carries a wall-clock measurement.
 """
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, TextIO
+from typing import Any, Iterable, TextIO
 
 import numpy as np
 
@@ -46,8 +46,6 @@ __all__ = [
 
 RECORD_KINDS = ("meta", "constants", "convergence", "lifting", "lemma21",
                 "cocycle", "contraction", "failure")
-
-TIMING_KEY = "seconds"
 
 
 def _plain(value: Any) -> Any:
@@ -94,8 +92,8 @@ def constants_record(report: ConstantsReport) -> dict:
     })
 
 
-def convergence_record(report: ConvergenceReport, seconds: Optional[float] = None) -> dict:
-    record = {
+def convergence_record(report: ConvergenceReport) -> dict:
+    return _plain({
         "kind": "convergence",
         "model": report.model,
         "scheme": report.scheme.value,
@@ -124,10 +122,7 @@ def convergence_record(report: ConvergenceReport, seconds: Optional[float] = Non
         "oracle": report.oracle,
         "slack": report.slack,
         "notes": list(report.notes),
-    }
-    if seconds is not None:
-        record[TIMING_KEY] = float(seconds)
-    return _plain(record)
+    })
 
 
 def lifting_record(check: LiftingCheck) -> dict:
@@ -220,15 +215,10 @@ class ReportEnvelope:
             raise ValidationError(f"unknown output format: {fmt!r}")
 
 
-def _strip_timings(record: dict) -> dict:
-    return {k: v for k, v in record.items() if k != TIMING_KEY}
-
-
 def write_jsonl(records: Iterable[dict], stream: TextIO) -> None:
-    """One sorted-key JSON object per line; timing fields are stripped."""
+    """One sorted-key JSON object per line."""
     for record in records:
-        stream.write(json.dumps(_strip_timings(record), sort_keys=True,
-                                separators=(",", ":")))
+        stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
         stream.write("\n")
 
 

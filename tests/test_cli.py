@@ -124,6 +124,19 @@ class TestExitCodes:
         target = str(tmp_path / "no_dir" / "out.jsonl")
         assert cli.main(["run", "--config", config_path, "--output", target]) == 3
 
+    @pytest.mark.parametrize("command", ["run", "verify", "constants"])
+    def test_output_checked_before_computing(self, command, config_path, tmp_path,
+                                             monkeypatch, capsys):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("model built before the output path was checked")
+
+        monkeypatch.setattr(cli, "build_model", must_not_build)
+        missing = str(tmp_path / "no_dir" / "out.jsonl")
+        assert cli.main([command, "--config", config_path, "--output", missing]) == 3
+        assert "error: output directory" in capsys.readouterr().err
+        assert cli.main([command, "--config", config_path, "--output", str(tmp_path)]) == 3
+        assert "is a directory" in capsys.readouterr().err
+
     def test_accuracy_failure_returns_two(self, config_path, monkeypatch, capsys):
         def always_fails(*args, **kwargs):
             raise AccuracyError("reference did not converge",

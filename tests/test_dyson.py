@@ -119,7 +119,7 @@ class TestCollocationGrid:
         assert grid.nodes.size > chunk and grid.fresh.size > 4 * chunk
 
         def per_node(times):
-            return np.array([q.T @ model.perturbation.evaluate(float(x)).entries @ q
+            return np.array([q.T @ gf.evaluate_perturbation(model, float(x)).entries @ q
                              for x in times.ravel()]).reshape(times.shape + (6, 6))
 
         for batched, times in ((grid.b_nodes, grid.nodes), (grid.b_fresh, grid.fresh)):

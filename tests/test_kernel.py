@@ -86,9 +86,9 @@ def test_contracts_at_generator_rate(name, scheme, window, n, cells):
 def _constant_model(dim, seed):
     """Non-commuting model with B constant in time; no batched heat factor."""
     rng = np.random.default_rng(seed)
-    b = gf.HermitianOperator(random_symmetric_psd(rng, dim))
-    family = gf.PerturbationFamily(evaluate=lambda t: b, alpha=0.0, beta=1.0,
-                                   descriptor="constant")
+    b = random_symmetric_psd(rng, dim)
+    family = gf.PerturbationFamily(entries=lambda ts: np.broadcast_to(b, (ts.size, dim, dim)),
+                                   alpha=0.0, beta=1.0, descriptor="constant")
     return gf.Model(gf.Generator(np.diag(np.linspace(1.0, 4.0, dim))), family)
 
 

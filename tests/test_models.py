@@ -132,17 +132,12 @@ class TestRotatingModel:
     def test_t0_is_breakpoint(self, rotating_small):
         assert 0.5 in rotating_small.perturbation.breakpoints
 
-    def test_rotation_is_orthogonal(self):
-        r = gf.givens_rotation(5, 0.7)
-        assert np.allclose(r @ r.T, np.eye(5), atol=1e-14)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-
     def test_heat_factor_matches_expm(self, rotating_small):
         m = rotating_small
         tau = 0.03
         for t in (0.1, 0.5, 0.9):
             b = gf.evaluate_perturbation(m, t).entries
-            fast = m.perturbation.heat_factor(t, tau)
+            fast = m.perturbation.heat_factor(np.array([t]), tau)[0]
             assert np.allclose(fast, scipy.linalg.expm(-tau * b), atol=1e-12)
 
     def test_rejects_indefinite_b0(self):
@@ -170,10 +165,10 @@ class TestBatchedHeatFactor:
         batched = model.perturbation.heat_factor(ts, tau)
         assert batched.shape == (ts.size, model.dim, model.dim)
         for t, factor in zip(ts, batched):
-            single = model.perturbation.heat_factor(float(t), tau)
-            assert single.shape == (model.dim, model.dim)
-            assert np.allclose(factor, single, rtol=0, atol=1e-15)
-            spectral = gf.heat(model.perturbation.evaluate(float(t)), tau)
+            single = model.perturbation.heat_factor(np.array([t]), tau)
+            assert single.shape == (1, model.dim, model.dim)
+            assert np.allclose(factor, single[0], rtol=0, atol=1e-15)
+            spectral = gf.heat(gf.evaluate_perturbation(model, float(t)), tau)
             assert np.allclose(factor, spectral, rtol=0, atol=1e-13)
 
 
@@ -195,26 +190,12 @@ class TestBatchedEntries:
         assert batched.shape == (self.TIMES.size, model.dim, model.dim)
         checked = gf.perturbation_entries(model, self.TIMES)
         for t, raw, b in zip(self.TIMES, batched, checked):
-            single = model.perturbation.evaluate(float(t)).entries
+            single = model.perturbation.entries(np.array([t]))[0]
             scale = np.max(np.abs(single))
             assert np.max(np.abs(raw - single)) <= 1e-15 * scale
             assert np.max(np.abs(b - single)) <= 1e-15 * scale
             assert np.array_equal(b, b.T)
-
-    def test_family_without_entries_falls_back_to_evaluate(self):
-        model = make_rotating(dim=4, seed=7)
-        calls = []
-
-        def evaluate(t):
-            calls.append(t)
-            return model.perturbation.evaluate(t)
-
-        bare = dataclasses.replace(model, perturbation=dataclasses.replace(
-            model.perturbation, evaluate=evaluate, entries=None))
-        values = gf.perturbation_entries(bare, self.TIMES)
-        assert calls == list(self.TIMES)
-        assert np.array_equal(values, gf.perturbation_entries(model, self.TIMES))
-        assert gf.perturbation_entries(bare, np.array([])).shape == (0, 4, 4)
+            assert np.array_equal(gf.evaluate_perturbation(model, float(t)).entries, b)
 
     @staticmethod
     def _with_entries(entries):
@@ -259,6 +240,66 @@ class TestBatchedEntries:
             gf.perturbation_entries(rotating_small, np.array([0.5, 1.0 + 1e-12]))
         with pytest.raises(gf.TimeRangeError):
             gf.perturbation_entries(rotating_small, np.array([-1e-12, 0.5]))
+
+
+class TestFamilyContract:
+    """A family given only ``entries`` goes through the spectral heat route."""
+
+    DIM, SEED = 5, 3
+    ROTATING = make_rotating(dim=DIM, seed=SEED)
+
+    @classmethod
+    def _entries_only(cls, entries):
+        family = gf.PerturbationFamily(entries=entries, alpha=0.0, beta=0.5,
+                                       descriptor="entries only", breakpoints=(0.5,))
+        return gf.Model(cls.ROTATING.generator, family)
+
+    @classmethod
+    def _rotating_formula(cls, ts):
+        # B(t) = (1 + |t - 1/2|^{1/2}) R(pi t) b0 R(pi t)^T, R in the (1, 2) plane
+        b0 = random_symmetric_psd(np.random.default_rng(cls.SEED), cls.DIM)
+        c, s = np.cos(np.pi * ts), np.sin(np.pi * ts)
+        r = np.array(np.broadcast_to(np.eye(cls.DIM), (ts.size, cls.DIM, cls.DIM)))
+        r[:, 0, 0], r[:, 0, 1], r[:, 1, 0], r[:, 1, 1] = c, -s, s, c
+        envelope = 1.0 + np.abs(ts - 0.5) ** 0.5
+        return envelope[:, None, None] * (r @ b0 @ np.swapaxes(r, 1, 2))
+
+    @staticmethod
+    def _rel(a, b):
+        return gf.opnorm(a - b) / gf.opnorm(b)
+
+    def test_matches_built_in_rotating_model(self):
+        user = self._entries_only(self._rotating_formula)
+        built = self.ROTATING
+        assert user.perturbation.heat_factor is None
+        for scheme in gf.Scheme:
+            assert self._rel(gf.product_approximant(scheme, user, 0.0, 1.0, 64).U,
+                             gf.product_approximant(scheme, built, 0.0, 1.0, 64).U) <= 1e-12
+        # the series and the residual stay off the kink, where quadrature is slow
+        assert self._rel(gf.dyson_phillips_sum(user, 0.1, 0.4, 1e-6).U,
+                         gf.dyson_phillips_sum(built, 0.1, 0.4, 1e-6).U) <= 1e-12
+        ours, theirs = (gf.estimate_constants(m, 0.0, 1.0) for m in (user, built))
+        for name in ("c_alpha", "m_alpha", "l_alpha_beta", "xi"):
+            assert getattr(ours, name) == pytest.approx(getattr(theirs, name), rel=1e-12)
+        residuals = [gf.integral_equation_residual(
+            lambda s, r: m.generator.heat(r - s), m, 0.1, 0.4) for m in (user, built)]
+        assert residuals[0] == pytest.approx(residuals[1], rel=1e-12)
+
+    def test_spectral_route_rejects_asymmetric_entries(self):
+        def entries(ts):
+            b = self._rotating_formula(ts)
+            b[:, 0, 1] += 1e-6
+            return b
+
+        with pytest.raises(gf.ValidationError, match="not symmetric"):
+            gf.product_approximant(gf.Scheme.LEFT, self._entries_only(entries), 0.0, 1.0, 8)
+
+    def test_spectral_route_rejects_times_past_horizon(self):
+        user = self._entries_only(self._rotating_formula)
+        with pytest.raises(gf.TimeRangeError):
+            gf.step_factor(gf.Scheme.SYMMETRIC, user, 1.5, 0.1)
+        with pytest.raises(gf.TimeRangeError):
+            gf.step_factor(gf.Scheme.LEFT, user, -0.25, 0.1)
 
 
 class TestTimeValidation:

@@ -29,7 +29,7 @@ def sample_records(scalar_linear):
     return [
         meta_record(cfg.to_dict(), cfg.seed),
         constants_record(gf.estimate_constants(scalar_linear, 0.0, 1.0)),
-        convergence_record(report, seconds=0.123),
+        convergence_record(report),
     ]
 
 
@@ -49,7 +49,6 @@ class TestRecords:
         assert len(record["err_tr"]) == len(record["n_list"]) == 4
         assert record["regime"] == "log(n)/n"
         assert record["regimes"][0]["epsilon"][0] > 0
-        assert record["seconds"] == 0.123
 
     def test_failure_record_collects_messages(self):
         try:
@@ -79,11 +78,6 @@ class TestJsonl:
         loaded = read_jsonl(buf)
         assert len(loaded) == len(sample_records)
         assert loaded[0] == sample_records[0]
-
-    def test_timings_stripped(self, sample_records):
-        buf = io.StringIO()
-        write_jsonl(sample_records, buf)
-        assert "seconds" not in buf.getvalue()
 
     def test_byte_deterministic(self, sample_records):
         bufs = []
