@@ -29,7 +29,7 @@ from .constants import contraction_coefficient
 from .errors import ConfigError, ValidationError
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
-from .quadrature import QuadratureSpec, _leggauss, _refine_panels, panel_edges
+from .quadrature import QuadratureSpec, _leggauss, _refine_by_doubling, panel_edges
 
 __all__ = ["dyson_phillips_term", "dyson_phillips_sum"]
 
@@ -150,12 +150,12 @@ def _barycentric_rows(base: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 
 
 def _refined(model: Model, s: float, t: float, depth: int, quad: QuadratureSpec,
-             pick) -> tuple[np.ndarray, int]:
+             pick) -> tuple[np.ndarray, int, float]:
     """``pick`` of the endpoint terms S_0 .. S_depth, refined by panel doubling."""
-    return _refine_panels(
+    return _refine_by_doubling(
         lambda n_panels: pick(_CollocationGrid(model, s, t, n_panels, quad.nodes_per_panel)
                               .terms_at_endpoint(depth)),
-        quad)
+        quad.initial_panels, quad.tol, quad.max_doublings)
 
 
 def dyson_phillips_term(model: Model, s: float, t: float, k: int,
@@ -223,7 +223,7 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
             model.generator.heat(t - s), float(s), float(t),
             method=f"dyson(depth=0, xi={xi:.4g})", tail_bound=float(tail),
         )
-    u, n_panels = _refined(model, s, t, depth, quad, sum)
+    u, n_panels, _ = _refined(model, s, t, depth, quad, sum)
     tail = xi ** (depth + 1) / (1.0 - xi) if xi > 0 else 0.0
     return PropagatorResult(
         u, float(s), float(t),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import AccuracyError, TimeRangeError, ValidationError
 from .linalg import HermitianOperator, heat, opnorm, trace_norm
 from .models import Model, perturbation_entries
-from .quadrature import QuadratureSpec, integrate_matrix
+from .quadrature import QuadratureSpec, _refine_by_doubling, integrate_matrix, panel_edges
 
 __all__ = [
     "Scheme",
@@ -45,15 +46,17 @@ __all__ = [
 
 # Contractions may exceed unit norm only by rounding noise.
 CONTRACTION_SLACK = 1e-10
-# Hard cap on the number of cells the reference oracle may use.
-REFERENCE_MAX_STEPS = 2 ** 20
+# The reference oracle starts at this many cells per piece and doubles at
+# most this often, so its finest product has 2^20 cells per piece.
+REFERENCE_CELLS = 8
+REFERENCE_DOUBLINGS = 16
 # Bytes of matrices built at once: cell factors in the product kernel, B(t)
 # samples on the series and constants grids.  Larger batches raise peak
 # memory without making the work faster.
 BATCH_BYTES = 64 * 1024
 
-# Reference results per model instance, keyed by (s, t, tol, n0).  Weak keys
-# make a model's results live no longer than the model.
+# Reference results or failures per model instance, keyed by (s, t, tol).
+# Weak keys make a model's results live no longer than the model.
 _REFERENCE_MEMO: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -146,6 +149,7 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
     """Single-cell factor W_k for the sample time t_k and cell width tau."""
     if tau <= 0:
         raise ValidationError(f"cell width must be positive, got {tau}")
+    _check_window(model, t_k, t_k)
     a = model.generator.operator
     eb = _heat_of_perturbation(model, np.array([float(t_k)]), tau)[0]
     if scheme is Scheme.LEFT:
@@ -214,44 +218,34 @@ def product_approximant(scheme: Scheme, model: Model, s: float, t: float,
 
 
 def _symmetric_midpoint_product(model: Model, s: float, t: float, n: int) -> np.ndarray:
-    """Symmetric factors sampled at cell midpoints; reference use only.
+    """Symmetric factors sampled at the midpoints of n cells on each piece of
+    [s, t] between breakpoints, so every piece is second-order accurate in n
+    (the production ``Scheme.SYMMETRIC`` samples left endpoints)."""
+    # One panel per piece: the edges are s, the interior breakpoints and t.
+    edges = panel_edges(s, t, 1, model.perturbation.breakpoints)
+    parts = [make_partition(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])]
+    return _pairwise(np.array([_ordered_product(model, p.points + 0.5 * p.step, p.step,
+                                                Scheme.SYMMETRIC) for p in parts]))
 
-    Midpoint sampling makes the product second-order accurate in n, which the
-    doubling/extrapolation loop of the reference oracle requires; the
-    production ``Scheme.SYMMETRIC`` keeps left-endpoint sampling.
-    """
-    part = make_partition(s, t, n)
-    midpoints = part.points + 0.5 * part.step
-    return _ordered_product(model, midpoints, part.step, Scheme.SYMMETRIC)
 
+def _extrapolated_reference(model: Model, s: float, t: float,
+                            tol: float) -> PropagatorResult:
+    """The Richardson extrapolant of ``reference_propagator``, uncached."""
+    product = lru_cache(maxsize=1)(partial(_symmetric_midpoint_product, model, s, t))
 
-def _extrapolated_reference(model: Model, s: float, t: float, tol: float,
-                            n0: int) -> PropagatorResult:
-    """The doubling/extrapolation loop of ``reference_propagator``, uncached."""
-    n = n0
-    u_prev = _symmetric_midpoint_product(model, s, t, n)
-    u_curr = _symmetric_midpoint_product(model, s, t, 2 * n)
-    extrap_prev = (4.0 * u_curr - u_prev) / 3.0
-    diff = trace_norm(u_curr - u_prev)
-    while True:
-        n *= 2
-        if 2 * n > REFERENCE_MAX_STEPS:
-            raise AccuracyError(
-                f"reference propagator hit the cell cap {REFERENCE_MAX_STEPS}",
-                requested=tol, achieved=diff,
-            )
-        u_prev, u_curr = u_curr, _symmetric_midpoint_product(model, s, t, 2 * n)
-        extrap = (4.0 * u_curr - u_prev) / 3.0
-        diff = trace_norm(u_curr - u_prev)
-        extrap_diff = trace_norm(extrap - extrap_prev)
-        if diff <= 0.5 * tol and extrap_diff <= 0.5 * tol:
-            break
-        extrap_prev = extrap
-    extrap.setflags(write=False)
-    return PropagatorResult(
-        extrap, float(s), float(t),
-        method=f"reference(tol={tol:g}, n={2 * n}, diff={diff:.3e})",
-    )
+    def extrapolant(n: int) -> np.ndarray:
+        u_n = product(n)  # before product(2n) evicts it from the one-entry cache
+        return (4.0 * product(2 * n) - u_n) / 3.0
+
+    try:
+        u, n, diff = _refine_by_doubling(extrapolant, REFERENCE_CELLS, 0.5 * tol,
+                                         REFERENCE_DOUBLINGS)
+    except AccuracyError as error:
+        raise AccuracyError("reference propagator hit the cell cap",
+                            requested=error.requested, achieved=error.achieved) from None
+    u.setflags(write=False)
+    return PropagatorResult(u, float(s), float(t),
+                            method=f"reference(tol={tol:g}, n={2 * n}, diff={diff:.3e})")
 
 
 def _cross_validate(model: Model, result: PropagatorResult, tol: float) -> None:
@@ -270,29 +264,33 @@ def _cross_validate(model: Model, result: PropagatorResult, tol: float) -> None:
 
 
 def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
-                         n0: int = 8, cross_validate: bool = False) -> PropagatorResult:
+                         cross_validate: bool = False) -> PropagatorResult:
     """High-accuracy oracle propagator over [s, t].
 
-    Computes midpoint-sampled symmetric products at n, 2n, 4n, ... and stops
-    once both the raw doubling difference ||U_{2n} - U_n||_1 and the
-    difference of successive Richardson extrapolants (4 U_{2n} - U_n)/3 fall
-    below tol/2, returning the last extrapolant.  Fails with the best
-    achieved estimate if the cell cap is reached first.
+    Doubles n, the number of cells on each piece of [s, t] between the
+    family's breakpoints, until two successive Richardson extrapolants
+    (4 U_{2n} - U_n)/3 of midpoint-sampled symmetric products agree within
+    tol/2 in trace norm, and returns the last one.  Fails with the last
+    difference if the cell cap is reached first.
 
-    Results are memoized per model instance and (s, t, tol, n0), with a
-    read-only ``U``, so every caller asking for the same window shares one
-    computation.  With ``cross_validate`` the result, cached or not, is
-    additionally checked against the perturbation-series construction within
-    its tail bound.
+    Results and failures are memoized per model instance and (s, t, tol),
+    with a read-only ``U``, so every caller asking for the same window shares
+    one computation.  With ``cross_validate`` the result, cached or not, is
+    also checked against the perturbation series within its tail bound.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive, got {tol}")
     _check_window(model, s, t)
     memo = _REFERENCE_MEMO.setdefault(model, {})
-    key = (float(s), float(t), float(tol), int(n0))
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = _extrapolated_reference(model, s, t, tol, n0)
+    key = (float(s), float(t), float(tol))
+    if key not in memo:
+        try:
+            memo[key] = _extrapolated_reference(model, s, t, tol)
+        except AccuracyError as error:
+            memo[key] = error
+    result = memo[key]
+    if isinstance(result, AccuracyError):
+        raise result
     if cross_validate:
         _cross_validate(model, result, tol)
     return result

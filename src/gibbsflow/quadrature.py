@@ -103,27 +103,22 @@ def integrate_matrix(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             total = total + np.tensordot(weights[start:start + CHUNK_NODES], values, axes=1)
         return total
 
-    return _refine_panels(estimate, spec)[0]
+    return _refine_by_doubling(estimate, spec.initial_panels, spec.tol,
+                               spec.max_doublings)[0]
 
 
-def _refine_panels(estimate: Callable[[int], np.ndarray],
-                   spec: QuadratureSpec) -> tuple[np.ndarray, int]:
-    """Double the panel count, from ``spec.initial_panels``, until two
-    successive ``estimate(n_panels)`` agree in trace norm within ``spec.tol``;
-    the last estimate and its panel count."""
-    n_panels = spec.initial_panels
-    prev = estimate(n_panels)
+def _refine_by_doubling(estimate: Callable[[int], np.ndarray], n: int, tol: float,
+                        max_doublings: int) -> tuple[np.ndarray, int, float]:
+    """Double ``n`` until two successive ``estimate(n)`` agree in trace norm
+    within ``tol``; the last estimate, its ``n`` and their difference."""
+    prev = estimate(n)
     diff = float("inf")
-    for _ in range(spec.max_doublings):
-        n_panels *= 2
-        curr = estimate(n_panels)
+    for _ in range(max_doublings):
+        n *= 2
+        curr = estimate(n)
         diff = trace_norm(curr - prev)
-        if diff <= spec.tol:
-            return curr, n_panels
+        if diff <= tol:
+            return curr, n, diff
         prev = curr
-    raise AccuracyError(
-        f"quadrature did not reach tolerance after {spec.max_doublings} doublings "
-        f"({n_panels} panels)",
-        requested=spec.tol,
-        achieved=diff,
-    )
+    raise AccuracyError(f"refinement did not reach tolerance after {max_doublings} "
+                        f"doublings (n={n})", requested=tol, achieved=diff)

@@ -1,0 +1,52 @@
+"""The benchmark tracer's hook contract with the package.
+
+``perfbench/tracer.py`` wraps package functions by name and parses the
+``method`` strings of results.  A hook whose target is renamed is skipped
+and its metrics silently read 0, so these tests fail instead.  The tracer
+module is loaded by path and never installed.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import gibbsflow as gf
+from gibbsflow import dyson
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_target_exists(tracer):
+    hooks = {**tracer.SPAN_HOOKS, **tracer.COUNTER_HOOKS}
+    missing = [f"{module}.{attr}" for module, attr in hooks.values()
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def test_collocation_grid_exists():
+    assert isinstance(dyson._CollocationGrid, type)
+
+
+def test_diff_pattern_matches_a_fresh_oracle(tracer):
+    model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.4, 0.5))
+    ref = gf.reference_propagator(model, 0.0, 1.0, 1e-8)
+    match = tracer._DIFF.search(ref.method)
+    assert match is not None
+    assert 0.0 <= float(match.group(1)) <= 0.5e-8
+
+
+def test_depth_pattern_matches_a_series(tracer):
+    model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.constant_profile(0.5))
+    series = gf.dyson_phillips_sum(model, 0.0, 1.0, 1e-6)
+    match = tracer._DEPTH.search(series.method)
+    assert match is not None
+    assert int(match.group(1)) >= 1

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import gibbsflow as gf
-from gibbsflow import cli
+from gibbsflow import cli, propagator
 from gibbsflow.errors import AccuracyError, DecompositionError, DomainError
 
 CONFIG = """
@@ -21,6 +21,17 @@ verify:
   lifting_ns: [4, 8]
   cocycle_triples: 2
   contraction_ns: [4]
+"""
+
+ROTATING = """
+model:
+  family: rotating
+  lambdas: {start: 1.0, stop: 2.0, count: 3}
+  b0: [0.5, 0.3, 0.8]
+  omega: 3.0
+  t0: 0.5
+n_list: [8, 16, 32]
+tol_ref: 1.0e-12
 """
 
 
@@ -79,6 +90,34 @@ class TestVerify:
         assert all(r.get("holds", True) for r in records)
         # 1 lemma + 2 schemes x 2 lifting ns + 2 cocycle + 2 schemes x 1 contraction
         assert len(records) == 1 + 1 + 4 + 2 + 2
+
+
+    def test_kinked_commuting_cocycles_hold(self, tmp_path, capsys):
+        # b(t) = 0.5 + |t - 0.37| is linear on each side of its kink, so an
+        # oracle that cuts there is exact up to rounding.
+        path = tmp_path / "kinked.yaml"
+        path.write_text(KINKED_COMMUTING)
+        assert cli.main(["verify", "--config", str(path)]) == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        cocycles = [r for r in records if r["kind"] == "cocycle"]
+        assert len(cocycles) == 5
+        assert all(r["holds"] is True for r in cocycles)
+
+
+KINKED_COMMUTING = """
+model:
+  family: commuting
+  lambdas: {start: 1.0, stop: 8.0, count: 8}
+  d0: [0.1, 0.2286, 0.3571, 0.4857, 0.6143, 0.7429, 0.8714, 1.0]
+  b: {kind: kink, t0: 0.37, beta: 1.0, offset: 0.5}
+beta: 1.0
+seed: 0
+verify:
+  lemma_instances: 10
+  lifting_ns: [4]
+  cocycle_triples: 5
+  contraction_ns: [4]
+"""
 
 
 class TestConstants:
@@ -147,6 +186,27 @@ class TestExitCodes:
         records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         failures = [r for r in records if r["kind"] == "failure"]
         assert failures and failures[0]["error"] == "AccuracyError"
+
+    def test_oracle_failure_is_one_computation_and_three_records(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        calls = []
+        compute = propagator._extrapolated_reference
+
+        def counted(*args):
+            calls.append(args[1:])
+            return compute(*args)
+
+        monkeypatch.setattr(propagator, "_extrapolated_reference", counted)
+        monkeypatch.setattr(propagator, "REFERENCE_DOUBLINGS", 1)
+        path = tmp_path / "rotating.yaml"
+        path.write_text(ROTATING)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        failures = [r for r in records if r["kind"] == "failure"]
+        assert [r["stage"] for r in failures] == ["run:left", "run:right", "run:symmetric"]
+        assert all(r["error"] == "AccuracyError" for r in failures)
+        assert len({tuple(r["messages"]) for r in failures}) == 1
+        assert len(calls) == 1
 
     def test_decomposition_error_in_a_job_returns_two(self, config_path, monkeypatch,
                                                       capsys):

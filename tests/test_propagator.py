@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gibbsflow as gf
 from gibbsflow import dyson, propagator
 
-from conftest import make_rotating
+from conftest import make_rotating, random_symmetric_psd
 
 
 class TestPartition:
@@ -207,7 +207,49 @@ class TestReferenceMemo:
         for scheme in gf.Scheme:
             gf.run_convergence(rotating_small, scheme, 0.0, 1.0, [4, 8, 16],
                                tol_ref=1e-9)
-        assert computations == [(0.0, 1.0, 1e-9, 8)]
+        assert computations == [(0.0, 1.0, 1e-9)]
+
+    def test_failure_is_computed_once_and_reraised(self, rotating_small, computations,
+                                                   monkeypatch):
+        monkeypatch.setattr(propagator, "REFERENCE_DOUBLINGS", 1)
+        errors = []
+        for scheme in gf.Scheme:
+            with pytest.raises(gf.AccuracyError) as caught:
+                gf.run_convergence(rotating_small, scheme, 0.0, 1.0, [4, 8, 16],
+                                   tol_ref=1e-12)
+            errors.append(caught.value)
+        assert computations == [(0.0, 1.0, 1e-12)]
+        assert errors[0] is errors[1] is errors[2]
+        assert "reference propagator" in str(errors[0])
+
+
+def _kinked_rotating(dim: int = 16) -> "gf.Model":
+    """Dense coupling with the envelope's kink at t0 = 0.37 (beta = 1)."""
+    b0 = random_symmetric_psd(np.random.default_rng(42), dim)
+    return gf.rotating_model(np.linspace(1.0, 4.0, dim), b0, np.pi, beta=1.0, t0=0.37)
+
+
+class TestReferenceBreakpoints:
+    def test_commuting_kink_matches_exact(self):
+        lambdas = np.linspace(1.0, 8.0, 8)
+        d0 = np.random.default_rng(3).permutation(np.linspace(0.1, 1.0, 8))
+        model = gf.commuting_model(lambdas, d0, gf.kink_profile(0.37, 1.0, offset=0.5))
+        ref = gf.reference_propagator(model, 0.0, 1.0, 1e-10)
+        assert gf.trace_norm(ref.U - model.exact(0.0, 1.0)) <= 1e-10
+
+    def test_rotating_kink_reaches_tolerance(self):
+        model = _kinked_rotating()
+        ref = gf.reference_propagator(model, 0.0, 1.0, 1e-10, cross_validate=True)
+        early = gf.reference_propagator(model, 0.0, 0.37, 2e-11)
+        late = gf.reference_propagator(model, 0.37, 1.0, 2e-11)
+        assert gf.trace_norm(ref.U - late.U @ early.U) <= 1e-10
+
+    @pytest.mark.parametrize("doublings", [0, 1, 2, 3])
+    def test_failure_reports_more_than_requested(self, doublings, monkeypatch):
+        monkeypatch.setattr(propagator, "REFERENCE_DOUBLINGS", doublings)
+        with pytest.raises(gf.AccuracyError) as caught:
+            gf.reference_propagator(_kinked_rotating(4), 0.0, 1.0, 1e-13)
+        assert caught.value.achieved > caught.value.requested
 
 
 class TestHorizon:
@@ -230,6 +272,13 @@ class TestHorizon:
             gf.integral_equation_residual(scalar_linear.exact, scalar_linear, 0.5, 1.5)
         with pytest.raises(gf.TimeRangeError):
             gf.integral_equation_residual(scalar_linear.exact, scalar_linear, -0.5, 0.5)
+
+    @pytest.mark.parametrize("t_k", [7.0, -0.1])
+    def test_step_factor_outside_horizon_rejected(self, t_k):
+        model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.5, 0.5))
+        assert model.perturbation.heat_factor is not None
+        with pytest.raises(gf.TimeRangeError):
+            gf.step_factor(gf.Scheme.LEFT, model, t_k, 0.1)
 
     def test_whole_horizon_accepted(self, scalar_linear):
         gf.product_approximant(gf.Scheme.RIGHT, scalar_linear, 0.0, 1.0, 4)
