@@ -48,6 +48,7 @@ from .models import (
     TimeProfile,
     commuting_model,
     constant_profile,
+    eigen_entries,
     evaluate_perturbation,
     kink_profile,
     linear_profile,
@@ -105,7 +106,7 @@ __all__ = [
     # models
     "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
     "Generator", "PerturbationFamily", "Model", "evaluate_perturbation",
-    "perturbation_entries", "scalar_model", "commuting_model", "rotating_model",
+    "perturbation_entries", "eigen_entries", "scalar_model", "commuting_model", "rotating_model",
     # quadrature
     "QuadratureSpec", "panel_edges", "integrate_matrix",
     # propagator

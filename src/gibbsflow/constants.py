@@ -93,6 +93,13 @@ def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.nda
     return times, c_alpha, sandwiched
 
 
+def _coefficient(model: Model, c_alpha: float, s: float, t: float) -> float:
+    """xi over [s, t] from the horizon's relative bound ``c_alpha``."""
+    alpha = model.perturbation.alpha
+    m_alpha = smoothing_constant(model.generator.eigenvalues, t - s, alpha)
+    return c_alpha * m_alpha * (t - s) ** (1.0 - alpha) / (1.0 - alpha)
+
+
 def contraction_coefficient(model: Model, s: float, t: float, grid: int = 101) -> float:
     """xi = c_alpha * m_alpha * (t-s)^{1-alpha} / (1-alpha) for [s, t].
 
@@ -102,10 +109,8 @@ def contraction_coefficient(model: Model, s: float, t: float, grid: int = 101) -
     if not s < t:
         raise ValidationError(f"coefficient requires s < t, got s={s!r}, t={t!r}")
     _check_window(model, s, t)
-    alpha = model.perturbation.alpha
     _, c_alpha, _ = _horizon_samples(model, grid)
-    m_alpha = smoothing_constant(model.generator.eigenvalues, t - s, alpha)
-    return c_alpha * m_alpha * (t - s) ** (1.0 - alpha) / (1.0 - alpha)
+    return _coefficient(model, c_alpha, s, t)
 
 
 def estimate_constants(model: Model, s: float, t: float, grid: int = 101) -> ConstantsReport:

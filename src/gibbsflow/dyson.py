@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import contraction_coefficient
+from .constants import _coefficient, _horizon_samples
 from .errors import ConfigError, ValidationError
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
@@ -186,20 +186,26 @@ def _truncation_depth(xi: float, eps_tail: float) -> int | None:
 
 def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
                        quad: QuadratureSpec | None = None, grid: int = 101,
-                       _depth: int = 0) -> PropagatorResult:
+                       _depth: int = 0, _c_alpha: float | None = None) -> PropagatorResult:
     """Truncated series propagator with certified truncation tail <= eps_tail.
 
     Intervals whose contraction coefficient xi reaches 1/2 (or whose depth
     budget is exhausted) are bisected and the halves composed; tail bounds
-    add across the composition.  Quadrature error is controlled separately
-    by ``quad`` (default tolerance: eps_tail / 10, floored at 1e-13).
+    add across the composition.  The relative bound c_alpha of xi is sampled
+    on the horizon once and shared by the halves.  Quadrature error is
+    controlled separately by ``quad`` (default tolerance: eps_tail / 10,
+    floored at 1e-13).
     """
     if not (np.isfinite(eps_tail) and eps_tail > 0):
         raise ValidationError(f"eps_tail must be positive, got {eps_tail}")
     _check_window(model, s, t)
+    if not s < t:
+        raise ValidationError(f"series requires s < t, got s={s!r}, t={t!r}")
     if quad is None:
         quad = QuadratureSpec(tol=max(min(eps_tail / 10.0, 1e-8), 1e-13))
-    xi = contraction_coefficient(model, s, t, grid)
+    if _c_alpha is None:
+        _, _c_alpha, _ = _horizon_samples(model, grid)
+    xi = _coefficient(model, _c_alpha, s, t)
     depth = _truncation_depth(xi, eps_tail) if xi < BISECTION_THRESHOLD else None
     if depth is None:
         if _depth >= MAX_BISECTIONS:
@@ -208,8 +214,10 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
                 f"[{s!r}, {t!r}] (xi={xi:.4g}); the interval cannot be resolved"
             )
         mid = 0.5 * (s + t)
-        left = dyson_phillips_sum(model, s, mid, 0.5 * eps_tail, quad, grid, _depth + 1)
-        right = dyson_phillips_sum(model, mid, t, 0.5 * eps_tail, quad, grid, _depth + 1)
+        left = dyson_phillips_sum(model, s, mid, 0.5 * eps_tail, quad, grid, _depth + 1,
+                                  _c_alpha)
+        right = dyson_phillips_sum(model, mid, t, 0.5 * eps_tail, quad, grid, _depth + 1,
+                                   _c_alpha)
         tail = (left.tail_bound or 0.0) + (right.tail_bound or 0.0)
         return PropagatorResult(
             right.U @ left.U, float(s), float(t),

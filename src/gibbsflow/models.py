@@ -37,6 +37,7 @@ __all__ = [
     "rotating_model",
     "evaluate_perturbation",
     "perturbation_entries",
+    "eigen_entries",
 ]
 
 # Smallest admissible generator eigenvalue (A >= 1 up to rounding).
@@ -135,10 +136,13 @@ class PerturbationFamily:
     ``entries(ts)`` is the one description of B: for a 1-D array of n times
     it returns the entries of every B(t), shape (n, d, d).  Read them through
     ``perturbation_entries``, which validates them like ``HermitianOperator``.
-    ``heat_factor(ts, tau)``, when provided, returns the entries of every
-    e^{-tau B(t)}, shape (n, d, d), faster than the spectral route, and must
-    agree with it.  ``breakpoints`` lists the times where t -> B(t) is not
-    smooth, so quadratures can align panel edges with them.
+    ``heat_factor(ts, tau)``, when provided, returns every e^{-tau B(t)} in
+    eigen-form ``(w, V)``: the eigenvalues ``w``, shape (n, d), and the
+    orthonormal eigenvectors ``V``, shape (n, d, d), or ``None`` for the
+    standard basis, so that e^{-tau B(t)} = V diag(w) V^T (``eigen_entries``).
+    It must agree with the spectral route.  ``breakpoints`` lists the times
+    where t -> B(t) is not smooth, so quadratures can align panel edges with
+    them.
     """
 
     entries: Callable[[np.ndarray], np.ndarray]
@@ -146,7 +150,8 @@ class PerturbationFamily:
     beta: float
     descriptor: str
     breakpoints: tuple[float, ...] = ()
-    heat_factor: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    heat_factor: Optional[Callable[[np.ndarray, float],
+                                   tuple[np.ndarray, Optional[np.ndarray]]]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -228,12 +233,18 @@ def _profile_values(profile: TimeProfile, ts: np.ndarray) -> np.ndarray:
     return values if values.shape == ts.shape else np.full(ts.shape, values)
 
 
-def _diagonal(entries: np.ndarray) -> np.ndarray:
-    """Diagonal matrices from the last axis: (..., d) -> (..., d, d)."""
-    d = entries.shape[-1]
-    out = np.zeros(entries.shape[:-1] + (d * d,))
-    out[..., ::d + 1] = entries
-    return out.reshape(entries.shape + (d,))
+def eigen_entries(w: np.ndarray, v: Optional[np.ndarray]) -> np.ndarray:
+    """Entries of V diag(w) V^T from the last axes: w (..., d), V (..., d, d).
+
+    ``v=None`` stands for the standard basis; the diagonal matrices are then
+    filled in directly.
+    """
+    if v is not None:
+        return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+    d = w.shape[-1]
+    out = np.zeros(w.shape[:-1] + (d * d,))
+    out[..., ::d + 1] = w
+    return out.reshape(w.shape + (d,))
 
 
 def _spectral_family(profile: TimeProfile, mu: np.ndarray, basis=None,
@@ -241,21 +252,16 @@ def _spectral_family(profile: TimeProfile, mu: np.ndarray, basis=None,
     """The family B(t) = b(t) V(t) diag(mu) V(t)^T, with its heat factor.
 
     ``basis(ts)`` returns V(t) for every time, shape (n, d, d); without it
-    V = I and the diagonal matrices are filled in directly.  ``fields`` are
-    the remaining ``PerturbationFamily`` fields.
+    V = I, which the heat factor reports as ``None``.  ``fields`` are the
+    remaining ``PerturbationFamily`` fields.
     """
-
-    def compose(ts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        if basis is None:
-            return _diagonal(weights)
-        v = basis(ts)
-        return (v * weights[..., None, :]) @ np.swapaxes(v, -1, -2)
+    frame = basis if basis is not None else (lambda ts: None)
 
     def entries(ts: np.ndarray) -> np.ndarray:
-        return compose(ts, _profile_values(profile, ts)[..., None] * mu)
+        return eigen_entries(_profile_values(profile, ts)[..., None] * mu, frame(ts))
 
-    def heat_factor(ts: np.ndarray, tau: float) -> np.ndarray:
-        return compose(ts, np.exp((-tau * _profile_values(profile, ts))[..., None] * mu))
+    def heat_factor(ts: np.ndarray, tau: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        return np.exp((-tau * _profile_values(profile, ts))[..., None] * mu), frame(ts)
 
     return PerturbationFamily(entries=entries, heat_factor=heat_factor, **fields)
 

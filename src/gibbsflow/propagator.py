@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import AccuracyError, TimeRangeError, ValidationError
 from .linalg import HermitianOperator, heat, opnorm, trace_norm
-from .models import Model, perturbation_entries
+from .models import Model, eigen_entries, perturbation_entries
 from .quadrature import QuadratureSpec, _refine_by_doubling, integrate_matrix, panel_edges
 
 __all__ = [
@@ -60,9 +60,10 @@ BATCH_BYTES = 64 * 1024
 _REFERENCE_MEMO: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
 
 
-def _batch_length(dim: int) -> int:
-    """Number of (dim, dim) matrices that fit in ``BATCH_BYTES``, at least one."""
-    return max(1, BATCH_BYTES // (8 * dim * dim))
+def _batch_length(dim: int, diagonal: bool = False) -> int:
+    """Number of (dim, dim) matrices, or of their diagonals, that fit in
+    ``BATCH_BYTES``, at least one."""
+    return max(1, BATCH_BYTES // (8 * dim * (1 if diagonal else dim)))
 
 
 class Scheme(enum.Enum):
@@ -132,17 +133,19 @@ def _check_window(model: Model, s: float, t: float) -> None:
         )
 
 
-def _heat_of_perturbation(model: Model, times: np.ndarray, tau: float) -> np.ndarray:
-    """Entries of e^{-tau B(t)} for every t in ``times``, shape (n, d, d).
+def _heat_of_perturbation(model: Model, times: np.ndarray,
+                          tau: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Every e^{-tau B(t)} for t in ``times`` in eigen-form ``(w, V)``.
 
     Uses the family's batched ``heat_factor`` when present, otherwise the
-    spectral route on each matrix of ``perturbation_entries``.
+    spectral decomposition of each matrix of ``perturbation_entries``.
     """
     fast = model.perturbation.heat_factor
     if fast is not None:
         return fast(times, tau)
-    return np.array([heat(HermitianOperator(b), tau)
-                     for b in perturbation_entries(model, times)])
+    spectra = [HermitianOperator(b).spectrum() for b in perturbation_entries(model, times)]
+    return (np.exp(-tau * np.array([w for w, _ in spectra])),
+            np.array([q for _, q in spectra]))
 
 
 def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndarray:
@@ -151,7 +154,7 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
         raise ValidationError(f"cell width must be positive, got {tau}")
     _check_window(model, t_k, t_k)
     a = model.generator.operator
-    eb = _heat_of_perturbation(model, np.array([float(t_k)]), tau)[0]
+    eb = eigen_entries(*_heat_of_perturbation(model, np.array([float(t_k)]), tau))[0]
     if scheme is Scheme.LEFT:
         return heat(a, tau) @ eb
     if scheme is Scheme.RIGHT:
@@ -162,10 +165,25 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
     raise ValidationError(f"unknown scheme {scheme!r}")
 
 
-def _pairwise(factors: np.ndarray) -> np.ndarray:
-    """Ordered product of a stack (later factors on the left) by pairwise halving."""
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y, where a 1-D operand holds the diagonal of a diagonal matrix.
+
+    Scaling rows or columns gives the matrix product bit for bit: every other
+    term of its sums is an exact zero.
+    """
+    if x.ndim == 1:
+        return x[:, None] * y
+    if y.ndim == 1:
+        return x * y
+    return x @ y
+
+
+def _pairwise(factors: np.ndarray, mul=np.matmul) -> np.ndarray:
+    """Ordered product of a stack (later factors on the left) by pairwise
+    halving; ``mul`` multiplies stacks of factors (``np.multiply`` for
+    diagonals)."""
     while len(factors) > 1:
-        paired = factors[1::2] @ factors[0:-1:2]
+        paired = mul(factors[1::2], factors[0:-1:2])
         if len(factors) % 2:
             paired = np.concatenate((paired, factors[-1:]))
         factors = paired
@@ -181,31 +199,61 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
     counter, so the whole product is a balanced tree whose rounding error
     grows with log n.  The symmetric scheme shares the half steps of
     neighbouring cells: half eB_n eA eB_{n-1} ... eA eB_1 half.
+
+    A diagonal A enters as the vector of its heat factor's diagonal, so it
+    scales rows or columns.  If B's heat factors are diagonal too (no
+    eigenbasis), every factor is kept as its diagonal and the tree
+    multiplies vectors elementwise; a batch then holds d times as many
+    cells.  The first batch's answer decides the route, so a diagonal first
+    batch is topped up to that length.
     """
     if scheme not in (Scheme.LEFT, Scheme.RIGHT, Scheme.SYMMETRIC):
         raise ValidationError(f"unknown scheme {scheme!r}")
     a = model.generator.operator
+    lam = np.diagonal(a.entries)
+    diagonal = np.array_equal(a.entries, np.diag(lam))
+
+    def semigroup(t: float) -> np.ndarray:
+        return np.exp(-t * lam) if diagonal else heat(a, t)
+
+    ea = semigroup(tau)
+    half = semigroup(0.5 * tau) if scheme is Scheme.SYMMETRIC else None
     n = len(sample_times)
-    ea = heat(a, tau)
-    half = heat(a, 0.5 * tau) if scheme is Scheme.SYMMETRIC else None
     batch = _batch_length(model.dim)
+    vector = None
     levels: list[int] = []
     products: list[np.ndarray] = []
-    for start in range(0, n, batch):
-        eb = _heat_of_perturbation(model, sample_times[start:start + batch], tau)
-        factors = eb @ ea if scheme is Scheme.RIGHT else ea @ eb
-        if half is not None and start + batch >= n:
-            factors[-1] = half @ eb[-1]
-        product, level = _pairwise(factors), 0
+    start = 0
+    while start < n:
+        w, v = _heat_of_perturbation(model, sample_times[start:start + batch], tau)
+        if vector is None:
+            vector = diagonal and v is None
+            if vector:
+                batch = _batch_length(model.dim, diagonal=True)
+                if len(w) < min(n, batch):
+                    rest, _ = _heat_of_perturbation(model, sample_times[len(w):batch], tau)
+                    w = np.concatenate((w, rest))
+        if vector:
+            eb, mul = w, np.multiply
+            factors = w * ea
+        else:
+            eb, mul = eigen_entries(w, v), np.matmul
+            factors = _dot(eb, ea) if scheme is Scheme.RIGHT else _dot(ea, eb)
+        start += batch
+        if half is not None and start >= n:
+            factors[-1] = eb[-1] * half if vector else _dot(half, eb[-1])
+        product, level = _pairwise(factors, mul), 0
         while levels and levels[-1] == level:
-            product = product @ products.pop()
+            product = mul(product, products.pop())
             level = levels.pop() + 1
         products.append(product)
         levels.append(level)
     u = products.pop()
     while products:
-        u = u @ products.pop()
-    return u @ half if half is not None else u
+        u = mul(u, products.pop())
+    if vector:
+        u = np.diag(u)
+    return _dot(u, half) if half is not None else u
 
 
 def product_approximant(scheme: Scheme, model: Model, s: float, t: float,

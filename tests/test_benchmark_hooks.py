@@ -5,10 +5,12 @@
 and its metrics silently read 0, so these tests fail instead.  The tracer
 module is loaded by path and never installed.
 """
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gibbsflow as gf
@@ -30,6 +32,22 @@ def test_every_hook_target_exists(tracer):
     missing = [f"{module}.{attr}" for module, attr in hooks.values()
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_family_counter_wraps_the_eigen_form_heat_factor(tracer):
+    fields = {field.name for field in dataclasses.fields(gf.PerturbationFamily)}
+    assert "heat_factor" in fields
+    assert tracer.FAMILY_COUNTERS["heat_factor"] == "models.heat_factor"
+    ts = np.array([0.1, 0.6])
+    for model in (gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.4, 0.5)),
+                  gf.rotating_model([1.0, 2.0, 3.0], [0.3, 0.2, 0.5], 2.0, beta=0.5)):
+        counting = tracer.Tracer()
+        w, v = counting.instrument_model(model).perturbation.heat_factor(ts, 0.05)
+        assert counting.counters["models.heat_factor"][0] == 1
+        plain_w, plain_v = model.perturbation.heat_factor(ts, 0.05)
+        assert np.array_equal(w, plain_w) and w.shape == (ts.size, model.dim)
+        assert (v is None) == (plain_v is None)
+        assert np.array_equal(gf.eigen_entries(w, v), gf.eigen_entries(plain_w, plain_v))
 
 
 def test_collocation_grid_exists():

@@ -1,7 +1,8 @@
 """Properties of the batched pairwise ordered-product kernel.
 
-Every scheme on rotating and commuting models, and on a family without a
-batched ``heat_factor``.  The batch size is drawn too, so products cross
+Every scheme on rotating and commuting models, on a family without a
+batched ``heat_factor``, and on a dense generator, which takes the kernel's
+matrix route for e^{-tau A}.  The batch size is drawn too, so products cross
 batch boundaries (including one-cell batches) and odd stack lengths.
 """
 import dataclasses
@@ -18,12 +19,23 @@ from gibbsflow import propagator
 from conftest import make_rotating, random_symmetric_psd
 
 ROTATING = make_rotating(dim=5, seed=7)
+COMMUTING = gf.commuting_model(np.linspace(1.0, 3.0, 4), [0.6, 0.1, 0.9, 0.3],
+                               gf.kink_profile(0.45, 0.5))
+
+
+def _dense_generator(model, seed):
+    """``model`` with A = Q diag(lambda) Q^T for a random orthogonal Q."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((model.dim, model.dim)))[0]
+    generator = gf.Generator((q * model.generator.eigenvalues) @ q.T)
+    return dataclasses.replace(model, generator=generator, exact=None)
+
+
 MODELS = {
     "rotating": ROTATING,
-    "commuting": gf.commuting_model(np.linspace(1.0, 3.0, 4), [0.6, 0.1, 0.9, 0.3],
-                                    gf.kink_profile(0.45, 0.5)),
+    "commuting": COMMUTING,
     "spectral": dataclasses.replace(
         ROTATING, perturbation=dataclasses.replace(ROTATING.perturbation, heat_factor=None)),
+    "dense-generator": _dense_generator(COMMUTING, 23),
 }
 
 models = st.sampled_from(sorted(MODELS))
@@ -101,3 +113,31 @@ def test_symmetric_scheme_is_palindromic_for_constant_b(window, n, cells):
     s, width = window
     u = _kernel(CONSTANT, gf.Scheme.SYMMETRIC, s, s + width, n, cells)
     assert gf.opnorm(u - u.T) <= 1e-12 * gf.opnorm(u)
+
+
+def _identity_basis(family):
+    """``family`` whose heat factor names the standard basis as an explicit
+    identity stack instead of ``None``, which forces the dense route."""
+    def heat_factor(ts, tau):
+        w, _ = family.heat_factor(ts, tau)
+        return w, np.broadcast_to(np.eye(w.shape[-1]), w.shape + w.shape[-1:])
+
+    return dataclasses.replace(family, heat_factor=heat_factor)
+
+
+COMMUTING_DENSE = dataclasses.replace(COMMUTING,
+                                      perturbation=_identity_basis(COMMUTING.perturbation))
+
+
+@given(schemes, windows, st.integers(1, 300), st.integers(0, 5))
+@settings(max_examples=40)
+def test_diagonal_route_is_bit_identical_to_dense_route(scheme, window, n, log_cells):
+    # Batch lengths that are powers of two all build the same aligned
+    # dyadic tree, so the diagonal route (d times longer batches) and the
+    # dense one must agree bit for bit, not merely within rounding.
+    s, width = window
+    cells = 2 ** log_cells
+    vector = _kernel(COMMUTING, scheme, s, s + width, n, cells)
+    dense = _kernel(COMMUTING_DENSE, scheme, s, s + width, n, cells)
+    assert np.array_equal(vector, dense)
+    assert np.count_nonzero(vector - np.diag(np.diagonal(vector))) == 0

@@ -137,7 +137,7 @@ class TestRotatingModel:
         tau = 0.03
         for t in (0.1, 0.5, 0.9):
             b = gf.evaluate_perturbation(m, t).entries
-            fast = m.perturbation.heat_factor(np.array([t]), tau)[0]
+            fast = gf.eigen_entries(*m.perturbation.heat_factor(np.array([t]), tau))[0]
             assert np.allclose(fast, scipy.linalg.expm(-tau * b), atol=1e-12)
 
     def test_rejects_indefinite_b0(self):
@@ -162,10 +162,13 @@ class TestBatchedHeatFactor:
         model = build()
         ts = np.array([0.0, 0.13, 0.4, 0.5, 0.77, 1.0])
         tau = 0.05
-        batched = model.perturbation.heat_factor(ts, tau)
+        w, v = model.perturbation.heat_factor(ts, tau)
+        assert w.shape == (ts.size, model.dim)
+        assert (v is None) == model.descriptor.startswith(("scalar", "commuting"))
+        batched = gf.eigen_entries(w, v)
         assert batched.shape == (ts.size, model.dim, model.dim)
         for t, factor in zip(ts, batched):
-            single = model.perturbation.heat_factor(np.array([t]), tau)
+            single = gf.eigen_entries(*model.perturbation.heat_factor(np.array([t]), tau))
             assert single.shape == (1, model.dim, model.dim)
             assert np.allclose(factor, single[0], rtol=0, atol=1e-15)
             spectral = gf.heat(gf.evaluate_perturbation(model, float(t)), tau)
