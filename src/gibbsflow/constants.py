@@ -9,12 +9,12 @@ For a model with generator A (spectrum >= 1) and perturbation B(t):
 
 xi < 1 makes the perturbation series over [s, t] geometrically convergent
 with tail ratio xi.  Suprema over t are approximated by maxima over a
-uniform grid on the full horizon [0, T]; the supremum over tau uses a
-geometric grid on (0, t-s] plus the analytic tau -> 0+ limit (1 for
-alpha = 0, 0 for alpha > 0).
+uniform grid on the full horizon [0, T]; the supremum over tau is taken in
+closed form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,6 @@ from .propagator import _batch_length, _check_window
 
 __all__ = ["ConstantsReport", "estimate_constants", "contraction_coefficient"]
 
-# Points in the geometric tau-grid for the smoothing constant.
-SMOOTHING_GRID = 241
 # xi must recompute from its factors to this relative tolerance.
 XI_CONSISTENCY_TOL = 1e-12
 
@@ -60,16 +58,13 @@ class ConstantsReport:
 def smoothing_constant(eigenvalues: np.ndarray, delta: float, alpha: float) -> float:
     """sup over tau in (0, delta] of tau^alpha ||e^{-tau A} A^alpha||.
 
-    With A symmetric the norm is max_i (tau lambda_i)^alpha e^{-tau lambda_i},
-    evaluated on a geometric tau-grid; the tau -> 0+ limit is included
-    analytically so the alpha = 0 value is exactly 1.
+    With A symmetric the norm is max_i g(tau lambda_i) with
+    g(x) = x^alpha e^{-x}, and tau lambda_i covers (0, delta lambda_max].
+    g rises on [0, alpha] and falls after it, so the sup is
+    g(min(alpha, delta lambda_max)); at alpha = 0 that is 0^0 = 1 exactly.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    taus = delta * np.logspace(-8.0, 0.0, SMOOTHING_GRID)
-    x = taus[:, None] * lam[None, :]
-    values = x ** alpha * np.exp(-x)
-    limit = 1.0 if alpha == 0.0 else 0.0
-    return float(max(np.max(values), limit))
+    x = min(alpha, delta * float(np.max(eigenvalues)))
+    return float(x ** alpha * math.exp(-x))
 
 
 def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.ndarray]:

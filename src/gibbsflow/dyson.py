@@ -13,10 +13,11 @@ most xi^{N+1} / (1 - xi).
 The nested integrals are evaluated by collocation on a fixed composite
 Gauss-Legendre grid, working in the eigenbasis of A so that every
 application of G is a diagonal scaling.  Cumulative panel integrals are
-propagated with the semigroup identity G(x + d - r) = G(d) G(x - r); values
-of S_{k-1} at partial-panel quadrature nodes come from barycentric
-interpolation on the panel.  Panel counts double until two refinements of
-the requested quantity agree in trace norm within the quadrature tolerance.
+propagated with the semigroup identity G(x + d - r) = G(d) G(x - r).  B is
+sampled only at the panel nodes: a partial-panel integral reads the product
+B S_{k-1} at those nodes through one weight array per grid (Lagrange rows of
+the panel nodes).  Panel counts double until two refinements of the
+requested quantity agree in trace norm within the quadrature tolerance.
 
 Intervals with xi >= 1/2 are bisected and the halves composed through the
 propagator composition law; truncation tails add across the composition.
@@ -29,7 +30,8 @@ from .constants import _coefficient, _horizon_samples
 from .errors import ConfigError, ValidationError
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
-from .quadrature import QuadratureSpec, _leggauss, _refine_by_doubling, panel_edges
+from .quadrature import (QuadratureSpec, _leggauss, _refine_by_doubling, panel_edges,
+                         panel_nodes)
 
 __all__ = ["dyson_phillips_term", "dyson_phillips_sum"]
 
@@ -54,13 +56,11 @@ class _CollocationGrid:
         self.s, self.t = s, t
         d = lam.size
 
-        edges = panel_edges(s, t, n_panels, model.perturbation.breakpoints)
-        xi0, w0 = _leggauss(nodes_per_panel)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = mid[:, None] + half[:, None] * xi0[None, :]          # (M, P)
-        weights = half[:, None] * w0[None, :]                        # (M, P)
-        m_panels, p = nodes.shape
+        breakpoints = model.perturbation.breakpoints
+        edges = panel_edges(s, t, n_panels, breakpoints)
+        m_panels, p = edges.size - 1, nodes_per_panel
+        nodes, weights = panel_nodes(s, t, n_panels, p, breakpoints)
+        nodes, weights = nodes.reshape(m_panels, p), weights.reshape(m_panels, p)
         self.nodes, self.weights, self.edges = nodes, weights, edges
 
         self.b_nodes = _b_hat(model, q, nodes)                       # (M, P, d, d)
@@ -71,20 +71,21 @@ class _CollocationGrid:
         self.exp_right = np.exp(-(edges[1:, None] - nodes)[..., None] * lam)   # (M, P, d)
         self.exp_tocell = np.exp(-(nodes - edges[:-1, None])[..., None] * lam)  # (M, P, d)
 
-        # Partial-panel quadrature: fresh Gauss-Legendre nodes on
-        # [edge_p, node_{p,i}] for every node, with barycentric interpolation
-        # of panel values to the fresh positions (in normalized coordinates).
-        lo = np.broadcast_to(edges[:-1, None, None], (m_panels, p, 1))
-        hi = nodes[..., None]
-        fmid = 0.5 * (lo + hi)
-        fhalf = 0.5 * (hi - lo)
-        self.fresh = fmid + fhalf * xi0[None, None, :]               # (M, P, P)
-        self.fresh_w = fhalf * w0[None, None, :]                     # (M, P, P)
-        self.b_fresh = _b_hat(model, q, self.fresh)                  # (M, P, P, d, d)
-        self.exp_fresh = np.exp(-(nodes[..., None] - self.fresh)[..., None] * lam)  # (M,P,P,d)
-
-        zeta = (self.fresh - mid[:, None, None]) / half[:, None, None]
-        self.interp = _barycentric_rows(xi0, zeta)                   # (M, P, P, P)
+        # Partial-panel integrals int_{edge}^{x_i} e^{-(x_i - r) lambda} F(r) dr
+        # with F = B S_{k-1}: Gauss-Legendre nodes r_ij on [edge, x_i], where F
+        # is its Lagrange polynomial through the panel nodes.  On the reference
+        # panel [-1, 1], r_ij sits at zeta_ij = -1 + (1+xi_i)(1+xi_j)/2,
+        # x_i - r_ij = h (1+xi_i)(1-xi_j)/2 and the weight is h (1+xi_i)/2 w_j
+        # for half-width h, so only the heat factor depends on the panel.
+        # partial[m, i, k, a] sums over j.
+        xi0, w0 = _leggauss(p)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        rise = 0.5 * (1.0 + xi0)[:, None]                            # (P, 1)
+        rows = _barycentric_rows(xi0, -1.0 + rise * (1.0 + xi0))     # (P, P, P)
+        gap = rise * (1.0 - xi0)                                     # (P, P)
+        heat = np.exp(-(half[:, None, None] * gap)[..., None] * lam)  # (M, P, P, d)
+        heat *= (half[:, None, None] * (rise * w0))[..., None]
+        self.partial = np.swapaxes(rows, 1, 2) @ heat                # (M, P, P, d)
 
         # S_0 in the eigenbasis: diagonal heat factors from s.
         eye = np.eye(d)
@@ -101,9 +102,7 @@ class _CollocationGrid:
         for m in range(m_panels):
             cum[m + 1] = self.exp_panel[m][:, None] * cum[m] + k[m]
 
-        t_fresh = np.einsum("mijk,mkab->mijab", self.interp, prev)
-        g = self.b_fresh @ t_fresh                                   # (M, P, P, d, d)
-        j = np.einsum("mij,mijab->miab", self.fresh_w, self.exp_fresh[..., None] * g)
+        j = np.einsum("mika,mkab->miab", self.partial, f)
         new = -(self.exp_tocell[..., None] * cum[:-1, None] + j)
         return new, -cum[m_panels]
 

@@ -268,7 +268,7 @@ def _spectral_family(profile: TimeProfile, mu: np.ndarray, basis=None,
 
 def _check_profile_nonneg(profile: TimeProfile, horizon: float) -> None:
     ts = np.linspace(0.0, horizon, PROFILE_SAMPLES)
-    vals = np.asarray([profile.value(t) for t in ts])
+    vals = _profile_values(profile, ts)
     if np.any(vals < -NONNEG_TOL):
         t_bad = float(ts[np.argmin(vals)])
         raise ModelError(

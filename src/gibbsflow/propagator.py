@@ -61,9 +61,11 @@ _REFERENCE_MEMO: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDicti
 
 
 def _batch_length(dim: int, diagonal: bool = False) -> int:
-    """Number of (dim, dim) matrices, or of their diagonals, that fit in
-    ``BATCH_BYTES``, at least one."""
-    return max(1, BATCH_BYTES // (8 * dim * (1 if diagonal else dim)))
+    """Largest power of two of (dim, dim) matrices, or of their diagonals,
+    that fit in ``BATCH_BYTES``, at least one.  Power-of-two batches make
+    the kernel's product tree the aligned dyadic tree for every batch size."""
+    fit = max(1, BATCH_BYTES // (8 * dim * (1 if diagonal else dim)))
+    return 1 << (fit.bit_length() - 1)
 
 
 class Scheme(enum.Enum):

@@ -54,6 +54,28 @@ def test_collocation_grid_exists():
     assert isinstance(dyson._CollocationGrid, type)
 
 
+def test_panel_tally_counts_every_grid(tracer, monkeypatch):
+    # The tracer replaces the grid class with a subclass that reads
+    # ``edges``; restore the class afterwards.
+    monkeypatch.setattr(dyson, "_CollocationGrid", dyson._CollocationGrid)
+    counting = tracer.Tracer()
+    counting._count_collocation_panels()
+    built = []
+
+    class Recorded(dyson._CollocationGrid):
+        def __init__(self, model, s, t, n_panels, nodes_per_panel):
+            built.append(n_panels)
+            super().__init__(model, s, t, n_panels, nodes_per_panel)
+
+    monkeypatch.setattr(dyson, "_CollocationGrid", Recorded)
+    model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.linear_profile(0.5, 0.2))
+    assert model.perturbation.breakpoints == ()
+    gf.dyson_phillips_term(model, 0.0, 1.0, 2, gf.QuadratureSpec(initial_panels=2))
+    assert counting.missing == [] and len(built) >= 2
+    assert built == [2 ** (k + 1) for k in range(len(built))]
+    assert counting.tallies["dyson.panels"] == sum(built) == 2 * built[-1] - 2
+
+
 def test_diff_pattern_matches_a_fresh_oracle(tracer):
     model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.4, 0.5))
     ref = gf.reference_propagator(model, 0.0, 1.0, 1e-8)

@@ -50,6 +50,7 @@ class TestSmoothingConstant:
                          * np.exp(-taus[:, None] * lam[None, :]))), 0.0)
         value = smoothing_constant(lam, delta, alpha)
         assert value == pytest.approx(oracle, rel=1e-4)
+        assert value >= oracle  # a sup, not a grid lower bound
 
 
 class TestEstimateConstants:

@@ -6,6 +6,7 @@ Frozen oracles for a = 1 scalar problems:
 - commuting diagonal family: S_1(s, t) = -diag(d0) e^{-(t-s) lambda} int_s^t b
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,17 +116,41 @@ class TestCollocationGrid:
         model = make_rotating(dim=6, seed=4)
         grid = _CollocationGrid(model, 0.1, 0.9, 16, 16)
         q = grid.q
-        chunk = _batch_length(model.dim)
-        assert grid.nodes.size > chunk and grid.fresh.size > 4 * chunk
+        assert grid.nodes.size > _batch_length(model.dim)
+        expected = np.array([q.T @ gf.evaluate_perturbation(model, float(x)).entries @ q
+                             for x in grid.nodes.ravel()]).reshape(grid.nodes.shape + (6, 6))
+        assert grid.b_nodes.shape == expected.shape
+        assert np.max(np.abs(grid.b_nodes - expected)) <= 1e-15 * np.max(np.abs(expected))
 
-        def per_node(times):
-            return np.array([q.T @ gf.evaluate_perturbation(model, float(x)).entries @ q
-                             for x in times.ravel()]).reshape(times.shape + (6, 6))
+    def test_partial_weights_integrate_the_heat_factor(self):
+        # Interpolation rows sum to one, so summing the weights over the
+        # panel nodes leaves int_{edge}^{x_i} e^{-(x_i - r) lambda} dr.
+        # x_i - edge is h (1 + xi_i) for half-width h; subtracting the
+        # stored times would lose digits next to the edge.
+        model = make_rotating(dim=6, seed=4)
+        grid = _CollocationGrid(model, 0.1, 0.9, 16, 16)
+        xi = np.polynomial.legendre.leggauss(16)[0]
+        gap = (0.5 * np.diff(grid.edges)[:, None] * (1.0 + xi))[..., None]
+        expected = -np.expm1(-gap * grid.lam) / grid.lam
+        assert grid.partial.shape == grid.nodes.shape + (16, 6)
+        assert np.max(np.abs(grid.partial.sum(axis=2) / expected - 1.0)) <= 1e-13
 
-        for batched, times in ((grid.b_nodes, grid.nodes), (grid.b_fresh, grid.fresh)):
-            expected = per_node(times)
-            assert batched.shape == expected.shape
-            assert np.max(np.abs(batched - expected)) <= 1e-15 * np.max(np.abs(expected))
+    def test_memory_stays_below_one_node_pair_matrix_array(self):
+        # An (M, P, P, d, d) float array is 32 MiB here; the grid and two
+        # series levels must fit below it.
+        m, p, d = 256, 16, 8
+        model = gf.commuting_model(np.linspace(1.0, 8.0, d),
+                                   np.random.default_rng(3).permutation(np.linspace(0.1, 1.0, d)),
+                                   gf.kink_profile(0.37, 0.5, offset=0.5))
+        tracemalloc.start()
+        try:
+            grid = _CollocationGrid(model, 0.0, 1.0, m, p)
+            grid.terms_at_endpoint(2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.nodes.shape == (m, p)
+        assert peak < m * p * p * d * d * 8
 
 
 class TestHorizon:

@@ -10,6 +10,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +142,22 @@ def test_diagonal_route_is_bit_identical_to_dense_route(scheme, window, n, log_c
     dense = _kernel(COMMUTING_DENSE, scheme, s, s + width, n, cells)
     assert np.array_equal(vector, dense)
     assert np.count_nonzero(vector - np.diag(np.diagonal(vector))) == 0
+
+
+@pytest.mark.parametrize("model", [
+    gf.commuting_model(np.linspace(1.0, 3.0, 3), [0.6, 0.1, 0.9], gf.kink_profile(0.45, 0.5)),
+    gf.commuting_model(np.linspace(1.0, 3.0, 12), np.linspace(0.1, 0.9, 12),
+                       gf.kink_profile(0.45, 0.5)),
+    ROTATING,
+], ids=["commuting-3", "commuting-12", "rotating-5"])
+@pytest.mark.parametrize("n", [100, 1000, 5000])
+def test_product_does_not_depend_on_batch_bytes(model, n, monkeypatch):
+    # Batch lengths are rounded down to powers of two, so the pairwise tree
+    # plus the counter merge is the aligned dyadic tree for every d.
+    part = gf.make_partition(0.0, 1.0, n)
+    for scheme in gf.Scheme:
+        products = []
+        for batch_bytes in (64 * 1024, 4 * 1024, 1000):
+            monkeypatch.setattr(propagator, "BATCH_BYTES", batch_bytes)
+            products.append(propagator._ordered_product(model, part.points, part.step, scheme))
+        assert all(np.array_equal(p, products[0]) for p in products[1:])
