@@ -11,7 +11,8 @@ satisfy ||S_k||_1 <= xi^k, so truncating after N terms leaves a tail of at
 most xi^{N+1} / (1 - xi).
 
 The nested integrals are evaluated by collocation on a fixed composite
-Gauss-Legendre grid, working in the eigenbasis of A so that every
+Gauss-Legendre grid (graded toward breakpoints below Hoelder order 1, as in
+``quadrature.panel_edges``), working in the eigenbasis of A so that every
 application of G is a diagonal scaling.  Cumulative panel integrals are
 propagated with the semigroup identity G(x + d - r) = G(d) G(x - r).  B is
 sampled only at the panel nodes: a partial-panel integral reads the product
@@ -30,8 +31,8 @@ from .constants import _coefficient, _horizon_samples
 from .errors import ConfigError, ValidationError
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
-from .quadrature import (QuadratureSpec, _leggauss, _refine_by_doubling, panel_edges,
-                         panel_nodes)
+from .quadrature import (QuadratureSpec, _edge_nodes, _leggauss, _refine_by_doubling,
+                         mesh_grading, panel_edges)
 
 __all__ = ["dyson_phillips_term", "dyson_phillips_sum"]
 
@@ -56,11 +57,10 @@ class _CollocationGrid:
         self.s, self.t = s, t
         d = lam.size
 
-        breakpoints = model.perturbation.breakpoints
-        edges = panel_edges(s, t, n_panels, breakpoints)
+        family = model.perturbation
+        edges = panel_edges(s, t, n_panels, family.breakpoints, mesh_grading(family.beta))
         m_panels, p = edges.size - 1, nodes_per_panel
-        nodes, weights = panel_nodes(s, t, n_panels, p, breakpoints)
-        nodes, weights = nodes.reshape(m_panels, p), weights.reshape(m_panels, p)
+        nodes, weights = _edge_nodes(edges, p)
         self.nodes, self.weights, self.edges = nodes, weights, edges
 
         self.b_nodes = _b_hat(model, q, nodes)                       # (M, P, d, d)

@@ -17,21 +17,26 @@ where each factor advances one cell and the k = n factor is applied last
     symmetric W_k = e^{-tau A/2} e^{-tau B(t_k)} e^{-tau A/2}
 
 All factors are contractions, so ||U_n|| <= e^{-(t-s)} (A >= 1).
+
+The reference oracle is the fourth-order commutator-free Magnus integrator
+CF4 (Blanes & Moan, Appl. Numer. Math. 56, 2006) on cells graded toward the
+family's breakpoints.
 """
 from __future__ import annotations
 
 import enum
+import math
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import AccuracyError, TimeRangeError, ValidationError
+from .errors import AccuracyError, DecompositionError, TimeRangeError, ValidationError
 from .linalg import HermitianOperator, heat, opnorm, trace_norm
 from .models import Model, eigen_entries, perturbation_entries
-from .quadrature import QuadratureSpec, _refine_by_doubling, integrate_matrix, panel_edges
+from .quadrature import (QuadratureSpec, _refine_by_doubling, integrate_matrix, mesh_grading,
+                         panel_edges)
 
 __all__ = [
     "Scheme",
@@ -47,9 +52,16 @@ __all__ = [
 # Contractions may exceed unit norm only by rounding noise.
 CONTRACTION_SLACK = 1e-10
 # The reference oracle starts at this many cells per piece and doubles at
-# most this often, so its finest product has 2^20 cells per piece.
+# most this often, so its finest product has 2^19 cells per piece.
 REFERENCE_CELLS = 8
 REFERENCE_DOUBLINGS = 16
+# CF4 on a cell [t, t + h]: Gauss nodes t + c_i h, c = 1/2 -+ sqrt(3)/6, and
+# weights a = 1/4 -+ sqrt(3)/6 (see ``_magnus_product``).
+_CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_CF4_WEIGHTS = (0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0)
+# Convergence order of CF4: its difference between n and 2n cells is 15 times
+# the error of the 2n-cell product (see ``_refine_by_doubling``).
+CF4_ORDER = 4
 # Bytes of matrices built at once: cell factors in the product kernel, B(t)
 # samples on the series and constants grids.  Larger batches raise peak
 # memory without making the work faster.
@@ -174,16 +186,16 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     term of its sums is an exact zero.
     """
     if x.ndim == 1:
-        return x[:, None] * y
+        return x * y if y.ndim == 1 else x[:, None] * y
     if y.ndim == 1:
         return x * y
     return x @ y
 
 
-def _pairwise(factors: np.ndarray, mul=np.matmul) -> np.ndarray:
+def _pairwise(factors: np.ndarray) -> np.ndarray:
     """Ordered product of a stack (later factors on the left) by pairwise
-    halving; ``mul`` multiplies stacks of factors (``np.multiply`` for
-    diagonals)."""
+    halving; a stack of shape (n, d) holds diagonals, multiplied elementwise."""
+    mul = np.multiply if factors.ndim == 2 else np.matmul
     while len(factors) > 1:
         paired = mul(factors[1::2], factors[0:-1:2])
         if len(factors) % 2:
@@ -192,15 +204,36 @@ def _pairwise(factors: np.ndarray, mul=np.matmul) -> np.ndarray:
     return factors[0]
 
 
+def _tree_product(batches: Iterable[np.ndarray]) -> np.ndarray:
+    """Ordered product of consecutive stacks of factors, later on the left.
+
+    Each stack is reduced pairwise and the stack products are merged like a
+    binary counter, so the whole product is a balanced tree whose rounding
+    error grows with log n.  Stacks may hold diagonals or matrices; a
+    product of diagonals stays 1-D.
+    """
+    levels: list[int] = []
+    products: list[np.ndarray] = []
+    for factors in batches:
+        product, level = _pairwise(factors), 0
+        while levels and levels[-1] == level:
+            product = _dot(product, products.pop())
+            level = levels.pop() + 1
+        products.append(product)
+        levels.append(level)
+    u = products.pop()
+    while products:
+        u = _dot(u, products.pop())
+    return u
+
+
 def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
                      scheme: Scheme) -> np.ndarray:
     """Product of cell factors, later times applied on the left.
 
-    Factors are built a batch of at most ``BATCH_BYTES`` at a time and each
-    batch is reduced pairwise; batch products are merged like a binary
-    counter, so the whole product is a balanced tree whose rounding error
-    grows with log n.  The symmetric scheme shares the half steps of
-    neighbouring cells: half eB_n eA eB_{n-1} ... eA eB_1 half.
+    Factors are built a batch of at most ``BATCH_BYTES`` at a time and
+    multiplied by ``_tree_product``.  The symmetric scheme shares the half
+    steps of neighbouring cells: half eB_n eA eB_{n-1} ... eA eB_1 half.
 
     A diagonal A enters as the vector of its heat factor's diagonal, so it
     scales rows or columns.  If B's heat factors are diagonal too (no
@@ -221,39 +254,33 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
     ea = semigroup(tau)
     half = semigroup(0.5 * tau) if scheme is Scheme.SYMMETRIC else None
     n = len(sample_times)
-    batch = _batch_length(model.dim)
-    vector = None
-    levels: list[int] = []
-    products: list[np.ndarray] = []
-    start = 0
-    while start < n:
-        w, v = _heat_of_perturbation(model, sample_times[start:start + batch], tau)
-        if vector is None:
-            vector = diagonal and v is None
+
+    def batches():
+        batch = _batch_length(model.dim)
+        vector = None
+        start = 0
+        while start < n:
+            w, v = _heat_of_perturbation(model, sample_times[start:start + batch], tau)
+            if vector is None:
+                vector = diagonal and v is None
+                if vector:
+                    batch = _batch_length(model.dim, diagonal=True)
+                    if len(w) < min(n, batch):
+                        rest, _ = _heat_of_perturbation(model, sample_times[len(w):batch], tau)
+                        w = np.concatenate((w, rest))
             if vector:
-                batch = _batch_length(model.dim, diagonal=True)
-                if len(w) < min(n, batch):
-                    rest, _ = _heat_of_perturbation(model, sample_times[len(w):batch], tau)
-                    w = np.concatenate((w, rest))
-        if vector:
-            eb, mul = w, np.multiply
-            factors = w * ea
-        else:
-            eb, mul = eigen_entries(w, v), np.matmul
-            factors = _dot(eb, ea) if scheme is Scheme.RIGHT else _dot(ea, eb)
-        start += batch
-        if half is not None and start >= n:
-            factors[-1] = eb[-1] * half if vector else _dot(half, eb[-1])
-        product, level = _pairwise(factors, mul), 0
-        while levels and levels[-1] == level:
-            product = mul(product, products.pop())
-            level = levels.pop() + 1
-        products.append(product)
-        levels.append(level)
-    u = products.pop()
-    while products:
-        u = mul(u, products.pop())
-    if vector:
+                eb = w
+                factors = w * ea
+            else:
+                eb = eigen_entries(w, v)
+                factors = _dot(eb, ea) if scheme is Scheme.RIGHT else _dot(ea, eb)
+            start += batch
+            if half is not None and start >= n:
+                factors[-1] = eb[-1] * half if vector else _dot(half, eb[-1])
+            yield factors
+
+    u = _tree_product(batches())
+    if u.ndim == 1:
         u = np.diag(u)
     return _dot(u, half) if half is not None else u
 
@@ -267,35 +294,59 @@ def product_approximant(scheme: Scheme, model: Model, s: float, t: float,
     return PropagatorResult(u, part.s, part.t, method=f"{scheme.value}(n={n})")
 
 
-def _symmetric_midpoint_product(model: Model, s: float, t: float, n: int) -> np.ndarray:
-    """Symmetric factors sampled at the midpoints of n cells on each piece of
-    [s, t] between breakpoints, so every piece is second-order accurate in n
-    (the production ``Scheme.SYMMETRIC`` samples left endpoints)."""
-    # One panel per piece: the edges are s, the interior breakpoints and t.
-    edges = panel_edges(s, t, 1, model.perturbation.breakpoints)
-    parts = [make_partition(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])]
-    return _pairwise(np.array([_ordered_product(model, p.points + 0.5 * p.step, p.step,
-                                                Scheme.SYMMETRIC) for p in parts]))
+def _reference_edges(model: Model, s: float, t: float, n: int) -> np.ndarray:
+    """Cell edges of the oracle: n cells on each piece of [s, t] between the
+    family's breakpoints, graded toward breakpoints as the family's declared
+    Hoelder order asks (``mesh_grading``)."""
+    breakpoints = model.perturbation.breakpoints
+    grading = mesh_grading(model.perturbation.beta)
+    pieces = panel_edges(s, t, 1, breakpoints)
+    return np.concatenate([*(panel_edges(lo, hi, n, breakpoints, grading)[:-1]
+                             for lo, hi in zip(pieces[:-1], pieces[1:])), pieces[-1:]])
 
 
-def _extrapolated_reference(model: Model, s: float, t: float,
-                            tol: float) -> PropagatorResult:
-    """The Richardson extrapolant of ``reference_propagator``, uncached."""
-    product = lru_cache(maxsize=1)(partial(_symmetric_midpoint_product, model, s, t))
+def _magnus_product(model: Model, edges: np.ndarray) -> np.ndarray:
+    """CF4 product over the cells between ``edges``, later cells on the left.
 
-    def extrapolant(n: int) -> np.ndarray:
-        u_n = product(n)  # before product(2n) evicts it from the one-entry cache
-        return (4.0 * product(2 * n) - u_n) / 3.0
+    A cell [t, t + h] contributes e^{-h X_2} e^{-h X_1} with
+    X_1 = A/2 + a_2 B(c_1) + a_1 B(c_2) and X_2 = A/2 + a_1 B(c_1) + a_2 B(c_2),
+    B read through ``perturbation_entries`` at the Gauss nodes.  The
+    exponents are symmetric, so a batch of exponentials is one stacked
+    ``eigh``.  Factors are built at most ``BATCH_BYTES`` at a time and
+    multiplied by ``_tree_product``.
+    """
+    half_a = 0.5 * model.generator.operator.entries
+    dim = model.dim
+    a1, a2 = _CF4_WEIGHTS
+    cells = max(1, _batch_length(dim) // 2)
 
-    try:
-        u, n, diff = _refine_by_doubling(extrapolant, REFERENCE_CELLS, 0.5 * tol,
-                                         REFERENCE_DOUBLINGS)
-    except AccuracyError as error:
-        raise AccuracyError("reference propagator hit the cell cap",
-                            requested=error.requested, achieved=error.achieved) from None
+    def batches():
+        for start in range(0, len(edges) - 1, cells):
+            grid = edges[start:start + cells + 1]
+            h = np.diff(grid)
+            times = grid[:-1, None] + h[:, None] * _CF4_NODES
+            b = perturbation_entries(model, times.ravel()).reshape(len(h), 2, dim, dim)
+            x = np.stack((a2 * b[:, 0] + a1 * b[:, 1], a1 * b[:, 0] + a2 * b[:, 1]), axis=1)
+            x = (x + half_a).reshape(2 * len(h), dim, dim)
+            try:
+                w, v = np.linalg.eigh(x)
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionError(f"eigendecomposition did not converge: {exc}",
+                                         dim=dim) from exc
+            yield eigen_entries(np.exp(-np.repeat(h, 2)[:, None] * w), v)
+
+    return _tree_product(batches())
+
+
+def _magnus_reference(model: Model, s: float, t: float, tol: float) -> PropagatorResult:
+    """The CF4 oracle of ``reference_propagator``, uncached."""
+    u, n, diff = _refine_by_doubling(
+        lambda n: _magnus_product(model, _reference_edges(model, s, t, n)),
+        REFERENCE_CELLS, 0.5 * tol, REFERENCE_DOUBLINGS, order=CF4_ORDER,
+        label="reference propagator")
     u.setflags(write=False)
     return PropagatorResult(u, float(s), float(t),
-                            method=f"reference(tol={tol:g}, n={2 * n}, diff={diff:.3e})")
+                            method=f"reference(tol={tol:g}, n={n}, diff={diff:.3e})")
 
 
 def _cross_validate(model: Model, result: PropagatorResult, tol: float) -> None:
@@ -317,11 +368,14 @@ def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
                          cross_validate: bool = False) -> PropagatorResult:
     """High-accuracy oracle propagator over [s, t].
 
-    Doubles n, the number of cells on each piece of [s, t] between the
-    family's breakpoints, until two successive Richardson extrapolants
-    (4 U_{2n} - U_n)/3 of midpoint-sampled symmetric products agree within
-    tol/2 in trace norm, and returns the last one.  Fails with the last
-    difference if the cell cap is reached first.
+    CF4 Magnus products on n cells per piece of [s, t] between the family's
+    breakpoints, graded toward them below Hoelder order 1.  n doubles from
+    ``REFERENCE_CELLS`` until the fourth-order error estimate
+    ||U_2n - U_n||_1 / 15 is at most tol/2, and the 2n-cell product is
+    returned.  Where the differences shrink by less than 16 per doubling,
+    the estimate uses the observed ratio r instead of 16, D / (r - 1).
+    Fails with the last estimate once a difference stops shrinking or the
+    doublings run out.
 
     Results and failures are memoized per model instance and (s, t, tol),
     with a read-only ``U``, so every caller asking for the same window shares
@@ -335,7 +389,7 @@ def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
     key = (float(s), float(t), float(tol))
     if key not in memo:
         try:
-            memo[key] = _extrapolated_reference(model, s, t, tol)
+            memo[key] = _magnus_reference(model, s, t, tol)
         except AccuracyError as error:
             memo[key] = error
     result = memo[key]
@@ -368,6 +422,7 @@ def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],
         return heats @ b @ u
 
     integral = integrate_matrix(integrand, s, t, quad,
-                                breakpoints=model.perturbation.breakpoints)
+                                breakpoints=model.perturbation.breakpoints,
+                                grading=mesh_grading(model.perturbation.beta))
     defect = np.asarray(u_fn(s, t)) - heat(a, t - s) + integral
     return trace_norm(defect)

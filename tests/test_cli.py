@@ -190,13 +190,13 @@ class TestExitCodes:
     def test_oracle_failure_is_one_computation_and_three_records(self, tmp_path,
                                                                  monkeypatch, capsys):
         calls = []
-        compute = propagator._extrapolated_reference
+        compute = propagator._magnus_reference
 
         def counted(*args):
             calls.append(args[1:])
             return compute(*args)
 
-        monkeypatch.setattr(propagator, "_extrapolated_reference", counted)
+        monkeypatch.setattr(propagator, "_magnus_reference", counted)
         monkeypatch.setattr(propagator, "REFERENCE_DOUBLINGS", 1)
         path = tmp_path / "rotating.yaml"
         path.write_text(ROTATING)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gibbsflow as gf
+from gibbsflow import dyson
 from gibbsflow.dyson import _CollocationGrid
 from gibbsflow.propagator import _batch_length
 
@@ -151,6 +152,31 @@ class TestCollocationGrid:
             tracemalloc.stop()
         assert grid.nodes.shape == (m, p)
         assert peak < m * p * p * d * d * 8
+
+
+class TestGradedPanels:
+    def test_kinked_term_converges_within_128_panels(self, monkeypatch):
+        # beta = 0.5: uniform panels doubled through the kink to 4096
+        rng = np.random.default_rng(42)
+        q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+        b0 = (q * rng.random(16)) @ q.T
+        model = gf.rotating_model(np.linspace(1.0, 4.0, 16), b0, np.pi, beta=0.5, t0=0.37)
+        built = []
+
+        class Counted(dyson._CollocationGrid):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(len(self.edges) - 1)
+
+        monkeypatch.setattr(dyson, "_CollocationGrid", Counted)
+        term = gf.dyson_phillips_term(model, 0.1, 0.8, 3)
+        assert np.all(np.isfinite(term))
+        assert max(built) <= 128
+
+    def test_beta_one_keeps_uniform_panels(self):
+        model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.4, 1.0))
+        grid = _CollocationGrid(model, 0.0, 1.0, 10, 4)
+        assert np.array_equal(grid.edges, gf.panel_edges(0.0, 1.0, 10, (0.4,)))
 
 
 class TestHorizon:

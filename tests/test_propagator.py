@@ -6,6 +6,8 @@ Frozen oracles (hand-derived for a = 1, b(tau) = tau on [0, 1]):
   err_tr(n) = e^{-3/2} (e^{1/(2n)} - 1) exactly.
 """
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbsflow as gf
-from gibbsflow import dyson, propagator
+from gibbsflow import dyson, propagator, quadrature
 
 from conftest import make_rotating, random_symmetric_psd
 
@@ -163,13 +165,13 @@ class TestReferenceMemo:
     def computations(self, monkeypatch):
         """Counts the reference computations that miss the memo."""
         calls = []
-        compute = propagator._extrapolated_reference
+        compute = propagator._magnus_reference
 
         def counted(*args):
             calls.append(args[1:])
             return compute(*args)
 
-        monkeypatch.setattr(propagator, "_extrapolated_reference", counted)
+        monkeypatch.setattr(propagator, "_magnus_reference", counted)
         return calls
 
     def test_repeated_call_reuses_result(self, rotating_small, computations):
@@ -244,12 +246,81 @@ class TestReferenceBreakpoints:
         late = gf.reference_propagator(model, 0.37, 1.0, 2e-11)
         assert gf.trace_norm(ref.U - late.U @ early.U) <= 1e-10
 
+    def test_kinked_rotating_at_low_regularity_needs_few_cells(self):
+        # beta = 0.5: graded cells keep CF4 at order 4 through the kink
+        b0 = random_symmetric_psd(np.random.default_rng(42), 16)
+        model = gf.rotating_model(np.linspace(1.0, 4.0, 16), b0, np.pi, beta=0.5, t0=0.37)
+        ref = gf.reference_propagator(model, 0.0, 1.0, 1e-10)
+        n = int(re.search(r"n=(\d+)", ref.method).group(1))
+        assert n <= 512
+
+    def test_stops_at_the_rounding_floor(self, monkeypatch):
+        products = []
+        compute = propagator._magnus_product
+
+        def counted(model, edges):
+            products.append(edges.size - 1)
+            return compute(model, edges)
+
+        monkeypatch.setattr(propagator, "_magnus_product", counted)
+        with pytest.raises(gf.AccuracyError) as caught:
+            gf.reference_propagator(_kinked_rotating(4), 0.0, 1.0, 1e-16)
+        assert caught.value.achieved > caught.value.requested
+        assert len(products) - 1 < propagator.REFERENCE_DOUBLINGS
+        assert "stopped converging" in str(caught.value)
+
     @pytest.mark.parametrize("doublings", [0, 1, 2, 3])
     def test_failure_reports_more_than_requested(self, doublings, monkeypatch):
         monkeypatch.setattr(propagator, "REFERENCE_DOUBLINGS", doublings)
         with pytest.raises(gf.AccuracyError) as caught:
             gf.reference_propagator(_kinked_rotating(4), 0.0, 1.0, 1e-13)
         assert caught.value.achieved > caught.value.requested
+
+
+def _kink_models(beta: float, t0: float = 0.37) -> list:
+    """Scalar and commuting d=8 models whose coupling kinks at t0 with order
+    beta, declared, so the oracle grades its cells."""
+    profile = gf.kink_profile(t0, beta, offset=0.5)
+    d0 = np.random.default_rng(3).permutation(np.linspace(0.1, 1.0, 8))
+    return [gf.scalar_model(1.0, profile, beta=beta),
+            gf.commuting_model(np.linspace(1.0, 8.0, 8), d0, profile, beta=beta)]
+
+
+class TestReferenceAgainstExact:
+    """The oracle against closed forms, not only its own self-convergence."""
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.0, 0.37), (0.37, 1.0), (0.1, 0.9)])
+    def test_kinked_models_meet_the_tolerance(self, beta, window):
+        s, t = window
+        for model in _kink_models(beta):
+            ref = gf.reference_propagator(model, s, t, 1e-10)
+            assert gf.trace_norm(ref.U - model.exact(s, t)) <= 1e-10
+
+    def test_error_estimate_tracks_the_true_error(self):
+        # fourth order: the reported estimate is the true error within 2x
+        for model in _kink_models(0.5):
+            ref = gf.reference_propagator(model, 0.0, 1.0, 1e-10)
+            estimate = float(re.search(r"diff=([0-9.e+-]+)", ref.method).group(1))
+            error = gf.trace_norm(ref.U - model.exact(0.0, 1.0))
+            assert 0.5 * estimate <= error <= 2.0 * estimate
+
+    def test_undeclared_kink_converges_slowly_but_meets_the_tolerance(self):
+        # declared beta = 1 over a beta = 0.5 kink: uniform cells, order ~1.5,
+        # so the estimate must use the observed ratio, not 1/15
+        model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.4, 0.5))
+        assert model.perturbation.beta == 1.0
+        ref = gf.reference_propagator(model, 0.0, 1.0, 1e-8)
+        assert gf.trace_norm(ref.U - model.exact(0.0, 1.0)) <= 1e-8
+
+    def test_rotating_model_without_rotation_matches_the_commuting_one(self):
+        # omega = 0 and a diagonal b0: B(t) = (1 + |t - t0|^beta) diag(b0)
+        lambdas, b0 = np.linspace(1.0, 4.0, 6), np.linspace(0.2, 0.9, 6)
+        rotating = gf.rotating_model(lambdas, b0, 0.0, beta=0.5, t0=0.37)
+        exact = gf.commuting_model(lambdas, b0, gf.kink_profile(0.37, 0.5, offset=1.0),
+                                   beta=0.5)
+        ref = gf.reference_propagator(rotating, 0.0, 1.0, 1e-10)
+        assert gf.trace_norm(ref.U - exact.exact(0.0, 1.0)) <= 1e-10
 
 
 class TestHorizon:
@@ -294,6 +365,25 @@ class TestIntegralEquationResidual:
         residual = gf.integral_equation_residual(
             commuting_linear.exact, commuting_linear, 0.0, 1.0, gf.QuadratureSpec())
         assert residual <= 1e-9
+
+    def test_kinked_model_converges_on_graded_panels(self):
+        # the commuting d=8 model of the series benchmark: uniform panels
+        # doubled through the kink to 4096 panels
+        lambdas = np.linspace(1.0, 8.0, 8)
+        d0 = np.random.default_rng(1).permutation(np.linspace(0.1, 1.0, 8))
+        model = gf.commuting_model(lambdas, d0, gf.kink_profile(0.37, 0.5, offset=0.5),
+                                   beta=0.5)
+        panels = []
+        original = quadrature.panel_nodes
+
+        def counted(a, b, n_panels, *args, **kwargs):
+            panels.append(n_panels)
+            return original(a, b, n_panels, *args, **kwargs)
+
+        with mock.patch.object(quadrature, "panel_nodes", counted):
+            residual = gf.integral_equation_residual(model.exact, model, 0.0, 1.0)
+        assert residual <= 1e-9
+        assert max(panels) <= 64
 
     def test_crude_approximant_has_visible_residual(self, scalar_linear):
         def crude(s, t):

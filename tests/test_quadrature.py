@@ -3,7 +3,19 @@ import numpy as np
 import pytest
 
 import gibbsflow as gf
-from gibbsflow.quadrature import CHUNK_NODES, panel_nodes
+from gibbsflow.quadrature import (CHUNK_NODES, GRADED_EXPONENT, _refine_by_doubling,
+                                  mesh_grading, panel_nodes)
+
+
+def _uniform_edges(a, b, n_panels, breakpoints):
+    """The breakpoint-aligned uniform edges that grading 1 must reproduce."""
+    cuts = sorted({float(x) for x in breakpoints if a < x < b})
+    pieces = list(zip([a, *cuts], [*cuts, b]))
+    edges = [a]
+    for lo, hi in pieces:
+        k = max(1, round(n_panels * (hi - lo) / (b - a)))
+        edges.extend(np.linspace(lo, hi, k + 1)[1:])
+    return np.asarray(edges)
 
 
 class TestSpec:
@@ -41,6 +53,121 @@ class TestPanelEdges:
         with pytest.raises(gf.ValidationError):
             gf.panel_edges(1.0, 1.0, 2, ())
 
+    def test_rejects_bad_grading(self):
+        for grading in (0, 1.5):
+            with pytest.raises(gf.ValidationError):
+                gf.panel_edges(0.0, 1.0, 4, (0.3,), grading)
+
+
+class TestGradedEdges:
+    WINDOWS = [(0.0, 1.0), (0.0, 0.37), (0.37, 1.0), (0.2, 0.8)]
+
+    @pytest.mark.parametrize("a, b", WINDOWS)
+    @pytest.mark.parametrize("n_panels", [1, 5, 64, 1024])
+    def test_grading_one_is_the_uniform_mesh_bit_for_bit(self, a, b, n_panels):
+        for breakpoints in [(), (0.37,), (0.37, 0.5), (0.0, 0.37, 1.0)]:
+            expected = _uniform_edges(a, b, n_panels, breakpoints)
+            assert np.array_equal(gf.panel_edges(a, b, n_panels, breakpoints), expected)
+            assert np.array_equal(gf.panel_edges(a, b, n_panels, breakpoints, 1), expected)
+
+    @pytest.mark.parametrize("a, b", WINDOWS)
+    @pytest.mark.parametrize("n_panels", [1, 7, 64, 1024])
+    @pytest.mark.parametrize("grading", [2, GRADED_EXPONENT])
+    def test_graded_edges_increase_with_exact_ends(self, a, b, n_panels, grading):
+        for breakpoints in [(0.37,), (0.37, 0.5)]:
+            edges = gf.panel_edges(a, b, n_panels, breakpoints, grading)
+            assert edges[0] == a and edges[-1] == b
+            assert np.all(np.diff(edges) > 0)
+            cuts = [x for x in breakpoints if a < x < b]
+            assert all(x in edges for x in cuts)
+            assert edges.size == _uniform_edges(a, b, n_panels, breakpoints).size
+
+    def test_interior_breakpoint_is_graded_from_both_sides(self):
+        edges = gf.panel_edges(0.0, 1.0, 64, (0.5,), 4)
+        k = int(np.flatnonzero(edges == 0.5)[0])
+        # 32 cells per piece, graded toward 0.5 only: x -> x^4 on [0, 1]
+        assert edges[k] - edges[k - 1] == pytest.approx(0.5 / 32 ** 4, rel=1e-9)
+        assert edges[k + 1] - edges[k] == pytest.approx(0.5 / 32 ** 4, rel=1e-9)
+        assert edges[1] - edges[0] == pytest.approx(0.5 * (1 - (31 / 32) ** 4), rel=1e-12)
+
+    def test_breakpoint_at_window_end_is_graded_toward(self):
+        early = gf.panel_edges(0.0, 0.37, 16, (0.37,), 4)
+        late = gf.panel_edges(0.37, 1.0, 16, (0.37,), 4)
+        assert np.diff(early)[-1] == pytest.approx(0.37 / 16 ** 4, rel=1e-9)
+        assert np.diff(late)[0] == pytest.approx(0.63 / 16 ** 4, rel=1e-9)
+        assert np.all(np.diff(np.diff(early)) < 0)   # shrinking toward 0.37
+        assert np.all(np.diff(np.diff(late)) > 0)    # growing away from 0.37
+
+    def test_piece_between_breakpoints_is_graded_toward_both(self):
+        edges = gf.panel_edges(0.3, 0.5, 8, (0.3, 0.5), 4)
+        widths = np.diff(edges)
+        assert widths[0] == pytest.approx(widths[-1], rel=1e-9)
+        assert widths[0] == pytest.approx(0.1 / 4 ** 4, rel=1e-9)
+        assert np.argmax(widths) in (3, 4)
+
+    def test_window_ends_that_are_not_breakpoints_stay_uniform(self):
+        edges = gf.panel_edges(0.0, 1.0, 4, (), 4)
+        assert np.array_equal(edges, np.linspace(0.0, 1.0, 5))
+
+    def test_grading_follows_the_declared_hoelder_order(self):
+        assert mesh_grading(1.0) == 1
+        assert mesh_grading(0.999) == mesh_grading(0.5) == mesh_grading(0.25) == 4
+
+
+class TestRefineByDoubling:
+    @staticmethod
+    def sequence(values):
+        calls = []
+
+        def estimate(n):
+            calls.append(n)
+            return np.array([[values[len(calls) - 1]]])
+
+        return estimate, calls
+
+    def test_stops_on_the_raw_difference_without_an_order(self):
+        estimate, calls = self.sequence([1.0, 0.5, 0.5 + 1e-4])
+        u, n, diff = _refine_by_doubling(estimate, 2, 1e-4, 10)
+        assert calls == [2, 4, 8] and n == 8
+        assert diff == pytest.approx(1e-4) and u[0, 0] == 0.5 + 1e-4
+
+    def test_fourth_order_estimate_is_a_fifteenth_of_the_difference(self):
+        # differences 1.6e-1, 1e-2, 6.25e-4: ratio 16, so the error of the
+        # last estimate is its difference over 15
+        estimate, calls = self.sequence([1.0, 1.16, 1.17, 1.170625])
+        u, n, error = _refine_by_doubling(estimate, 1, 4.2e-5, 10, order=4)
+        assert calls == [1, 2, 4, 8] and u[0, 0] == 1.170625
+        assert error == pytest.approx(6.25e-4 / 15)
+        # the first doubling has no ratio yet and assumes the full order
+        estimate, calls = self.sequence([1.0, 1.0015])
+        _, n, error = _refine_by_doubling(estimate, 1, 1.01e-4, 10, order=4)
+        assert n == 2 and error == pytest.approx(1e-4)
+
+    def test_slower_convergence_than_the_order_is_not_trusted(self):
+        # differences halve: the error is the difference itself, not 1/15 of it
+        estimate, calls = self.sequence([0.0, 1e-2, 1.5e-2, 1.75e-2])
+        with pytest.raises(gf.AccuracyError) as caught:
+            _refine_by_doubling(estimate, 1, 5e-4, 3, order=4)
+        assert calls == [1, 2, 4, 8]
+        assert caught.value.achieved == pytest.approx(2.5e-3)
+
+    def test_gives_up_once_the_difference_stops_shrinking(self):
+        # differences 1e-1, 1e-3, 1e-3: no progress, so no further doublings
+        estimate, calls = self.sequence([1.0, 1.1, 1.101, 1.1, 1.0])
+        with pytest.raises(gf.AccuracyError) as caught:
+            _refine_by_doubling(estimate, 1, 1e-12, 10)
+        assert calls == [1, 2, 4, 8]
+        assert caught.value.requested == 1e-12
+        assert caught.value.achieved == pytest.approx(1e-3)
+        assert "stopped converging" in str(caught.value)
+
+    def test_gives_up_when_the_doublings_run_out(self):
+        estimate, calls = self.sequence([1.0, 0.5, 0.25, 0.125])
+        with pytest.raises(gf.AccuracyError) as caught:
+            _refine_by_doubling(estimate, 1, 1e-12, 2)
+        assert calls == [1, 2, 4]
+        assert caught.value.achieved == pytest.approx(0.25)
+
 
 class TestIntegrateMatrix:
     def test_polynomial_exact(self):
@@ -63,6 +190,24 @@ class TestIntegrateMatrix:
             lambda x: np.sqrt(abs(x - 0.5))[:, None, None], 0.0, 1.0,
             gf.QuadratureSpec(tol=1e-9), breakpoints=(0.5,))
         assert result[0, 0] == pytest.approx((4.0 / 3.0) * 0.5 ** 1.5, abs=1e-9)
+
+    def test_graded_kink_converges_where_uniform_panels_cannot(self):
+        # |x - 0.37|^{1/4} at tol 1e-12: uniform panels converge with order
+        # 1.25 and run out of doublings; graded ones need 256 panels
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return (abs(x - 0.37) ** 0.25)[:, None, None]
+
+        spec = gf.QuadratureSpec(tol=1e-12)
+        exact = 0.8 * (0.37 ** 1.25 + 0.63 ** 1.25)
+        result = gf.integrate_matrix(f, 0.0, 1.0, spec, breakpoints=(0.37,),
+                                     grading=GRADED_EXPONENT)
+        assert result[0, 0] == pytest.approx(exact, abs=1e-12)
+        assert sum(sizes) <= 16 * (2 + 4 + 8 + 16 + 32 + 64 + 128 + 256)
+        with pytest.raises(gf.AccuracyError):
+            gf.integrate_matrix(f, 0.0, 1.0, spec, breakpoints=(0.37,))
 
     def test_accuracy_error_when_budget_exhausted(self):
         spec = gf.QuadratureSpec(tol=1e-15, initial_panels=1, max_doublings=1,
