@@ -8,7 +8,7 @@ Hoelder-continuous perturbation family.  It provides:
 - exactly solvable and rotating model problems (``models``),
 - left/right/symmetric ordered product approximants and a high-accuracy
   reference propagator (``propagator``),
-- a perturbation-series evaluator with certified truncation tails (``dyson``),
+- a perturbation-series evaluator with estimated truncation tails (``dyson``),
 - the smoothing/size/regularity constants entering the error bounds
   (``constants``),
 - convergence-rate fits against the theoretical regimes, plus ensemble checks

@@ -28,11 +28,25 @@ __all__ = ["ConstantsReport", "estimate_constants", "contraction_coefficient"]
 
 # xi must recompute from its factors to this relative tolerance.
 XI_CONSISTENCY_TOL = 1e-12
+# Margins of the triangle-inequality bound on a pair's Hoelder quotient.
+# Against exact arithmetic, a computed norm of a difference is off by
+# O(d u) relative (u = 2^-53) and the prefix sums of the adjacent norms by
+# at most about grid u P_last, so these margins exceed the rounding by orders
+# of magnitude: no pair whose computed quotient could beat the maximum so
+# far is skipped.
+PRUNE_REL = 1e-10
+PRUNE_ABS = 1e-14
 
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Grid estimates of the structural constants over [s, t]."""
+    """Grid estimates of the structural constants over [s, t].
+
+    ``c_alpha`` and ``l_alpha_beta`` are maxima over the ``grid`` sample
+    times, so they are lower bounds of the suprema they estimate, not
+    bounds; ``xi``, built from ``c_alpha``, is an estimate too.
+    ``m_alpha`` is the supremum in closed form.
+    """
 
     c_alpha: float
     m_alpha: float
@@ -67,25 +81,101 @@ def smoothing_constant(eigenvalues: np.ndarray, delta: float, alpha: float) -> f
     return float(x ** alpha * math.exp(-x))
 
 
-def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Grid times on [0, T], c_alpha, and A^{-alpha} B(t) A^{-alpha} per time.
+def _horizon_batches(model: Model, grid: int):
+    """A^{-alpha}, the grid times on [0, T], and an iterator of (start, B).
 
-    c_alpha is the grid maximum of ||B(t) A^{-alpha}||.  B is evaluated a
-    chunk of at most ``BATCH_BYTES`` at a time, so only the sandwiched stack
-    of shape (grid, d, d) is held in full.
+    B holds B(t) at ``times[start:start + len(B)]``, a chunk of at most
+    ``BATCH_BYTES``.  ``grid`` is checked before anything is sampled.
     """
+    if not (isinstance(grid, (int, np.integer)) and grid >= 2):
+        raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
     alpha = model.perturbation.alpha
     a = model.generator.operator
     a_neg = fractional_power(a, -alpha).entries if alpha != 0.0 else np.eye(model.dim)
     times = np.linspace(0.0, model.horizon, grid)
-    sandwiched = np.empty((times.size, model.dim, model.dim))
-    c_alpha = 0.0
     chunk = _batch_length(model.dim)
-    for start in range(0, times.size, chunk):
-        b = perturbation_entries(model, times[start:start + chunk])
-        c_alpha = max(c_alpha, *(opnorm(m) for m in b @ a_neg))
-        sandwiched[start:start + chunk] = a_neg @ b @ a_neg
+    batches = ((start, perturbation_entries(model, times[start:start + chunk]))
+               for start in range(0, grid, chunk))
+    return a_neg, times, batches
+
+
+def _chunk_bound(b: np.ndarray, a_neg: np.ndarray) -> float:
+    return max(opnorm(m) for m in b @ a_neg)
+
+
+def _relative_bound(model: Model, grid: int) -> float:
+    """c_alpha, the grid maximum of ||B(t) A^{-alpha}||, one chunk of B at a time."""
+    a_neg, _, batches = _horizon_batches(model, grid)
+    return max(0.0, *(_chunk_bound(b, a_neg) for _, b in batches))
+
+
+def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Grid times on [0, T], c_alpha, and A^{-alpha} B(t) A^{-alpha} per time.
+
+    Only the sandwiched stack of shape (grid, d, d) is held in full.
+    """
+    a_neg, times, batches = _horizon_batches(model, grid)
+    sandwiched = np.empty((grid, model.dim, model.dim))
+    c_alpha = 0.0
+    for start, b in batches:
+        c_alpha = max(c_alpha, _chunk_bound(b, a_neg))
+        sandwiched[start:start + len(b)] = a_neg @ b @ a_neg
     return times, c_alpha, sandwiched
+
+
+def _row_gaps(times: np.ndarray, i: int, beta: float) -> np.ndarray:
+    """``abs(t_j - t_i) ** beta`` for j > i, one scalar power at a time.
+
+    A vectorized power may differ from the scalar one in the last bit.
+    """
+    return np.array([abs(gap) ** beta for gap in times[i + 1:] - times[i]])
+
+
+def _holder_constant(times: np.ndarray, sandwiched: np.ndarray, beta: float) -> float:
+    """Largest ``opnorm(S_j - S_i) / abs(t_j - t_i) ** beta`` over grid pairs.
+
+    Bit for bit the maximum of that quotient over all i < j, without an SVD
+    per pair.  A stack of diagonal matrices (scalar and commuting models)
+    reads each norm as the largest entry of |diag_j - diag_i|, which is
+    what the SVD returns for a diagonal matrix.  Otherwise the grid - 1
+    adjacent norms are computed, and the triangle inequality bounds every
+    other pair by (P_j - P_i) / |t_j - t_i|^beta, P being their prefix sums;
+    pairs are evaluated in order of decreasing bound while the bound exceeds
+    the largest quotient so far.
+    """
+    grid, d = sandwiched.shape[:2]
+    off_diagonal = sandwiched.reshape(grid, d * d)[:, 1:].reshape(grid, d - 1, d + 1)[:, :, :d]
+    if not np.any(off_diagonal):
+        diagonals = np.diagonal(sandwiched, axis1=1, axis2=2)
+        best = 0.0
+        for i in range(grid - 1):
+            norms = np.max(np.abs(diagonals[i + 1:] - diagonals[i]), axis=1)
+            best = max(best, float(np.max(norms / _row_gaps(times, i, beta))))
+        return best
+
+    adjacent = np.array([opnorm(sandwiched[k + 1] - sandwiched[k]) for k in range(grid - 1)])
+    gaps = [abs(times[k + 1] - times[k]) ** beta for k in range(grid - 1)]
+    best = float(np.max(adjacent / gaps))
+    prefix = np.concatenate(([0.0], np.cumsum(adjacent)))
+    slack = grid * PRUNE_ABS * prefix[-1]
+    bounds, firsts, lasts = [], [], []
+    for i in range(grid - 2):
+        gaps = _row_gaps(times, i, beta)[1:]
+        bound = ((prefix[i + 2:] - prefix[i]) * (1.0 + PRUNE_REL) + slack) / gaps
+        (keep,) = np.nonzero(bound > best)
+        bounds.append(bound[keep])
+        firsts.append(np.full(keep.size, i))
+        lasts.append(keep + i + 2)
+    if not bounds:
+        return best
+    bounds, firsts, lasts = (np.concatenate(x) for x in (bounds, firsts, lasts))
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] <= best:
+            break
+        i, j = firsts[k], lasts[k]
+        gap = abs(times[j] - times[i]) ** beta
+        best = max(best, opnorm(sandwiched[j] - sandwiched[i]) / gap)
+    return float(best)
 
 
 def _coefficient(model: Model, c_alpha: float, s: float, t: float) -> float:
@@ -104,31 +194,22 @@ def contraction_coefficient(model: Model, s: float, t: float, grid: int = 101) -
     if not s < t:
         raise ValidationError(f"coefficient requires s < t, got s={s!r}, t={t!r}")
     _check_window(model, s, t)
-    _, c_alpha, _ = _horizon_samples(model, grid)
-    return _coefficient(model, c_alpha, s, t)
+    return _coefficient(model, _relative_bound(model, grid), s, t)
 
 
 def estimate_constants(model: Model, s: float, t: float, grid: int = 101) -> ConstantsReport:
     """Grid estimates of (c_alpha, m_alpha, l_alpha_beta, xi) for [s, t].
 
     ``grid`` sets the number of horizon sample times; the Hoelder constant
-    maximizes the quotient over all grid pairs.
+    maximizes the quotient over all grid pairs (see ``_holder_constant``).
     """
     if not s < t:
         raise ValidationError(f"constants require s < t, got s={s!r}, t={t!r}")
-    if not (isinstance(grid, (int, np.integer)) and grid >= 2):
-        raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
     _check_window(model, s, t)
     alpha = model.perturbation.alpha
     beta = model.perturbation.beta
     times, c_alpha, sandwiched = _horizon_samples(model, grid)
-    l_alpha_beta = 0.0
-    for i in range(grid):
-        for j in range(i + 1, grid):
-            gap = abs(times[j] - times[i]) ** beta
-            quotient = opnorm(sandwiched[j] - sandwiched[i]) / gap
-            if quotient > l_alpha_beta:
-                l_alpha_beta = quotient
+    l_alpha_beta = _holder_constant(times, sandwiched, beta)
 
     delta = t - s
     m_alpha = smoothing_constant(model.generator.eigenvalues, delta, alpha)

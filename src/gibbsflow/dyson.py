@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import _coefficient, _horizon_samples
+from .constants import _coefficient, _relative_bound
 from .errors import ConfigError, ValidationError
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
@@ -186,12 +186,13 @@ def _truncation_depth(xi: float, eps_tail: float) -> int | None:
 def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
                        quad: QuadratureSpec | None = None, grid: int = 101,
                        _depth: int = 0, _c_alpha: float | None = None) -> PropagatorResult:
-    """Truncated series propagator with certified truncation tail <= eps_tail.
+    """Truncated series propagator with estimated truncation tail <= eps_tail.
 
     Intervals whose contraction coefficient xi reaches 1/2 (or whose depth
     budget is exhausted) are bisected and the halves composed; tail bounds
     add across the composition.  The relative bound c_alpha of xi is sampled
-    on the horizon once and shared by the halves.  Quadrature error is
+    on the horizon once and shared by the halves; as a grid maximum it is a
+    lower bound of the sup, so the tail is an estimate.  Quadrature error is
     controlled separately by ``quad`` (default tolerance: eps_tail / 10,
     floored at 1e-13).
     """
@@ -203,7 +204,7 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
     if quad is None:
         quad = QuadratureSpec(tol=max(min(eps_tail / 10.0, 1e-8), 1e-13))
     if _c_alpha is None:
-        _, _c_alpha, _ = _horizon_samples(model, grid)
+        _c_alpha = _relative_bound(model, grid)
     xi = _coefficient(model, _c_alpha, s, t)
     depth = _truncation_depth(xi, eps_tail) if xi < BISECTION_THRESHOLD else None
     if depth is None:

@@ -13,10 +13,63 @@ import numpy as np
 import pytest
 
 import gibbsflow as gf
-from gibbsflow import propagator
+from gibbsflow import constants, propagator
 from gibbsflow.constants import smoothing_constant
+from gibbsflow.linalg import opnorm
 
-from conftest import make_rotating
+from conftest import make_rotating, random_symmetric_psd
+
+README_B0 = [0.5, 0.3, 0.8, 0.2, 0.9, 0.4, 0.7, 0.1,
+             0.6, 0.2, 0.4, 0.8, 0.3, 0.5, 0.9, 0.2]
+
+
+def brute_force_holder(model, grid):
+    """The Hoelder grid maximum as one SVD per pair, the reference for
+    ``_holder_constant``."""
+    times, _, sandwiched = constants._horizon_samples(model, grid)
+    beta = model.perturbation.beta
+    best = 0.0
+    for i in range(grid):
+        for j in range(i + 1, grid):
+            gap = abs(times[j] - times[i]) ** beta
+            quotient = opnorm(sandwiched[j] - sandwiched[i]) / gap
+            if quotient > best:
+                best = quotient
+    return best
+
+
+def run_smooth_model():
+    """The README rotating config: d=16, beta=1, diagonal b0."""
+    return gf.rotating_model(np.linspace(1.0, 4.0, 16), README_B0, 3.14159265358979,
+                             beta=1.0, t0=0.5)
+
+
+def rotating_dense(beta, t0, dim=4, alpha=0.2, omega=np.pi):
+    b0 = random_symmetric_psd(np.random.default_rng(5), dim)
+    return gf.rotating_model(np.linspace(1.0, 4.0, dim), b0, omega, beta=beta,
+                             t0=t0, alpha=alpha)
+
+
+# (name, model factory) pairs for the exact comparison with the pair loop.
+HOLDER_MODELS = (
+    [(f"scalar-kink-a{a}",
+      lambda a=a: gf.scalar_model(1.5, gf.kink_profile(0.4, 0.5), beta=0.5, alpha=a))
+     for a in (0.0, 0.3, 0.5)]
+    + [(f"scalar-linear-a{a}",
+        lambda a=a: gf.scalar_model(1.5, gf.linear_profile(1.0), alpha=a))
+       for a in (0.0, 0.3, 0.5)]
+    + [(f"commuting-a{a}",
+        lambda a=a: gf.commuting_model(np.linspace(1.0, 4.0, 6), np.linspace(0.1, 1.0, 6),
+                                       gf.kink_profile(0.37, 0.5), beta=0.5, alpha=a))
+       for a in (0.0, 0.3, 0.5)]
+    # t0 = 0.5 is a grid time of every odd grid here; 0.537 is none
+    + [(f"rotating-b{b}-t0{t0}", lambda b=b, t0=t0: rotating_dense(b, t0))
+       for b in (1.0, 0.5, 0.25) for t0 in (0.5, 0.537)]
+    # B(t) = (1 + t^beta) b0 with b0 dense: the triangle bound is tight, and
+    # the largest quotient differs from many others only by rounding
+    + [(f"still-b{b}", lambda b=b: rotating_dense(b, 0.0, omega=0.0)) for b in (1.0, 0.5)]
+    + [("run-smooth", run_smooth_model)]
+)
 
 
 class TestSmoothingConstant:
@@ -105,8 +158,9 @@ class TestEstimateConstants:
     def test_validation(self, scalar_const):
         with pytest.raises(gf.ValidationError):
             gf.estimate_constants(scalar_const, 0.5, 0.5)
-        with pytest.raises(gf.ValidationError):
-            gf.estimate_constants(scalar_const, 0.0, 1.0, grid=1)
+        for grid in (0, 1, -3, 1.5):
+            with pytest.raises(gf.ValidationError, match="grid"):
+                gf.estimate_constants(scalar_const, 0.0, 1.0, grid=grid)
 
     def test_window_outside_horizon_rejected(self, scalar_const):
         with pytest.raises(gf.TimeRangeError):
@@ -118,6 +172,56 @@ class TestEstimateConstants:
         with pytest.raises(gf.ValidationError):
             gf.ConstantsReport(c_alpha=1.0, m_alpha=1.0, l_alpha_beta=0.0,
                                xi=2.0, alpha=0.0, beta=1.0, s=0.0, t=1.0, grid=11)
+
+
+class TestHolderConstant:
+    @pytest.mark.parametrize("grid", [2, 3, 101])
+    @pytest.mark.parametrize("name, build", HOLDER_MODELS, ids=[n for n, _ in HOLDER_MODELS])
+    def test_equals_pair_loop(self, name, build, grid):
+        model = build()
+        rep = gf.estimate_constants(model, 0.0, 1.0, grid=grid)
+        assert rep.l_alpha_beta == brute_force_holder(model, grid)
+
+    def test_equals_pair_loop_on_a_fine_grid(self):
+        model = rotating_dense(0.5, 0.537)
+        rep = gf.estimate_constants(model, 0.0, 1.0, grid=401)
+        assert rep.l_alpha_beta == brute_force_holder(model, 401)
+
+    @staticmethod
+    def _count_svds(monkeypatch, model, grid):
+        """(Hoelder constant, opnorm calls it made) on ``model``'s grid."""
+        times, _, sandwiched = constants._horizon_samples(model, grid)
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return opnorm(m)
+
+        monkeypatch.setattr(constants, "opnorm", counted)
+        value = constants._holder_constant(times, sandwiched, model.perturbation.beta)
+        return value, len(calls)
+
+    def test_diagonal_stack_needs_no_svd(self, monkeypatch):
+        d = 64
+        model = gf.commuting_model(np.linspace(1.0, 8.0, d), np.linspace(0.1, 1.0, d),
+                                   gf.kink_profile(0.37, 0.5, offset=0.5), beta=0.5)
+        for grid in (101, 2001):
+            value, svds = self._count_svds(monkeypatch, model, grid)
+            assert svds == 0
+            assert value > 0.0
+
+    def test_smooth_dense_stack_needs_only_adjacent_svds(self, monkeypatch):
+        grid = 101
+        model = run_smooth_model()
+        value, svds = self._count_svds(monkeypatch, model, grid)
+        assert svds <= grid - 1
+        monkeypatch.undo()
+        assert value == brute_force_holder(model, grid)
+
+    def test_relative_bound_matches_full_samples(self):
+        # contraction_coefficient and the series read c_alpha without the stack
+        for model in (run_smooth_model(), rotating_dense(0.5, 0.537, alpha=0.3)):
+            assert constants._relative_bound(model, 81) == constants._horizon_samples(model, 81)[1]
 
 
 class TestContractionCoefficient:
@@ -136,3 +240,13 @@ class TestContractionCoefficient:
             gf.contraction_coefficient(scalar_const, 0.5, 1.5)
         with pytest.raises(gf.TimeRangeError):
             gf.contraction_coefficient(scalar_const, -0.5, 0.5)
+
+    @pytest.mark.parametrize("grid", [0, 1, -3, 1.5])
+    def test_grid_validation(self, scalar_const, grid, monkeypatch):
+        # an empty grid would give xi = 0 whatever B is; refuse before sampling
+        def never(*_):
+            raise AssertionError("B sampled before the grid was checked")
+
+        monkeypatch.setattr(constants, "perturbation_entries", never)
+        with pytest.raises(gf.ValidationError, match="grid"):
+            gf.contraction_coefficient(scalar_const, 0.0, 1.0, grid=grid)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gibbsflow as gf
-from gibbsflow import dyson
+from gibbsflow import constants, dyson
 from gibbsflow.dyson import _CollocationGrid
 from gibbsflow.propagator import _batch_length
 
@@ -98,6 +98,17 @@ class TestCertifiedSum:
     def test_eps_tail_validation(self, scalar_const):
         with pytest.raises(gf.ValidationError):
             gf.dyson_phillips_sum(scalar_const, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("grid", [0, 1, -3, 1.5])
+    def test_grid_validation(self, scalar_const, grid, monkeypatch):
+        # an empty grid would give c_alpha = 0, hence xi = 0 and a depth-0
+        # series with tail_bound 0 that ignores B; refuse before sampling B
+        def never(*_):
+            raise AssertionError("B sampled before the grid was checked")
+
+        monkeypatch.setattr(constants, "perturbation_entries", never)
+        with pytest.raises(gf.ValidationError, match="grid"):
+            gf.dyson_phillips_sum(scalar_const, 0.0, 1.0, 1e-6, grid=grid)
 
     def test_unresolvable_coupling_raises_config_error(self):
         # a coupling this large keeps xi >= 1/2 past the bisection depth cap
