@@ -29,8 +29,9 @@ import numpy as np
 
 from .constants import ConstantsReport, estimate_constants
 from .errors import NoKnownRateError, ValidationError
-from .linalg import opnorm, trace_norm
-from .models import Generator, Model
+from . import propagator
+from .linalg import opnorm, singular_values, trace_norm
+from .models import Generator, Model, eigen_entries, generator_spectra
 from .propagator import (
     Scheme,
     _check_window,
@@ -319,6 +320,45 @@ class Lemma21Check:
     holds: bool
 
 
+def _lemma21_sides(w: np.ndarray, q: np.ndarray, factors: np.ndarray, times: np.ndarray,
+                   owner: np.ndarray, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lhs, rhs)`` of the interleaved-product bound for k instances at once.
+
+    Instance i has the generator spectrum ``(w[i], q[i])``; the factor
+    ``factors[f]``, shape (d, d), with time ``times[f]`` is its
+    ``position[f]``-th factor when ``owner[f] == i``, and every instance has
+    its factors at positions 0, 1, ....  The arithmetic is that of one
+    instance at a time: the product is built left to right from the
+    identity, the norms multiplied and the times summed in factor order.
+    """
+    if not np.all(np.isfinite(factors)):
+        raise ValidationError("factors must have finite entries")
+    if not np.all(np.isfinite(times) & (times > 0)):
+        raise ValidationError(f"times must be positive, got {times.tolist()!r}")
+    k, d = w.shape
+    factor_norms = singular_values(factors)[:, 0]
+    product = np.broadcast_to(np.eye(d), (k, d, d)).copy()
+    norms = np.ones(k)
+    total = np.zeros(k)
+    for j in range(int(position.max()) + 1):
+        at = position == j
+        i = owner[at]
+        heat = eigen_entries(np.exp(-times[at][:, None] * w[i]), q[i])
+        product[i] = product[i] @ factors[at] @ heat
+        norms[i] *= factor_norms[at]
+        total[i] += times[at]
+    lhs = np.sum(singular_values(product), axis=-1)
+    quarter = eigen_entries(np.exp(-(0.25 * total)[:, None] * w), q)
+    rhs = norms * np.sum(singular_values(quarter), axis=-1)
+    return lhs, rhs
+
+
+def _lemma21_holds(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Margins ``rhs - lhs`` and whether each is within rounding of >= 0."""
+    margin = rhs - lhs
+    return margin, margin >= -INEQUALITY_SLACK * np.maximum(1.0, rhs)
+
+
 def verify_lemma21(generator: Generator, contractions: Sequence[np.ndarray],
                    times: Sequence[float]) -> Lemma21Check:
     """Check the interleaved-product trace bound for one instance."""
@@ -327,22 +367,20 @@ def verify_lemma21(generator: Generator, contractions: Sequence[np.ndarray],
             f"need equally many factors and times (>= 1), got "
             f"{len(contractions)} and {len(times)}"
         )
-    ts = [float(x) for x in times]
-    if any(not (np.isfinite(x) and x > 0) for x in ts):
-        raise ValidationError(f"times must be positive, got {ts!r}")
-    product = np.eye(generator.dim)
-    norms = 1.0
-    for v, t_j in zip(contractions, ts):
-        v = np.asarray(v, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("factors must have finite entries")
-        product = product @ v @ generator.heat(t_j)
-        norms *= opnorm(v)
-    lhs = trace_norm(product)
-    rhs = norms * trace_norm(generator.heat(0.25 * sum(ts)))
-    margin = rhs - lhs
-    holds = margin >= -INEQUALITY_SLACK * max(1.0, rhs)
-    return Lemma21Check(float(lhs), float(rhs), float(margin), bool(holds))
+    dim = generator.dim
+    factors = [np.asarray(v, dtype=float) for v in contractions]
+    if any(v.shape != (dim, dim) for v in factors):
+        raise ValidationError(
+            f"factors must have the generator's shape {(dim, dim)}, got "
+            f"{[v.shape for v in factors]!r}"
+        )
+    w, q = generator.operator.spectrum()
+    n = len(factors)
+    lhs, rhs = _lemma21_sides(w[None], q[None], np.stack(factors),
+                              np.array([float(x) for x in times]),
+                              np.zeros(n, dtype=int), np.arange(n))
+    margin, holds = _lemma21_holds(lhs, rhs)
+    return Lemma21Check(float(lhs[0]), float(rhs[0]), float(margin[0]), bool(holds[0]))
 
 
 @dataclass(frozen=True)
@@ -354,30 +392,89 @@ class Lemma21Ensemble:
     seed: int
 
 
-def _random_lemma21_instance(rng: np.random.Generator, dim_max: int):
-    dim = int(rng.integers(1, dim_max + 1))
-    n_factors = int(rng.integers(1, 9))
-    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-    eigs = 1.0 + 4.0 * rng.random(dim)
-    generator = Generator((basis * eigs) @ basis.T)
-    contractions = []
-    for _ in range(n_factors):
-        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        contractions.append(q * rng.random(dim))
-    times = 0.01 + 1.99 * rng.random(n_factors)
-    return generator, contractions, times
+class _Lemma21Bucket:
+    """Drawn instances of one dimension waiting to be evaluated together."""
+
+    def __init__(self):
+        self.indices, self.bases, self.eigenvalues = [], [], []
+        self.normals, self.scales, self.times = [], [], []
+        self.nbytes = 0
+
+    def draw(self, rng: np.random.Generator, index: int, dim: int, n_factors: int) -> None:
+        """Draw one instance of dimension ``dim`` with ``n_factors`` factors:
+        the basis normals, the eigenvalues, each factor's normals and
+        scales, then the times."""
+        self.indices.append(index)
+        self.bases.append(rng.standard_normal((dim, dim)))
+        self.eigenvalues.append(1.0 + 4.0 * rng.random(dim))
+        normals, scales = np.empty((n_factors, dim, dim)), np.empty((n_factors, dim))
+        for f in range(n_factors):
+            rng.standard_normal(out=normals[f])
+            rng.random(out=scales[f])
+        self.normals.append(normals)
+        self.scales.append(scales)
+        self.times.append(0.01 + 1.99 * rng.random(n_factors))
+        self.nbytes += normals.nbytes
+
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_lemma21_sides`` of every instance: one stacked QR for the bases,
+        one stacked ``eigh`` for the generators, one stacked QR for the
+        factors."""
+        basis = np.linalg.qr(np.stack(self.bases))[0]
+        w, q = generator_spectra(eigen_entries(np.stack(self.eigenvalues), basis))
+        factors = np.linalg.qr(np.concatenate(self.normals))[0]
+        factors *= np.concatenate(self.scales)[:, None, :]
+        counts = np.array([len(t) for t in self.times])
+        owner = np.repeat(np.arange(counts.size), counts)
+        position = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return _lemma21_sides(w, q, factors, np.concatenate(self.times), owner, position)
+
+
+def _lemma21_batches(count: int, seed: int, dim_max: int):
+    """Yield ``(indices, lhs, rhs)`` for every instance of the seeded ensemble.
+
+    Instances are drawn from ``default_rng(seed)`` one at a time: the
+    dimension and the factor count, then the rest (``_Lemma21Bucket.draw``).
+    They wait in one bucket per dimension, which is evaluated once its
+    factors reach ``BATCH_BYTES``; what is left is evaluated at the end.
+    """
+    for name, value in (("count", count), ("dim_max", dim_max)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    rng = np.random.default_rng(seed)
+    buckets: dict[int, _Lemma21Bucket] = {}
+    for index in range(count):
+        dim = int(rng.integers(1, dim_max + 1))
+        n_factors = int(rng.integers(1, 9))
+        bucket = buckets.setdefault(dim, _Lemma21Bucket())
+        bucket.draw(rng, index, dim, n_factors)
+        if bucket.nbytes >= propagator.BATCH_BYTES:
+            yield (bucket.indices, *bucket.sides())
+            del buckets[dim]
+    for bucket in buckets.values():
+        yield (bucket.indices, *bucket.sides())
+
+
+def _lemma21_arrays(count: int, seed: int, dim_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-instance ``lhs`` and ``rhs`` of the seeded ensemble, in draw order."""
+    lhs, rhs = np.empty(count), np.empty(count)
+    for indices, batch_lhs, batch_rhs in _lemma21_batches(count, seed, dim_max):
+        lhs[indices], rhs[indices] = batch_lhs, batch_rhs
+    return lhs, rhs
 
 
 def lemma21_ensemble(count: int = 1000, seed: int = 0, dim_max: int = 16) -> Lemma21Ensemble:
-    """Run the interleaved-product bound on seeded random instances."""
-    rng = np.random.default_rng(seed)
+    """Run the interleaved-product bound on seeded random instances.
+
+    Instances of equal dimension are evaluated in stacks (see
+    ``_lemma21_batches``), with the arithmetic of ``verify_lemma21``.
+    """
     holds = 0
     min_margin = float("inf")
-    for _ in range(count):
-        generator, contractions, times = _random_lemma21_instance(rng, dim_max)
-        check = verify_lemma21(generator, contractions, times)
-        holds += check.holds
-        min_margin = min(min_margin, check.margin)
+    for _, lhs, rhs in _lemma21_batches(count, seed, dim_max):
+        margin, ok = _lemma21_holds(lhs, rhs)
+        holds += int(np.count_nonzero(ok))
+        min_margin = min(min_margin, float(np.min(margin)))
     return Lemma21Ensemble(count, holds, float(min_margin), dim_max, seed)
 
 

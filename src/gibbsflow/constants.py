@@ -109,18 +109,36 @@ def _relative_bound(model: Model, grid: int) -> float:
     return max(0.0, *(_chunk_bound(b, a_neg) for _, b in batches))
 
 
-def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Grid times on [0, T], c_alpha, and A^{-alpha} B(t) A^{-alpha} per time.
+def _is_diagonal(stack: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of a stack (n, d, d) is exactly 0."""
+    n, d = stack.shape[:2]
+    return not np.any(stack.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d])
 
-    Only the sandwiched stack of shape (grid, d, d) is held in full.
+
+def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Grid times on [0, T], c_alpha, and S(t) = A^{-alpha} B(t) A^{-alpha} per time.
+
+    While every sampled S(t) is diagonal (scalar and commuting models), only
+    the diagonals are kept, shape (grid, d).  At the first chunk that is not,
+    the samples before it are redone as matrices and the full stack
+    (grid, d, d) is returned.
     """
     a_neg, times, batches = _horizon_batches(model, grid)
-    sandwiched = np.empty((grid, model.dim, model.dim))
+    d = model.dim
+    samples = np.empty((grid, d))
     c_alpha = 0.0
     for start, b in batches:
         c_alpha = max(c_alpha, _chunk_bound(b, a_neg))
-        sandwiched[start:start + len(b)] = a_neg @ b @ a_neg
-    return times, c_alpha, sandwiched
+        chunk = a_neg @ b @ a_neg
+        if samples.ndim == 2 and not _is_diagonal(chunk):
+            samples = np.empty((grid, d, d))
+            length = _batch_length(d)
+            for early in range(0, start, length):
+                b_early = perturbation_entries(model, times[early:early + length])
+                samples[early:early + length] = a_neg @ b_early @ a_neg
+        stop = start + len(b)
+        samples[start:stop] = chunk if samples.ndim == 3 else np.diagonal(chunk, axis1=1, axis2=2)
+    return times, c_alpha, samples
 
 
 def _row_gaps(times: np.ndarray, i: int, beta: float) -> np.ndarray:
@@ -131,29 +149,28 @@ def _row_gaps(times: np.ndarray, i: int, beta: float) -> np.ndarray:
     return np.array([abs(gap) ** beta for gap in times[i + 1:] - times[i]])
 
 
-def _holder_constant(times: np.ndarray, sandwiched: np.ndarray, beta: float) -> float:
+def _holder_constant(times: np.ndarray, samples: np.ndarray, beta: float) -> float:
     """Largest ``opnorm(S_j - S_i) / abs(t_j - t_i) ** beta`` over grid pairs.
 
     Bit for bit the maximum of that quotient over all i < j, without an SVD
-    per pair.  A stack of diagonal matrices (scalar and commuting models)
-    reads each norm as the largest entry of |diag_j - diag_i|, which is
-    what the SVD returns for a diagonal matrix.  Otherwise the grid - 1
-    adjacent norms are computed, and the triangle inequality bounds every
-    other pair by (P_j - P_i) / |t_j - t_i|^beta, P being their prefix sums;
-    pairs are evaluated in order of decreasing bound while the bound exceeds
-    the largest quotient so far.
+    per pair.  ``samples`` holds the S(t) of ``_horizon_samples``: either
+    their diagonals, shape (grid, d), when every S(t) is diagonal, read as
+    the largest entry of |diag_j - diag_i|, which is what the SVD returns
+    for a diagonal matrix; or the full stack (grid, d, d).  For the full
+    stack the grid - 1 adjacent norms are computed, and the triangle
+    inequality bounds every other pair by (P_j - P_i) / |t_j - t_i|^beta, P being their prefix
+    sums; pairs are evaluated in order of decreasing bound while the bound
+    exceeds the largest quotient so far.
     """
-    grid, d = sandwiched.shape[:2]
-    off_diagonal = sandwiched.reshape(grid, d * d)[:, 1:].reshape(grid, d - 1, d + 1)[:, :, :d]
-    if not np.any(off_diagonal):
-        diagonals = np.diagonal(sandwiched, axis1=1, axis2=2)
+    grid = samples.shape[0]
+    if samples.ndim == 2:
         best = 0.0
         for i in range(grid - 1):
-            norms = np.max(np.abs(diagonals[i + 1:] - diagonals[i]), axis=1)
+            norms = np.max(np.abs(samples[i + 1:] - samples[i]), axis=1)
             best = max(best, float(np.max(norms / _row_gaps(times, i, beta))))
         return best
 
-    adjacent = np.array([opnorm(sandwiched[k + 1] - sandwiched[k]) for k in range(grid - 1)])
+    adjacent = np.array([opnorm(samples[k + 1] - samples[k]) for k in range(grid - 1)])
     gaps = [abs(times[k + 1] - times[k]) ** beta for k in range(grid - 1)]
     best = float(np.max(adjacent / gaps))
     prefix = np.concatenate(([0.0], np.cumsum(adjacent)))
@@ -174,7 +191,7 @@ def _holder_constant(times: np.ndarray, sandwiched: np.ndarray, beta: float) -> 
             break
         i, j = firsts[k], lasts[k]
         gap = abs(times[j] - times[i]) ** beta
-        best = max(best, opnorm(sandwiched[j] - sandwiched[i]) / gap)
+        best = max(best, opnorm(samples[j] - samples[i]) / gap)
     return float(best)
 
 
@@ -208,8 +225,8 @@ def estimate_constants(model: Model, s: float, t: float, grid: int = 101) -> Con
     _check_window(model, s, t)
     alpha = model.perturbation.alpha
     beta = model.perturbation.beta
-    times, c_alpha, sandwiched = _horizon_samples(model, grid)
-    l_alpha_beta = _holder_constant(times, sandwiched, beta)
+    times, c_alpha, samples = _horizon_samples(model, grid)
+    l_alpha_beta = _holder_constant(times, samples, beta)
 
     delta = t - s
     m_alpha = smoothing_constant(model.generator.eigenvalues, delta, alpha)

@@ -20,6 +20,8 @@ __all__ = [
     "heat",
     "fractional_power",
     "singular_values",
+    "symmetrized",
+    "checked_eigh",
     "schatten_norm",
     "trace_norm",
     "opnorm",
@@ -33,13 +35,80 @@ SYMMETRY_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 
 
-def _as_square_matrix(entries, name: str = "matrix") -> np.ndarray:
+def _as_square_matrix(entries, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """Float entries of one square matrix, or with ``stacked`` of a stack
+    (..., d, d) of them; non-empty and finite."""
     m = np.asarray(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError(f"{name} must be square and non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} entries must be finite")
     return m
+
+
+def _first(bad: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first flagged matrix of a stack (``()`` for one matrix),
+    and where it sits, for error messages."""
+    if bad.ndim == 0:
+        return (), ""
+    k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return k, f" (matrix {', '.join(str(int(i)) for i in k)} of the stack)"
+
+
+def symmetrized(m: np.ndarray) -> np.ndarray:
+    """``0.5 (M + M^T)`` for a matrix or a stack (..., d, d) of them.
+
+    Asymmetry beyond ``SYMMETRY_TOL * (1 + max|M|)`` in any matrix is
+    rejected.
+    """
+    mt = np.swapaxes(m, -1, -2)
+    scale = 1.0 + np.max(np.abs(m), axis=(-2, -1))
+    asym = np.max(np.abs(m - mt), axis=(-2, -1))
+    bad = asym > SYMMETRY_TOL * scale
+    if np.any(bad):
+        k, where = _first(bad)
+        raise ValidationError(
+            f"matrix is not symmetric{where}: max|M - M^T| = "
+            f"{float(asym[k]):.3e} exceeds {SYMMETRY_TOL:g} * scale"
+        )
+    return 0.5 * (m + mt)
+
+
+def checked_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
+    matrix or of every matrix of a stack (..., d, d).
+
+    Each decomposition must pass the self-check: orthogonality of the
+    eigenvectors and reconstruction of the matrix within
+    ``RECONSTRUCTION_TOL``; otherwise ``DecompositionError``.
+    """
+    dim = sym.shape[-1]
+    try:
+        w, q = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        cond = None
+        try:
+            cond = float(np.max(np.linalg.cond(sym)))
+        except (np.linalg.LinAlgError, ValueError):
+            pass
+        raise DecompositionError(
+            f"eigendecomposition did not converge: {exc}", dim=dim, cond=cond,
+        ) from exc
+    qt = np.swapaxes(q, -1, -2)
+    scale = 1.0 + np.max(np.abs(w), axis=-1, initial=0.0)
+    ortho = np.max(np.abs(qt @ q - np.eye(dim)), axis=(-2, -1))
+    recon = np.max(np.abs((q * w[..., None, :]) @ qt - sym), axis=(-2, -1))
+    bad = (ortho > RECONSTRUCTION_TOL) | (recon > RECONSTRUCTION_TOL * scale)
+    if np.any(bad):
+        k, where = _first(bad)
+        wk = np.abs(w[k])
+        raise DecompositionError(
+            f"eigendecomposition failed self-check{where}: "
+            f"orthogonality defect {float(ortho[k]):.3e}, "
+            f"reconstruction defect {float(recon[k]):.3e}",
+            dim=dim, cond=float(np.max(wk) / max(np.min(wk), 1e-300)),
+        )
+    return w, q
 
 
 class HermitianOperator:
@@ -52,15 +121,7 @@ class HermitianOperator:
     __slots__ = ("entries", "_spectrum")
 
     def __init__(self, entries):
-        m = _as_square_matrix(entries)
-        scale = 1.0 + float(np.max(np.abs(m)))
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > SYMMETRY_TOL * scale:
-            raise ValidationError(
-                f"matrix is not symmetric: max|M - M^T| = {asym:.3e} "
-                f"exceeds {SYMMETRY_TOL:g} * scale"
-            )
-        sym = 0.5 * (m + m.T)
+        sym = symmetrized(_as_square_matrix(entries))
         sym.setflags(write=False)
         self.entries = sym
         self._spectrum = None
@@ -72,27 +133,7 @@ class HermitianOperator:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
         if self._spectrum is None:
-            try:
-                w, q = np.linalg.eigh(self.entries)
-            except np.linalg.LinAlgError as exc:
-                cond = None
-                try:
-                    cond = float(np.linalg.cond(self.entries))
-                except Exception:
-                    pass
-                raise DecompositionError(
-                    f"eigendecomposition did not converge: {exc}",
-                    dim=self.dim, cond=cond,
-                ) from exc
-            scale = 1.0 + float(np.max(np.abs(w), initial=0.0))
-            ortho = float(np.max(np.abs(q.T @ q - np.eye(self.dim))))
-            recon = float(np.max(np.abs((q * w) @ q.T - self.entries)))
-            if ortho > RECONSTRUCTION_TOL or recon > RECONSTRUCTION_TOL * scale:
-                raise DecompositionError(
-                    f"eigendecomposition failed self-check: "
-                    f"orthogonality defect {ortho:.3e}, reconstruction defect {recon:.3e}",
-                    dim=self.dim, cond=float(np.max(np.abs(w)) / max(np.min(np.abs(w)), 1e-300)),
-                )
+            w, q = checked_eigh(self.entries)
             w.setflags(write=False)
             q.setflags(write=False)
             self._spectrum = (w, q)
@@ -149,19 +190,22 @@ def fractional_power(h: HermitianOperator, p: float) -> HermitianOperator:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values in descending order."""
-    a = _as_square_matrix(m)
+    """Singular values in descending order, of a matrix or along the last
+    axis for every matrix of a stack (..., d, d)."""
+    a = _as_square_matrix(m, stacked=True)
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
-            f"singular value decomposition did not converge: {exc}", dim=a.shape[0]
+            f"singular value decomposition did not converge: {exc}", dim=a.shape[-1]
         ) from exc
 
 
 def schatten_norm(m, p) -> float:
     """Schatten p-norm for p in {1, 2, inf}: trace norm, Frobenius, operator norm."""
     s = singular_values(m)
+    if s.ndim != 1:
+        raise ValidationError(f"Schatten norms take one matrix, got a stack of shape {np.shape(m)}")
     if p == 1:
         return float(np.sum(s))
     if p == 2:

@@ -9,9 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbsflow as gf
-from gibbsflow.analysis import INEQUALITY_SLACK
+from gibbsflow import propagator
+from gibbsflow.analysis import (
+    INEQUALITY_SLACK,
+    _Lemma21Bucket,
+    _lemma21_arrays,
+    _lemma21_sides,
+)
+from gibbsflow.linalg import opnorm, trace_norm
+from gibbsflow.models import generator_spectra
 
 from conftest import make_rotating
 
@@ -142,6 +152,50 @@ class TestRunConvergence:
         assert any("no known" in note for note in report.notes)
 
 
+def brute_force_instance(generator, contractions, times):
+    """``(lhs, rhs)`` of one instance as a loop over its factors: the
+    reference for the stacked evaluation."""
+    ts = [float(x) for x in times]
+    product = np.eye(generator.dim)
+    norms = 1.0
+    for v, t_j in zip(contractions, ts):
+        product = product @ v @ generator.heat(t_j)
+        norms *= opnorm(v)
+    return trace_norm(product), norms * trace_norm(generator.heat(0.25 * sum(ts)))
+
+
+def brute_force_lemma21(count, seed, dim_max):
+    """Per-instance ``lhs`` and ``rhs`` of the seeded ensemble, one
+    ``Generator`` and one loop per instance, in draw order."""
+    rng = np.random.default_rng(seed)
+    lhs, rhs = [], []
+    for _ in range(count):
+        dim = int(rng.integers(1, dim_max + 1))
+        n_factors = int(rng.integers(1, 9))
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        eigs = 1.0 + 4.0 * rng.random(dim)
+        generator = gf.Generator((basis * eigs) @ basis.T)
+        contractions = []
+        for _ in range(n_factors):
+            q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            contractions.append(q * rng.random(dim))
+        times = 0.01 + 1.99 * rng.random(n_factors)
+        one_lhs, one_rhs = brute_force_instance(generator, contractions, times)
+        lhs.append(one_lhs)
+        rhs.append(one_rhs)
+    return np.array(lhs), np.array(rhs)
+
+
+def batch_sides(generators, factor_lists, time_lists):
+    """The stacked evaluation of the given instances, all of one dimension."""
+    w, q = generator_spectra(np.stack(generators))
+    owner = [i for i, ts in enumerate(time_lists) for _ in ts]
+    position = [j for ts in time_lists for j in range(len(ts))]
+    return _lemma21_sides(w, q, np.stack([v for vs in factor_lists for v in vs]),
+                          np.array([t for ts in time_lists for t in ts]),
+                          np.array(owner), np.array(position))
+
+
 class TestLemma21:
     def test_hand_instance(self):
         # V_1 e^{-t_1 A} with V_1 = I/2, A = diag(1, 2), t_1 = 1:
@@ -180,6 +234,96 @@ class TestLemma21:
         a = gf.lemma21_ensemble(count=40, seed=3)
         b = gf.lemma21_ensemble(count=40, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("dim_max", [1, 4, 16])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_stacked_sides_equal_the_loop(self, seed, dim_max):
+        lhs, rhs = _lemma21_arrays(200, seed, dim_max)
+        ref_lhs, ref_rhs = brute_force_lemma21(200, seed, dim_max)
+        assert np.array_equal(lhs, ref_lhs) and np.array_equal(rhs, ref_rhs)
+        ensemble = gf.lemma21_ensemble(200, seed, dim_max)
+        assert ensemble.min_margin == float(np.min(ref_rhs - ref_lhs))
+
+    @pytest.mark.parametrize("batch_bytes", [1, 2 ** 30])
+    def test_stacked_sides_do_not_depend_on_the_batch_size(self, monkeypatch, batch_bytes):
+        # 1 byte: one instance per stack; 2**30: one stack per dimension
+        ref_lhs, ref_rhs = brute_force_lemma21(150, 7, 16)
+        monkeypatch.setattr(propagator, "BATCH_BYTES", batch_bytes)
+        lhs, rhs = _lemma21_arrays(150, 7, 16)
+        assert np.array_equal(lhs, ref_lhs) and np.array_equal(rhs, ref_rhs)
+
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_one_instance_equals_the_loop(self, dim, n_factors, seed):
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        generator = gf.Generator((basis * (1.0 + 5.0 * rng.random(dim))) @ basis.T)
+        factors = list(rng.standard_normal((n_factors, dim, dim)))
+        times = list(0.001 + 3.0 * rng.random(n_factors))
+        check = gf.verify_lemma21(generator, factors, times)
+        assert (check.lhs, check.rhs) == brute_force_instance(generator, factors, times)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"count": 0}, {"count": -3}, {"count": 2.5}, {"count": True},
+        {"dim_max": 0}, {"dim_max": 1.0},
+    ])
+    def test_ensemble_validation(self, kwargs):
+        with pytest.raises(gf.ValidationError):
+            gf.lemma21_ensemble(**kwargs)
+
+    def test_factor_shape_validation(self):
+        with pytest.raises(gf.ValidationError, match="shape"):
+            gf.verify_lemma21(gf.Generator(np.eye(2) * 2.0), [np.eye(3)], [1.0])
+        with pytest.raises(gf.ValidationError, match="shape"):
+            gf.verify_lemma21(gf.Generator(np.eye(2) * 2.0), [np.eye(2), np.ones(2)], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", ["asymmetric", "floor", "nan_factor", "negative_time",
+                                     "zero_time", "infinite_time"])
+    def test_bad_instance_in_a_batch_raises_like_one(self, bad):
+        rng = np.random.default_rng(11)
+        generators = [2.0 * np.eye(3) + np.diag(rng.random(3)) for _ in range(4)]
+        factor_lists = [list(rng.standard_normal((k, 3, 3))) for k in (1, 3, 2, 4)]
+        time_lists = [list(0.1 + rng.random(k)) for k in (1, 3, 2, 4)]
+        if bad == "asymmetric":
+            generators[2][0, 1] += 1e-3
+        elif bad == "floor":
+            generators[2][1, 1] = 0.5
+        elif bad == "nan_factor":
+            factor_lists[2][1][0, 0] = np.nan
+        else:
+            time_lists[2][1] = {"negative_time": -1.0, "zero_time": 0.0,
+                                "infinite_time": np.inf}[bad]
+        with pytest.raises(gf.GibbsflowError) as one:
+            gf.verify_lemma21(gf.Generator(generators[2]), factor_lists[2], time_lists[2])
+        with pytest.raises(gf.GibbsflowError) as batch:
+            batch_sides(generators, factor_lists, time_lists)
+        assert type(batch.value) is type(one.value)
+
+    def test_self_check_failure_in_a_batch_raises_like_one(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        generators = [2.0 * np.eye(3) + np.diag(rng.random(3)) for _ in range(3)]
+        eigh = np.linalg.eigh
+
+        def skewed(m):
+            w, q = eigh(m)
+            q[..., -1, :] *= 1.001
+            return w, q
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(gf.DecompositionError):
+            gf.Generator(generators[0])
+        with pytest.raises(gf.DecompositionError):
+            batch_sides(generators, [[np.eye(3)]] * 3, [[1.0]] * 3)
+
+    def test_bad_draw_fails_the_bucket(self):
+        bucket = _Lemma21Bucket()
+        rng = np.random.default_rng(4)
+        for index in range(3):
+            bucket.draw(rng, index, 2, 3)
+        bucket.sides()
+        bucket.eigenvalues[1][0] = 0.5
+        with pytest.raises(gf.ModelError):
+            bucket.sides()
 
 
 class TestLifting:

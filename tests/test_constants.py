@@ -7,6 +7,7 @@ Frozen oracles:
   = (alpha/e)^alpha when delta * lambda_max >= alpha
 """
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,9 @@ def brute_force_holder(model, grid):
     """The Hoelder grid maximum as one SVD per pair, the reference for
     ``_holder_constant``."""
     times, _, sandwiched = constants._horizon_samples(model, grid)
+    if sandwiched.ndim == 2:
+        # diagonal samples are held as their diagonals
+        sandwiched = np.apply_along_axis(np.diag, 1, sandwiched)
     beta = model.perturbation.beta
     best = 0.0
     for i in range(grid):
@@ -209,6 +213,45 @@ class TestHolderConstant:
             value, svds = self._count_svds(monkeypatch, model, grid)
             assert svds == 0
             assert value > 0.0
+
+    def test_diagonal_samples_hold_no_full_stack(self):
+        d, grid = 64, 401
+        model = gf.commuting_model(np.linspace(1.0, 8.0, d), np.linspace(0.1, 1.0, d),
+                                   gf.kink_profile(0.37, 0.5, offset=0.5), beta=0.5)
+        constants._horizon_samples(model, 3)
+        tracemalloc.start()
+        try:
+            _, _, samples = constants._horizon_samples(model, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples.shape == (grid, d)
+        # the (grid, d, d) stack is 13 MB here
+        assert peak < grid * d * d * 8 / 8
+
+    @pytest.mark.parametrize("cut", [0.0, 0.5, 0.97])
+    def test_samples_turning_dense_are_redone_as_the_full_stack(self, cut):
+        # B(t) is diagonal before ``cut`` and dense after it; with d = 16 a
+        # chunk holds 32 times, so at grid 101 the first dense chunk starts
+        # at 0, 32 or 96
+        d, grid = 16, 101
+        base = np.diag(np.linspace(0.1, 1.0, d))
+        coupling = np.zeros((d, d))
+        coupling[0, 1] = coupling[1, 0] = 0.05
+
+        def entries(ts):
+            ts = np.asarray(ts)
+            return (base * (1.0 + ts)[:, None, None]
+                    + coupling * np.maximum(ts - cut, 0.0)[:, None, None])
+
+        family = gf.PerturbationFamily(entries=entries, alpha=0.2, beta=1.0, descriptor="mixed")
+        model = gf.Model(gf.Generator(np.diag(np.linspace(1.0, 4.0, d))), family)
+        times, _, samples = constants._horizon_samples(model, grid)
+        a_neg = gf.fractional_power(model.generator.operator, -0.2).entries
+        assert samples.shape == (grid, d, d)
+        assert np.array_equal(samples, a_neg @ gf.perturbation_entries(model, times) @ a_neg)
+        rep = gf.estimate_constants(model, 0.0, 1.0, grid=grid)
+        assert rep.l_alpha_beta == brute_force_holder(model, grid)
 
     def test_smooth_dense_stack_needs_only_adjacent_svds(self, monkeypatch):
         grid = 101

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import gibbsflow as gf
-from gibbsflow.linalg import HermitianOperator
+from gibbsflow.linalg import HermitianOperator, checked_eigh, symmetrized
 
 from conftest import random_symmetric_psd
 
@@ -125,6 +125,19 @@ class TestSchattenNorms:
         with pytest.raises(gf.ValidationError):
             gf.schatten_norm(np.eye(2), 3)
 
+    def test_stacked_singular_values_match_one_at_a_time(self, rng):
+        stack = rng.standard_normal((3, 5, 6, 6))
+        values = gf.singular_values(stack)
+        assert values.shape == (3, 5, 6)
+        for index in np.ndindex(3, 5):
+            assert np.array_equal(values[index], gf.singular_values(stack[index]))
+
+    def test_schatten_norm_rejects_a_stack(self, rng):
+        with pytest.raises(gf.ValidationError):
+            gf.trace_norm(rng.standard_normal((2, 3, 3)))
+        with pytest.raises(gf.ValidationError):
+            gf.singular_values(np.zeros((2, 3, 4)))
+
 
 class TestSpectrumSelfCheck:
     def test_spectrum_cached(self, rng):
@@ -132,3 +145,31 @@ class TestSpectrumSelfCheck:
         vals1, vecs1 = h.spectrum()
         vals2, vecs2 = h.spectrum()
         assert vals1 is vals2 and vecs1 is vecs2
+
+    def test_stacked_checks_match_one_at_a_time(self, rng):
+        stack = np.stack([random_symmetric_psd(rng, 5) for _ in range(4)])
+        w, q = checked_eigh(symmetrized(stack))
+        for k in range(4):
+            one_w, one_q = HermitianOperator(stack[k]).spectrum()
+            assert np.array_equal(w[k], one_w) and np.array_equal(q[k], one_q)
+        stack[2, 0, 1] += 1e-3
+        with pytest.raises(gf.ValidationError, match="matrix 2 of the stack"):
+            symmetrized(stack)
+
+    def test_self_check_flags_one_matrix_of_a_stack(self, rng, monkeypatch):
+        stack = np.stack([random_symmetric_psd(rng, 3) for _ in range(3)])
+        eigh = np.linalg.eigh
+
+        def skewed(m):
+            w, q = eigh(m)
+            if q.ndim == 3:
+                q[-1] *= 1.001
+            else:
+                q *= 1.001
+            return w, q
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(gf.DecompositionError, match="matrix 2 of the stack"):
+            checked_eigh(stack)
+        with pytest.raises(gf.DecompositionError):
+            HermitianOperator(stack[0]).spectrum()
