@@ -158,9 +158,9 @@ def _holder_constant(times: np.ndarray, samples: np.ndarray, beta: float) -> flo
     the largest entry of |diag_j - diag_i|, which is what the SVD returns
     for a diagonal matrix; or the full stack (grid, d, d).  For the full
     stack the grid - 1 adjacent norms are computed, and the triangle
-    inequality bounds every other pair by (P_j - P_i) / |t_j - t_i|^beta, P being their prefix
-    sums; pairs are evaluated in order of decreasing bound while the bound
-    exceeds the largest quotient so far.
+    inequality bounds every other pair by (P_j - P_i) / |t_j - t_i|^beta,
+    P being their prefix sums; pairs are evaluated in order of decreasing
+    bound while the bound exceeds the largest quotient so far.
     """
     grid = samples.shape[0]
     if samples.ndim == 2:

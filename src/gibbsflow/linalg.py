@@ -39,14 +39,15 @@ def _as_square_matrix(entries, name: str = "matrix", stacked: bool = False) -> n
     """Float entries of one square matrix, or with ``stacked`` of a stack
     (..., d, d) of them; non-empty and finite."""
     m = np.asarray(entries, dtype=float)
-    if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+    square = m.ndim >= 2 and m.shape[-1] == m.shape[-2] > 0
+    if not square or (m.ndim > 2 and not stacked):
         raise ValidationError(f"{name} must be square and non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} entries must be finite")
     return m
 
 
-def _first(bad: np.ndarray) -> tuple[tuple, str]:
+def _first_bad(bad: np.ndarray) -> tuple[tuple, str]:
     """Index of the first flagged matrix of a stack (``()`` for one matrix),
     and where it sits, for error messages."""
     if bad.ndim == 0:
@@ -66,7 +67,7 @@ def symmetrized(m: np.ndarray) -> np.ndarray:
     asym = np.max(np.abs(m - mt), axis=(-2, -1))
     bad = asym > SYMMETRY_TOL * scale
     if np.any(bad):
-        k, where = _first(bad)
+        k, where = _first_bad(bad)
         raise ValidationError(
             f"matrix is not symmetric{where}: max|M - M^T| = "
             f"{float(asym[k]):.3e} exceeds {SYMMETRY_TOL:g} * scale"
@@ -100,7 +101,7 @@ def checked_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     recon = np.max(np.abs((q * w[..., None, :]) @ qt - sym), axis=(-2, -1))
     bad = (ortho > RECONSTRUCTION_TOL) | (recon > RECONSTRUCTION_TOL * scale)
     if np.any(bad):
-        k, where = _first(bad)
+        k, where = _first_bad(bad)
         wk = np.abs(w[k])
         raise DecompositionError(
             f"eigendecomposition failed self-check{where}: "
@@ -205,7 +206,7 @@ def schatten_norm(m, p) -> float:
     """Schatten p-norm for p in {1, 2, inf}: trace norm, Frobenius, operator norm."""
     s = singular_values(m)
     if s.ndim != 1:
-        raise ValidationError(f"Schatten norms take one matrix, got a stack of shape {np.shape(m)}")
+        raise ValidationError(f"Schatten norms take one matrix, got shape {np.shape(m)}")
     if p == 1:
         return float(np.sum(s))
     if p == 2:
