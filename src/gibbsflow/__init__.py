@@ -19,112 +19,65 @@ Hoelder-continuous perturbation family.  It provides:
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AccuracyError,
-    ConfigError,
-    DecompositionError,
-    DomainError,
-    GibbsflowError,
-    ModelError,
-    NoKnownRateError,
-    TimeRangeError,
-    ValidationError,
-)
-from .linalg import (
-    HermitianOperator,
-    eigh,
-    fractional_power,
-    heat,
-    operator_function,
-    opnorm,
-    schatten_norm,
-    singular_values,
-    trace_norm,
-)
-from .models import (
-    Generator,
-    Model,
-    PerturbationFamily,
-    TimeProfile,
-    commuting_model,
-    constant_profile,
-    eigen_entries,
-    evaluate_perturbation,
-    kink_profile,
-    linear_profile,
-    perturbation_entries,
-    rotating_model,
-    scalar_model,
-)
-from .quadrature import QuadratureSpec, integrate_matrix, panel_edges
-from .propagator import (
-    Partition,
-    PropagatorResult,
-    Scheme,
-    integral_equation_residual,
-    make_partition,
-    product_approximant,
-    reference_propagator,
-    step_factor,
-)
-from .constants import ConstantsReport, contraction_coefficient, estimate_constants, smoothing_constant
-from .dyson import dyson_phillips_sum, dyson_phillips_term
-from .analysis import (
-    CocycleCheck,
-    ContractionCheck,
-    ConvergenceReport,
-    Lemma21Check,
-    Lemma21Ensemble,
-    LiftingCheck,
-    RateFit,
-    RateRegime,
-    RegimeKind,
-    RegimeResult,
-    applicable_regimes,
-    fit_rate,
-    lemma21_ensemble,
-    run_convergence,
-    select_regime,
-    verify_cocycle,
-    verify_contraction,
-    verify_lemma21,
-    verify_lifting,
-)
-from .config import ExperimentConfig, VerifySpec, build_model, config_from_dict, parse_config
-from .reports import ReportEnvelope
+import importlib
 
-__all__ = [
-    "__version__",
-    # errors
-    "GibbsflowError", "ValidationError", "ConfigError", "ModelError",
-    "TimeRangeError", "DomainError", "DecompositionError", "AccuracyError",
-    "NoKnownRateError",
-    # linear algebra
-    "HermitianOperator", "eigh", "operator_function", "heat",
-    "fractional_power", "singular_values", "schatten_norm", "trace_norm",
-    "opnorm",
-    # models
-    "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
-    "Generator", "PerturbationFamily", "Model", "evaluate_perturbation",
-    "perturbation_entries", "eigen_entries", "scalar_model", "commuting_model", "rotating_model",
-    # quadrature
-    "QuadratureSpec", "panel_edges", "integrate_matrix",
-    # propagator
-    "Scheme", "Partition", "make_partition", "PropagatorResult",
-    "step_factor", "product_approximant", "reference_propagator",
-    "integral_equation_residual",
-    # constants
-    "ConstantsReport", "estimate_constants", "smoothing_constant",
-    "contraction_coefficient",
-    # perturbation series
-    "dyson_phillips_term", "dyson_phillips_sum",
-    # analysis
-    "RegimeKind", "RateRegime", "applicable_regimes", "select_regime",
-    "RateFit", "fit_rate", "RegimeResult", "ConvergenceReport",
-    "run_convergence", "Lemma21Check", "verify_lemma21", "Lemma21Ensemble",
-    "lemma21_ensemble", "LiftingCheck", "verify_lifting", "CocycleCheck",
-    "verify_cocycle", "ContractionCheck", "verify_contraction",
-    # configuration and reporting
-    "ExperimentConfig", "VerifySpec", "parse_config", "config_from_dict",
-    "build_model", "ReportEnvelope",
-]
+# Submodule -> the public names it defines.  Each submodule is imported when
+# one of its names is first read (PEP 562), so a library user who never
+# touches configuration or reporting does not import them or yaml.
+_EXPORTS = {
+    "errors": (
+        "GibbsflowError", "ValidationError", "ConfigError", "ModelError",
+        "TimeRangeError", "DomainError", "DecompositionError", "AccuracyError",
+        "NoKnownRateError",
+    ),
+    "linalg": (
+        "HermitianOperator", "eigh", "operator_function", "heat",
+        "fractional_power", "singular_values", "schatten_norm", "trace_norm",
+        "opnorm",
+    ),
+    "models": (
+        "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
+        "Generator", "PerturbationFamily", "Model", "evaluate_perturbation",
+        "perturbation_entries", "eigen_entries", "scalar_model", "commuting_model",
+        "rotating_model",
+    ),
+    "quadrature": ("QuadratureSpec", "panel_edges", "integrate_matrix"),
+    "propagator": (
+        "Scheme", "Partition", "make_partition", "PropagatorResult",
+        "step_factor", "product_approximant", "reference_propagator",
+        "integral_equation_residual",
+    ),
+    "constants": (
+        "ConstantsReport", "estimate_constants", "smoothing_constant",
+        "contraction_coefficient",
+    ),
+    "dyson": ("dyson_phillips_term", "dyson_phillips_sum"),
+    "analysis": (
+        "RegimeKind", "RateRegime", "applicable_regimes", "select_regime",
+        "RateFit", "fit_rate", "RegimeResult", "ConvergenceReport",
+        "run_convergence", "Lemma21Check", "verify_lemma21", "Lemma21Ensemble",
+        "lemma21_ensemble", "LiftingCheck", "verify_lifting", "CocycleCheck",
+        "verify_cocycle", "ContractionCheck", "verify_contraction",
+    ),
+    "config": (
+        "ExperimentConfig", "VerifySpec", "parse_config", "config_from_dict",
+        "build_model",
+    ),
+    "reports": ("ReportEnvelope",),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -29,9 +29,8 @@ import numpy as np
 
 from .constants import ConstantsReport, estimate_constants
 from .errors import NoKnownRateError, ValidationError
-from . import propagator
 from .linalg import opnorm, singular_values, trace_norm
-from .models import Generator, Model, eigen_entries, generator_spectra
+from .models import Generator, Model
 from .propagator import (
     Scheme,
     _check_window,
@@ -71,6 +70,9 @@ EXACT_REPRODUCTION_TOL = 1e-14
 INEQUALITY_SLACK = 1e-10
 # The reference oracle should be at least this much below the errors it measures.
 ORACLE_HEADROOM = 100.0
+# The Lemma 2.1 ensemble is drawn and evaluated in blocks of this many
+# instances; the block fixes the draw order, so it is part of the ensemble.
+LEMMA21_BLOCK = 256
 
 
 class RegimeKind(enum.Enum):
@@ -320,37 +322,49 @@ class Lemma21Check:
     holds: bool
 
 
-def _lemma21_sides(w: np.ndarray, q: np.ndarray, factors: np.ndarray, times: np.ndarray,
-                   owner: np.ndarray, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(lhs, rhs)`` of the interleaved-product bound for k instances at once.
+def _lemma21_sides(lam: np.ndarray, factors: np.ndarray, factor_norms: np.ndarray,
+                   times: np.ndarray, owner: np.ndarray,
+                   position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lhs, rhs)`` of the interleaved-product bound for k instances at
+    once, each in the eigenframe of its generator.
 
-    Instance i has the generator spectrum ``(w[i], q[i])``; the factor
-    ``factors[f]``, shape (d, d), with time ``times[f]`` is its
-    ``position[f]``-th factor when ``owner[f] == i``, and every instance has
-    its factors at positions 0, 1, ....  The arithmetic is that of one
-    instance at a time: the product is built left to right from the
-    identity, the norms multiplied and the times summed in factor order.
+    Instance i has the generator diag(lam[i]); the factor ``factors[f]``,
+    shape (d, d), with norm ``factor_norms[f]`` and time ``times[f]`` is its
+    ``position[f]``-th factor when ``owner[f] == i``.  Every instance has its
+    factors at positions 0, 1, ..., listed in that order.  The heat factor
+    e^{-t A} scales the columns by e^{-t lam}, and ||e^{-T A / 4}||_1 is the
+    sum of its eigenvalues, so only ``lhs`` takes an SVD.  The product is
+    built left to right, so an instance's sides do not depend on its stack.
     """
+    steps = factors * np.exp(-times[:, None] * lam[owner])[:, None, :]
+    product = np.empty((lam.shape[0],) + factors.shape[1:])
+    product[owner[position == 0]] = steps[position == 0]
+    for j in range(1, int(position.max()) + 1):
+        at = position == j
+        i = owner[at]
+        product[i] = product[i] @ steps[at]
+    norms = np.ones(lam.shape[0])
+    np.multiply.at(norms, owner, factor_norms)
+    total = np.zeros(lam.shape[0])
+    np.add.at(total, owner, times)
+    lhs = np.sum(singular_values(product), axis=-1)
+    rhs = norms * np.sum(np.exp(-(0.25 * total)[:, None] * lam), axis=-1)
+    return lhs, rhs
+
+
+def _framed_sides(w: np.ndarray, q: np.ndarray, factors: np.ndarray, times: np.ndarray,
+                  owner: np.ndarray, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_lemma21_sides`` of factors given in the standard basis: instance i
+    has the generator spectrum ``(w[i], q[i])``, so its factors V move into
+    the eigenframe as q^T V q.  Factors are arbitrary here, so their norms
+    are SVD norms."""
     if not np.all(np.isfinite(factors)):
         raise ValidationError("factors must have finite entries")
     if not np.all(np.isfinite(times) & (times > 0)):
         raise ValidationError(f"times must be positive, got {times.tolist()!r}")
-    k, d = w.shape
-    factor_norms = singular_values(factors)[:, 0]
-    product = np.broadcast_to(np.eye(d), (k, d, d)).copy()
-    norms = np.ones(k)
-    total = np.zeros(k)
-    for j in range(int(position.max()) + 1):
-        at = position == j
-        i = owner[at]
-        heat = eigen_entries(np.exp(-times[at][:, None] * w[i]), q[i])
-        product[i] = product[i] @ factors[at] @ heat
-        norms[i] *= factor_norms[at]
-        total[i] += times[at]
-    lhs = np.sum(singular_values(product), axis=-1)
-    quarter = eigen_entries(np.exp(-(0.25 * total)[:, None] * w), q)
-    rhs = norms * np.sum(singular_values(quarter), axis=-1)
-    return lhs, rhs
+    frame = q[owner]
+    framed = np.swapaxes(frame, -1, -2) @ factors @ frame
+    return _lemma21_sides(w, framed, singular_values(factors)[:, 0], times, owner, position)
 
 
 def _lemma21_holds(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,9 +390,9 @@ def verify_lemma21(generator: Generator, contractions: Sequence[np.ndarray],
         )
     w, q = generator.operator.spectrum()
     n = len(factors)
-    lhs, rhs = _lemma21_sides(w[None], q[None], np.stack(factors),
-                              np.array([float(x) for x in times]),
-                              np.zeros(n, dtype=int), np.arange(n))
+    lhs, rhs = _framed_sides(w[None], q[None], np.stack(factors),
+                             np.array([float(x) for x in times]),
+                             np.zeros(n, dtype=int), np.arange(n))
     margin, holds = _lemma21_holds(lhs, rhs)
     return Lemma21Check(float(lhs[0]), float(rhs[0]), float(margin[0]), bool(holds[0]))
 
@@ -392,86 +406,66 @@ class Lemma21Ensemble:
     seed: int
 
 
-class _Lemma21Bucket:
-    """Drawn instances of one dimension waiting to be evaluated together."""
-
-    def __init__(self):
-        self.indices, self.bases, self.eigenvalues = [], [], []
-        self.normals, self.scales, self.times = [], [], []
-        self.nbytes = 0
-
-    def draw(self, rng: np.random.Generator, index: int, dim: int, n_factors: int) -> None:
-        """Draw one instance of dimension ``dim`` with ``n_factors`` factors:
-        the basis normals, the eigenvalues, each factor's normals and
-        scales, then the times."""
-        self.indices.append(index)
-        self.bases.append(rng.standard_normal((dim, dim)))
-        self.eigenvalues.append(1.0 + 4.0 * rng.random(dim))
-        normals, scales = np.empty((n_factors, dim, dim)), np.empty((n_factors, dim))
-        for f in range(n_factors):
-            rng.standard_normal(out=normals[f])
-            rng.random(out=scales[f])
-        self.normals.append(normals)
-        self.scales.append(scales)
-        self.times.append(0.01 + 1.99 * rng.random(n_factors))
-        self.nbytes += normals.nbytes
-
-    def sides(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_lemma21_sides`` of every instance: one stacked QR for the bases,
-        one stacked ``eigh`` for the generators, one stacked QR for the
-        factors."""
-        basis = np.linalg.qr(np.stack(self.bases))[0]
-        w, q = generator_spectra(eigen_entries(np.stack(self.eigenvalues), basis))
-        factors = np.linalg.qr(np.concatenate(self.normals))[0]
-        factors *= np.concatenate(self.scales)[:, None, :]
-        counts = np.array([len(t) for t in self.times])
-        owner = np.repeat(np.arange(counts.size), counts)
-        position = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        return _lemma21_sides(w, q, factors, np.concatenate(self.times), owner, position)
+def _haar(normals: np.ndarray) -> np.ndarray:
+    """Haar-distributed orthogonal matrices from a stack of Gaussian ones:
+    the QR factor Q with R's diagonal made positive (LAPACK's own signs
+    would make every Q[0, 0] non-positive)."""
+    q, r = np.linalg.qr(normals)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _lemma21_batches(count: int, seed: int, dim_max: int):
+def _lemma21_blocks(count: int, seed: int, dim_max: int):
     """Yield ``(indices, lhs, rhs)`` for every instance of the seeded ensemble.
 
-    Instances are drawn from ``default_rng(seed)`` one at a time: the
-    dimension and the factor count, then the rest (``_Lemma21Bucket.draw``).
-    They wait in one bucket per dimension, which is evaluated once its
-    factors reach ``BATCH_BYTES``; what is left is evaluated at the end.
+    An instance is A = Q diag(lam) Q^T with Q Haar and lam uniform in
+    [1, 5), 1 to 8 factors V_j = O_j diag(s_j) with O_j Haar and s_j
+    uniform in [0, 1), and times uniform in [0.01, 2).  Conjugating by Q
+    leaves both sides unchanged, so it is drawn in A's eigenframe: the
+    generator diag(lam) and the factors O'_j diag(s_j) Q, where
+    O'_j = Q^T O_j is again Haar and independent of Q; a factor's norm is
+    max(s_j).  ``default_rng(seed)`` is read in blocks of ``LEMMA21_BLOCK``
+    instances: every dimension, every factor count, then per dimension in
+    ascending order the normals of Q, lam, the normals of O', s and t.
     """
     for name, value in (("count", count), ("dim_max", dim_max)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
     rng = np.random.default_rng(seed)
-    buckets: dict[int, _Lemma21Bucket] = {}
-    for index in range(count):
-        dim = int(rng.integers(1, dim_max + 1))
-        n_factors = int(rng.integers(1, 9))
-        bucket = buckets.setdefault(dim, _Lemma21Bucket())
-        bucket.draw(rng, index, dim, n_factors)
-        if bucket.nbytes >= propagator.BATCH_BYTES:
-            yield (bucket.indices, *bucket.sides())
-            del buckets[dim]
-    for bucket in buckets.values():
-        yield (bucket.indices, *bucket.sides())
+    for start in range(0, count, LEMMA21_BLOCK):
+        dims = rng.integers(1, dim_max + 1, min(LEMMA21_BLOCK, count - start))
+        counts = rng.integers(1, 9, dims.size)
+        for dim in np.flatnonzero(np.bincount(dims)):
+            members = np.flatnonzero(dims == dim)
+            basis = _haar(rng.standard_normal((members.size, dim, dim)))
+            lam = 1.0 + 4.0 * rng.random((members.size, dim))
+            n = counts[members]
+            owner = np.repeat(np.arange(members.size), n)
+            orth = _haar(rng.standard_normal((owner.size, dim, dim)))
+            scales = rng.random((owner.size, dim))
+            times = 0.01 + 1.99 * rng.random(owner.size)
+            factors = (orth * scales[:, None, :]) @ basis[owner]
+            position = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+            yield (start + members, *_lemma21_sides(lam, factors, scales.max(axis=1), times,
+                                                     owner, position))
 
 
 def _lemma21_arrays(count: int, seed: int, dim_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-instance ``lhs`` and ``rhs`` of the seeded ensemble, in draw order."""
     lhs, rhs = np.empty(count), np.empty(count)
-    for indices, batch_lhs, batch_rhs in _lemma21_batches(count, seed, dim_max):
-        lhs[indices], rhs[indices] = batch_lhs, batch_rhs
+    for indices, block_lhs, block_rhs in _lemma21_blocks(count, seed, dim_max):
+        lhs[indices], rhs[indices] = block_lhs, block_rhs
     return lhs, rhs
 
 
 def lemma21_ensemble(count: int = 1000, seed: int = 0, dim_max: int = 16) -> Lemma21Ensemble:
     """Run the interleaved-product bound on seeded random instances.
 
-    Instances of equal dimension are evaluated in stacks (see
-    ``_lemma21_batches``), with the arithmetic of ``verify_lemma21``.
+    Instances of equal dimension in a block are evaluated in one stack,
+    in their generators' eigenframes (see ``_lemma21_blocks``).
     """
     holds = 0
     min_margin = float("inf")
-    for _, lhs, rhs in _lemma21_batches(count, seed, dim_max):
+    for _, lhs, rhs in _lemma21_blocks(count, seed, dim_max):
         margin, ok = _lemma21_holds(lhs, rhs)
         holds += int(np.count_nonzero(ok))
         min_margin = min(min_margin, float(np.min(margin)))

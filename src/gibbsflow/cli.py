@@ -27,6 +27,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
+# Not used here: perfbench/tracer.py patches gibbsflow.dyson once it has
+# imported this module, so the CLI keeps it loaded.
+from . import dyson  # noqa: F401
 from .analysis import (
     lemma21_ensemble,
     run_convergence,

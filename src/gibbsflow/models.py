@@ -60,13 +60,15 @@ class TimeProfile:
     """Scalar coefficient t -> b(t) with a closed-form antiderivative.
 
     ``value`` accepts a time or an array of times; a constant profile may
-    return a scalar for either.
+    return a scalar for either.  ``beta`` is the Hoelder exponent the
+    profile declares; models built on it declare it unless told otherwise.
     """
 
     label: str
     value: Callable[[float], float]
     integral: Callable[[float, float], float]
     breakpoints: tuple[float, ...] = ()
+    beta: float = 1.0
 
 
 def constant_profile(c: float) -> TimeProfile:
@@ -102,6 +104,7 @@ def kink_profile(t0: float, beta: float, scale: float = 1.0, offset: float = 0.0
         value=lambda t: offset + scale * abs(t - t0) ** beta,
         integral=lambda s, t: offset * (t - s) + scale * (antideriv(t) - antideriv(s)),
         breakpoints=(t0,),
+        beta=beta,
     )
 
 
@@ -302,14 +305,14 @@ def _check_profile_nonneg(profile: TimeProfile, horizon: float) -> None:
 def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
                  alpha: float = 0.0, horizon: float = 1.0) -> Model:
     """Dimension-one model: A = (a), B(t) = (b(t)), with the exact propagator
-    exp(-a (t-s) - int_s^t b)."""
+    exp(-a (t-s) - int_s^t b).  ``beta=None`` declares the profile's beta."""
     a = float(a)
     if isinstance(b, (int, float)):
         b = constant_profile(b)
     _check_profile_nonneg(b, horizon)
     generator = Generator(np.array([[a]]))
     if beta is None:
-        beta = 1.0
+        beta = b.beta
 
     def exact(s: float, t: float) -> np.ndarray:
         return np.array([[math.exp(-a * (t - s) - b.integral(s, t))]])
@@ -330,7 +333,8 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
     """Diagonal model: A = diag(lambdas), B(t) = b(t) diag(d0).
 
     Everything commutes, so the exact propagator is the diagonal
-    exp(-lambda_k (t-s) - d0_k int_s^t b).
+    exp(-lambda_k (t-s) - d0_k int_s^t b).  ``beta=None`` declares the
+    profile's beta.
     """
     lam = np.asarray(lambdas, dtype=float)
     d0 = np.asarray(d0, dtype=float)
@@ -344,7 +348,7 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
     _check_profile_nonneg(b, horizon)
     generator = Generator(np.diag(lam))
     if beta is None:
-        beta = 1.0
+        beta = b.beta
 
     def exact(s: float, t: float) -> np.ndarray:
         ib = b.integral(s, t)

@@ -1,6 +1,11 @@
 """Shared fixtures: model factories and seeded random matrices."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,6 +16,15 @@ import gibbsflow as gf
 # database, so a tier-1 run is reproducible.
 settings.register_profile("reproducible", derandomize=True, deadline=None, database=None)
 settings.load_profile("reproducible")
+
+
+def python_output(code: str) -> list[str]:
+    """Whitespace-split standard output of ``python -c code`` in a fresh
+    process that imports this same gibbsflow."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gf.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.split()
 
 
 def random_symmetric_psd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

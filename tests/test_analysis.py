@@ -16,14 +16,16 @@ import gibbsflow as gf
 from gibbsflow import propagator
 from gibbsflow.analysis import (
     INEQUALITY_SLACK,
-    _Lemma21Bucket,
+    LEMMA21_BLOCK,
+    _framed_sides,
+    _haar,
     _lemma21_arrays,
     _lemma21_sides,
 )
-from gibbsflow.linalg import opnorm, trace_norm
+from gibbsflow.linalg import opnorm, singular_values, trace_norm
 from gibbsflow.models import generator_spectra
 
-from conftest import make_rotating
+from conftest import make_rotating, python_output
 
 
 class TestRegimes:
@@ -164,36 +166,51 @@ def brute_force_instance(generator, contractions, times):
     return trace_norm(product), norms * trace_norm(generator.heat(0.25 * sum(ts)))
 
 
+def draw_group(rng, dim, n_factors):
+    """One dimension's draws of an ensemble block, in the ensemble's order,
+    one instance at a time: ``(Q, lam, O', s, t)`` per instance."""
+    bases = [_haar(rng.standard_normal((dim, dim))) for _ in n_factors]
+    eigs = [1.0 + 4.0 * rng.random(dim) for _ in n_factors]
+    orth = [_haar(rng.standard_normal((n, dim, dim))) for n in n_factors]
+    scales = [rng.random((n, dim)) for n in n_factors]
+    times = [0.01 + 1.99 * rng.random(n) for n in n_factors]
+    return list(zip(bases, eigs, orth, scales, times))
+
+
+def eigenframe_sides(basis, eigs, orth, scales, times):
+    """The kernel on a stack of one: the instance in its generator's eigenframe."""
+    n = times.size
+    factors = (orth * scales[:, None, :]) @ basis
+    lhs, rhs = _lemma21_sides(eigs[None], factors, scales.max(axis=1), times,
+                              np.zeros(n, dtype=int), np.arange(n))
+    return lhs[0], rhs[0]
+
+
 def brute_force_lemma21(count, seed, dim_max):
-    """Per-instance ``lhs`` and ``rhs`` of the seeded ensemble, one
-    ``Generator`` and one loop per instance, in draw order."""
+    """Per-instance ``lhs`` and ``rhs`` of the seeded ensemble, in draw order:
+    its stream read block by block, every instance evaluated alone."""
     rng = np.random.default_rng(seed)
-    lhs, rhs = [], []
-    for _ in range(count):
-        dim = int(rng.integers(1, dim_max + 1))
-        n_factors = int(rng.integers(1, 9))
-        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        eigs = 1.0 + 4.0 * rng.random(dim)
-        generator = gf.Generator((basis * eigs) @ basis.T)
-        contractions = []
-        for _ in range(n_factors):
-            q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-            contractions.append(q * rng.random(dim))
-        times = 0.01 + 1.99 * rng.random(n_factors)
-        one_lhs, one_rhs = brute_force_instance(generator, contractions, times)
-        lhs.append(one_lhs)
-        rhs.append(one_rhs)
-    return np.array(lhs), np.array(rhs)
+    lhs, rhs = np.empty(count), np.empty(count)
+    for start in range(0, count, LEMMA21_BLOCK):
+        dims = rng.integers(1, dim_max + 1, min(LEMMA21_BLOCK, count - start))
+        counts = rng.integers(1, 9, dims.size)
+        for dim in range(1, dim_max + 1):
+            members = [i for i in range(dims.size) if dims[i] == dim]
+            instances = draw_group(rng, dim, [int(counts[i]) for i in members])
+            for i, instance in zip(members, instances):
+                lhs[start + i], rhs[start + i] = eigenframe_sides(*instance)
+    return lhs, rhs
 
 
 def batch_sides(generators, factor_lists, time_lists):
-    """The stacked evaluation of the given instances, all of one dimension."""
+    """``verify_lemma21``'s evaluation of the given instances, all of one
+    dimension, in one stack."""
     w, q = generator_spectra(np.stack(generators))
     owner = [i for i, ts in enumerate(time_lists) for _ in ts]
     position = [j for ts in time_lists for j in range(len(ts))]
-    return _lemma21_sides(w, q, np.stack([v for vs in factor_lists for v in vs]),
-                          np.array([t for ts in time_lists for t in ts]),
-                          np.array(owner), np.array(position))
+    return _framed_sides(w, q, np.stack([v for vs in factor_lists for v in vs]),
+                         np.array([t for ts in time_lists for t in ts]),
+                         np.array(owner), np.array(position))
 
 
 class TestLemma21:
@@ -255,13 +272,57 @@ class TestLemma21:
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_one_instance_equals_the_loop(self, dim, n_factors, seed):
+        # verify_lemma21 works in the generator's eigenframe and the loop in
+        # the standard basis, so they agree to rounding, not bit for bit
         rng = np.random.default_rng(seed)
         basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
         generator = gf.Generator((basis * (1.0 + 5.0 * rng.random(dim))) @ basis.T)
         factors = list(rng.standard_normal((n_factors, dim, dim)))
         times = list(0.001 + 3.0 * rng.random(n_factors))
         check = gf.verify_lemma21(generator, factors, times)
-        assert (check.lhs, check.rhs) == brute_force_instance(generator, factors, times)
+        lhs, rhs = brute_force_instance(generator, factors, times)
+        assert check.lhs == pytest.approx(lhs, rel=1e-12)
+        assert check.rhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_eigenframe_equals_the_standard_basis(self, seed, dim):
+        # A = Q diag(lam) Q^T and V_j = Q O'_j diag(s_j) give the eigenframe
+        # instance (diag(lam), O'_j diag(s_j) Q): conjugation by Q
+        rng = np.random.default_rng(seed)
+        for basis, eigs, orth, scales, times in draw_group(rng, dim, [1, 4, 8]):
+            generator = gf.Generator((basis * eigs) @ basis.T)
+            contractions = list(basis @ orth * scales[:, None, :])
+            lhs, rhs = eigenframe_sides(basis, eigs, orth, scales, times)
+            ref_lhs, ref_rhs = brute_force_instance(generator, contractions, times)
+            assert lhs == pytest.approx(ref_lhs, rel=1e-12)
+            assert rhs == pytest.approx(ref_rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 16])
+    def test_closed_forms_equal_svd_norms(self, dim):
+        # ||O' diag(s) Q|| = max(s) and ||Q diag(e^{-c lam}) Q^T||_1 = sum of
+        # e^{-c lam}, within the rounding of an SVD
+        rng = np.random.default_rng(dim)
+        for basis, eigs, orth, scales, times in draw_group(rng, dim, [8] * 6):
+            factors = (orth * scales[:, None, :]) @ basis
+            np.testing.assert_array_max_ulp(singular_values(factors)[:, 0],
+                                            scales.max(axis=1), maxulp=16)
+            decay = np.exp(-0.25 * times.sum() * eigs)
+            np.testing.assert_array_max_ulp(trace_norm((basis * decay) @ basis.T),
+                                            np.sum(decay), maxulp=16)
+
+    def test_drawn_bases_are_haar(self):
+        # QR of Gaussian matrices with R's diagonal made positive; LAPACK's
+        # own Q always has Q[0, 0] <= 0
+        q = _haar(np.random.default_rng(2).standard_normal((4000, 3, 3)))
+        assert np.allclose(np.swapaxes(q, -1, -2) @ q, np.eye(3), atol=1e-14)
+        for entry in (q[:, 0, 0], q[:, 1, 1], q[:, 2, 0]):
+            assert 0.45 < np.mean(entry > 0) < 0.55
+
+    def test_ensemble_does_not_import_numpy_ma(self):
+        # numpy.ma is a lazy import worth tens of milliseconds
+        assert python_output("import sys, gibbsflow as gf; gf.lemma21_ensemble(300, 1, 8); "
+                             "print('numpy.ma' in sys.modules)") == ["False"]
 
     @pytest.mark.parametrize("kwargs", [
         {"count": 0}, {"count": -3}, {"count": 2.5}, {"count": True},
@@ -314,16 +375,6 @@ class TestLemma21:
             gf.Generator(generators[0])
         with pytest.raises(gf.DecompositionError):
             batch_sides(generators, [[np.eye(3)]] * 3, [[1.0]] * 3)
-
-    def test_bad_draw_fails_the_bucket(self):
-        bucket = _Lemma21Bucket()
-        rng = np.random.default_rng(4)
-        for index in range(3):
-            bucket.draw(rng, index, 2, 3)
-        bucket.sides()
-        bucket.eigenvalues[1][0] = 0.5
-        with pytest.raises(gf.ModelError):
-            bucket.sides()
 
 
 class TestLifting:

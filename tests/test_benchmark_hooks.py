@@ -16,6 +16,8 @@ import pytest
 import gibbsflow as gf
 from gibbsflow import dyson
 
+from conftest import python_output
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -32,6 +34,16 @@ def test_every_hook_target_exists(tracer):
     missing = [f"{module}.{attr}" for module, attr in hooks.values()
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_importing_the_cli_loads_every_hooked_module(tracer):
+    # The tracer imports gibbsflow and gibbsflow.cli, then looks its hook
+    # modules up in sys.modules; the package namespace imports lazily.
+    modules = {module for module, _ in {**tracer.SPAN_HOOKS, **tracer.COUNTER_HOOKS}.values()}
+    modules |= {"gibbsflow.dyson", "gibbsflow.reports", "gibbsflow.linalg"}
+    code = ("import sys, gibbsflow, gibbsflow.cli; "
+            f"print(*(m in sys.modules for m in {sorted(modules)!r}))")
+    assert python_output(code) == ["True"] * len(modules)
 
 
 def test_family_counter_wraps_the_eigen_form_heat_factor(tracer):

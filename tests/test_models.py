@@ -7,6 +7,7 @@ Frozen oracles (hand-derived):
 """
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,10 @@ class TestProfiles:
         oracle, err = scipy.integrate.quad(
             p.value, lo, hi, points=[t0] if lo < t0 < hi else None, limit=200)
         assert p.integral(lo, hi) == pytest.approx(oracle, abs=max(1e-9, 10 * err))
+
+    def test_declared_beta(self):
+        assert gf.kink_profile(0.5, 0.3).beta == 0.3
+        assert gf.constant_profile(0.7).beta == gf.linear_profile(2.0).beta == 1.0
 
     def test_kink_rejects_bad_beta(self):
         with pytest.raises(gf.ModelError):
@@ -115,6 +120,23 @@ class TestCommutingModel:
     def test_rejects_negative_d0(self):
         with pytest.raises(gf.ModelError):
             gf.commuting_model([1.0, 2.0], [0.1, -0.2], gf.constant_profile(1.0))
+
+
+class TestDeclaredBeta:
+    def test_models_declare_the_profile_beta(self):
+        kink = gf.kink_profile(0.4, 0.5)
+        assert gf.scalar_model(1.0, kink).perturbation.beta == 0.5
+        assert gf.scalar_model(1.0, 0.3).perturbation.beta == 1.0
+        assert gf.scalar_model(1.0, kink, beta=1.0).perturbation.beta == 1.0
+        assert gf.commuting_model([1.0], [0.2], gf.linear_profile(0.5)).perturbation.beta == 1.0
+
+    def test_declared_kink_grades_the_oracle_mesh(self):
+        # beta = 1 declared for a kink gave 65 536 uniform cells per piece
+        model = gf.commuting_model([1, 2], [0.3, 0.2], gf.kink_profile(0.4, 0.5))
+        assert model.perturbation.beta == 0.5 and "beta=0.5" in model.descriptor
+        ref = gf.reference_propagator(model, 0.0, 1.0, tol=1e-10)
+        assert int(re.search(r"n=(\d+)", ref.method).group(1)) <= 256
+        assert np.allclose(ref.U, model.exact(0.0, 1.0), atol=1e-10)
 
 
 class TestRotatingModel:

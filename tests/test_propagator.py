@@ -308,7 +308,8 @@ class TestReferenceAgainstExact:
     def test_undeclared_kink_converges_slowly_but_meets_the_tolerance(self):
         # declared beta = 1 over a beta = 0.5 kink: uniform cells, order ~1.5,
         # so the estimate must use the observed ratio, not 1/15
-        model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.4, 0.5))
+        model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.4, 0.5),
+                                   beta=1.0)
         assert model.perturbation.beta == 1.0
         ref = gf.reference_propagator(model, 0.0, 1.0, 1e-8)
         assert gf.trace_norm(ref.U - model.exact(0.0, 1.0)) <= 1e-8
