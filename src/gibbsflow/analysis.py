@@ -243,9 +243,9 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
 
     err_op, err_tr = [], []
     for n in ns:
-        u_n = product_approximant(scheme, model, s, t, n).U
-        err_op.append(opnorm(u_n - u_star))
-        err_tr.append(trace_norm(u_n - u_star))
+        sv = singular_values(product_approximant(scheme, model, s, t, n).U - u_star)
+        err_op.append(float(sv[0]))
+        err_tr.append(float(np.sum(sv)))
 
     notes = []
     exact_reproduction = max(err_tr) <= EXACT_REPRODUCTION_TOL

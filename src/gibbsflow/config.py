@@ -377,9 +377,10 @@ def _parse_model(raw, col: _Collector, beta: float, horizon: float):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a YAML configuration document."""
+    """Parse and validate a YAML configuration document, with libyaml's safe
+    loader when PyYAML was built with it."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError([f"invalid YAML: {exc}"]) from exc
     return config_from_dict(data)

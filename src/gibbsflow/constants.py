@@ -99,20 +99,25 @@ def _horizon_batches(model: Model, grid: int):
     return a_neg, times, batches
 
 
+def _is_diagonal(stack: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of a stack (n, d, d) is exactly 0."""
+    n, d = stack.shape[:2]
+    return not np.any(stack.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d])
+
+
 def _chunk_bound(b: np.ndarray, a_neg: np.ndarray) -> float:
-    return max(opnorm(m) for m in b @ a_neg)
+    """Largest ||B(t) A^{-alpha}|| over a chunk of B; for diagonal products,
+    their largest |entry|, bit for bit what the SVD returns."""
+    chunk = b @ a_neg
+    if _is_diagonal(chunk):
+        return float(np.max(np.abs(np.diagonal(chunk, axis1=1, axis2=2))))
+    return max(opnorm(m) for m in chunk)
 
 
 def _relative_bound(model: Model, grid: int) -> float:
     """c_alpha, the grid maximum of ||B(t) A^{-alpha}||, one chunk of B at a time."""
     a_neg, _, batches = _horizon_batches(model, grid)
     return max(0.0, *(_chunk_bound(b, a_neg) for _, b in batches))
-
-
-def _is_diagonal(stack: np.ndarray) -> bool:
-    """Whether every off-diagonal entry of a stack (n, d, d) is exactly 0."""
-    n, d = stack.shape[:2]
-    return not np.any(stack.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d])
 
 
 def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.ndarray]:

@@ -16,7 +16,7 @@ scalar and commuting models expose exact propagators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,7 +167,10 @@ class PerturbationFamily:
     standard basis, so that e^{-tau B(t)} = V diag(w) V^T (``eigen_entries``).
     It must agree with the spectral route.  ``breakpoints`` lists the times
     where t -> B(t) is not smooth, so quadratures can align panel edges with
-    them.
+    them.  ``scaled_diagonal``, when provided, is ``(profile, mu)`` declaring
+    B(t) = profile(t) diag(mu); like ``breakpoints`` and ``beta`` it must agree
+    with ``entries``.  It is left out of equality and hashing (a ``Model`` is a
+    memo key, and ``mu`` is an array).
     """
 
     entries: Callable[[np.ndarray], np.ndarray]
@@ -177,6 +180,7 @@ class PerturbationFamily:
     breakpoints: tuple[float, ...] = ()
     heat_factor: Optional[Callable[[np.ndarray, float],
                                    tuple[np.ndarray, Optional[np.ndarray]]]] = None
+    scaled_diagonal: Optional[tuple[TimeProfile, np.ndarray]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -277,8 +281,9 @@ def _spectral_family(profile: TimeProfile, mu: np.ndarray, basis=None,
     """The family B(t) = b(t) V(t) diag(mu) V(t)^T, with its heat factor.
 
     ``basis(ts)`` returns V(t) for every time, shape (n, d, d); without it
-    V = I, which the heat factor reports as ``None``.  ``fields`` are the
-    remaining ``PerturbationFamily`` fields.
+    V = I, which the heat factor reports as ``None`` and the family declares
+    as ``scaled_diagonal``.  ``fields`` are the remaining
+    ``PerturbationFamily`` fields.
     """
     frame = basis if basis is not None else (lambda ts: None)
 
@@ -288,7 +293,9 @@ def _spectral_family(profile: TimeProfile, mu: np.ndarray, basis=None,
     def heat_factor(ts: np.ndarray, tau: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
         return np.exp((-tau * _profile_values(profile, ts))[..., None] * mu), frame(ts)
 
-    return PerturbationFamily(entries=entries, heat_factor=heat_factor, **fields)
+    return PerturbationFamily(entries=entries, heat_factor=heat_factor,
+                              scaled_diagonal=(profile, mu) if basis is None else None,
+                              **fields)
 
 
 def _check_profile_nonneg(profile: TimeProfile, horizon: float) -> None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AccuracyError, DecompositionError, TimeRangeError, ValidationError
 from .linalg import HermitianOperator, heat, opnorm, trace_norm
-from .models import Model, eigen_entries, perturbation_entries
+from .models import Model, _profile_values, eigen_entries, perturbation_entries
 from .quadrature import (QuadratureSpec, _refine_by_doubling, integrate_matrix, mesh_grading,
                          panel_edges)
 
@@ -72,11 +72,11 @@ BATCH_BYTES = 64 * 1024
 _REFERENCE_MEMO: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
 
 
-def _batch_length(dim: int, diagonal: bool = False) -> int:
-    """Largest power of two of (dim, dim) matrices, or of their diagonals,
-    that fit in ``BATCH_BYTES``, at least one.  Power-of-two batches make
-    the kernel's product tree the aligned dyadic tree for every batch size."""
-    fit = max(1, BATCH_BYTES // (8 * dim * (1 if diagonal else dim)))
+def _batch_length(dim: int) -> int:
+    """Largest power of two of (dim, dim) matrices that fit in ``BATCH_BYTES``,
+    at least one.  Power-of-two batches make the kernel's product tree the
+    aligned dyadic tree for every batch size."""
+    fit = max(1, BATCH_BYTES // (8 * dim * dim))
     return 1 << (fit.bit_length() - 1)
 
 
@@ -147,19 +147,16 @@ def _check_window(model: Model, s: float, t: float) -> None:
         )
 
 
-def _heat_of_perturbation(model: Model, times: np.ndarray,
-                          tau: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Every e^{-tau B(t)} for t in ``times`` in eigen-form ``(w, V)``.
-
-    Uses the family's batched ``heat_factor`` when present, otherwise the
-    spectral decomposition of each matrix of ``perturbation_entries``.
-    """
+def _heat_of_perturbation(model: Model, times: np.ndarray, tau: float) -> np.ndarray:
+    """Entries of every e^{-tau B(t)} for t in ``times``: the family's batched
+    ``heat_factor`` when present, otherwise the spectral decomposition of
+    each matrix of ``perturbation_entries``."""
     fast = model.perturbation.heat_factor
     if fast is not None:
-        return fast(times, tau)
+        return eigen_entries(*fast(times, tau))
     spectra = [HermitianOperator(b).spectrum() for b in perturbation_entries(model, times)]
-    return (np.exp(-tau * np.array([w for w, _ in spectra])),
-            np.array([q for _, q in spectra]))
+    return eigen_entries(np.exp(-tau * np.array([w for w, _ in spectra])),
+                         np.array([q for _, q in spectra]))
 
 
 def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndarray:
@@ -168,7 +165,7 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
         raise ValidationError(f"cell width must be positive, got {tau}")
     _check_window(model, t_k, t_k)
     a = model.generator.operator
-    eb = eigen_entries(*_heat_of_perturbation(model, np.array([float(t_k)]), tau))[0]
+    eb = _heat_of_perturbation(model, np.array([float(t_k)]), tau)[0]
     if scheme is Scheme.LEFT:
         return heat(a, tau) @ eb
     if scheme is Scheme.RIGHT:
@@ -180,13 +177,14 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y, where a 1-D operand holds the diagonal of a diagonal matrix.
+    """x @ y for matrices or stacks, where a 1-D operand holds the diagonal
+    of a diagonal matrix.
 
     Scaling rows or columns gives the matrix product bit for bit: every other
     term of its sums is an exact zero.
     """
     if x.ndim == 1:
-        return x * y if y.ndim == 1 else x[:, None] * y
+        return x[:, None] * y
     if y.ndim == 1:
         return x * y
     return x @ y
@@ -194,10 +192,9 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _pairwise(factors: np.ndarray) -> np.ndarray:
     """Ordered product of a stack (later factors on the left) by pairwise
-    halving; a stack of shape (n, d) holds diagonals, multiplied elementwise."""
-    mul = np.multiply if factors.ndim == 2 else np.matmul
+    halving."""
     while len(factors) > 1:
-        paired = mul(factors[1::2], factors[0:-1:2])
+        paired = factors[1::2] @ factors[0:-1:2]
         if len(factors) % 2:
             paired = np.concatenate((paired, factors[-1:]))
         factors = paired
@@ -208,22 +205,21 @@ def _tree_product(batches: Iterable[np.ndarray]) -> np.ndarray:
     """Ordered product of consecutive stacks of factors, later on the left.
 
     Each stack is reduced pairwise and the stack products are merged like a
-    binary counter, so the whole product is a balanced tree whose rounding
-    error grows with log n.  Stacks may hold diagonals or matrices; a
-    product of diagonals stays 1-D.
+    binary counter, so the whole product is a balanced tree: a bound on its
+    rounding error grows with log n instead of n.
     """
     levels: list[int] = []
     products: list[np.ndarray] = []
     for factors in batches:
         product, level = _pairwise(factors), 0
         while levels and levels[-1] == level:
-            product = _dot(product, products.pop())
+            product = product @ products.pop()
             level = levels.pop() + 1
         products.append(product)
         levels.append(level)
     u = products.pop()
     while products:
-        u = _dot(u, products.pop())
+        u = u @ products.pop()
     return u
 
 
@@ -231,57 +227,46 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
                      scheme: Scheme) -> np.ndarray:
     """Product of cell factors, later times applied on the left.
 
-    Factors are built a batch of at most ``BATCH_BYTES`` at a time and
-    multiplied by ``_tree_product``.  The symmetric scheme shares the half
-    steps of neighbouring cells: half eB_n eA eB_{n-1} ... eA eB_1 half.
+    When A is diagonal and the family declares B(t) = b(t) diag(mu)
+    (``scaled_diagonal``), every factor of every scheme is diagonal, so the
+    factors commute and the product is the closed form
+    diag(exp(-tau (n lambda + (sum_k b(t_k)) mu))): one pairwise sum of n
+    samples and one exponential per entry, rounded once instead of n times.
 
+    Otherwise factors are built a batch of at most ``BATCH_BYTES`` at a time
+    and multiplied by ``_tree_product``.  The symmetric scheme shares the
+    half steps of neighbouring cells: half eB_n eA eB_{n-1} ... eA eB_1 half.
     A diagonal A enters as the vector of its heat factor's diagonal, so it
-    scales rows or columns.  If B's heat factors are diagonal too (no
-    eigenbasis), every factor is kept as its diagonal and the tree
-    multiplies vectors elementwise; a batch then holds d times as many
-    cells.  The first batch's answer decides the route, so a diagonal first
-    batch is topped up to that length.
+    scales rows or columns.
     """
     if scheme not in (Scheme.LEFT, Scheme.RIGHT, Scheme.SYMMETRIC):
         raise ValidationError(f"unknown scheme {scheme!r}")
     a = model.generator.operator
     lam = np.diagonal(a.entries)
     diagonal = np.array_equal(a.entries, np.diag(lam))
+    n = len(sample_times)
+    declared = model.perturbation.scaled_diagonal
+    if diagonal and declared is not None:
+        profile, mu = declared
+        b_sum = np.sum(_profile_values(profile, sample_times))
+        return np.diag(np.exp(-tau * (n * lam + b_sum * mu)))
 
     def semigroup(t: float) -> np.ndarray:
         return np.exp(-t * lam) if diagonal else heat(a, t)
 
     ea = semigroup(tau)
     half = semigroup(0.5 * tau) if scheme is Scheme.SYMMETRIC else None
-    n = len(sample_times)
+    batch = _batch_length(model.dim)
 
     def batches():
-        batch = _batch_length(model.dim)
-        vector = None
-        start = 0
-        while start < n:
-            w, v = _heat_of_perturbation(model, sample_times[start:start + batch], tau)
-            if vector is None:
-                vector = diagonal and v is None
-                if vector:
-                    batch = _batch_length(model.dim, diagonal=True)
-                    if len(w) < min(n, batch):
-                        rest, _ = _heat_of_perturbation(model, sample_times[len(w):batch], tau)
-                        w = np.concatenate((w, rest))
-            if vector:
-                eb = w
-                factors = w * ea
-            else:
-                eb = eigen_entries(w, v)
-                factors = _dot(eb, ea) if scheme is Scheme.RIGHT else _dot(ea, eb)
-            start += batch
-            if half is not None and start >= n:
-                factors[-1] = eb[-1] * half if vector else _dot(half, eb[-1])
+        for start in range(0, n, batch):
+            eb = _heat_of_perturbation(model, sample_times[start:start + batch], tau)
+            factors = _dot(eb, ea) if scheme is Scheme.RIGHT else _dot(ea, eb)
+            if half is not None and start + batch >= n:
+                factors[-1] = _dot(half, eb[-1])
             yield factors
 
     u = _tree_product(batches())
-    if u.ndim == 1:
-        u = np.diag(u)
     return _dot(u, half) if half is not None else u
 
 

@@ -126,6 +126,16 @@ class TestRunConvergence:
                                     0.0, 1.0, [8, 16, 32, 64])
         assert all(a > b for a, b in zip(report.err_tr, report.err_tr[1:]))
 
+    def test_errors_are_the_norms_of_the_difference(self):
+        # both errors come from one SVD, bit for bit the two norms
+        model = make_rotating(dim=4, seed=3)
+        ns = [4, 8, 16]
+        report = gf.run_convergence(model, gf.Scheme.RIGHT, 0.0, 1.0, ns, tol_ref=1e-10)
+        u_star = gf.reference_propagator(model, 0.0, 1.0, tol=1e-10).U
+        for n, err_op, err_tr in zip(ns, report.err_op, report.err_tr):
+            diff = gf.product_approximant(gf.Scheme.RIGHT, model, 0.0, 1.0, n).U - u_star
+            assert (err_op, err_tr) == (opnorm(diff), trace_norm(diff))
+
     def test_explicit_fit_ns(self, scalar_linear):
         report = gf.run_convergence(scalar_linear, gf.Scheme.LEFT, 0.0, 1.0,
                                     [8, 16, 32, 64, 128], fit_ns=[8, 16])

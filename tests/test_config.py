@@ -1,8 +1,16 @@
 """YAML configuration parsing: defaults, collect-all validation, round-trip."""
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 import gibbsflow as gf
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 model:
@@ -183,3 +191,52 @@ beta: 0.5
         assert cfg.model_params["b"]["beta"] == 0.5
         model = gf.build_model(cfg)
         assert model.perturbation.beta == 0.5
+
+
+def _config_documents() -> list:
+    """Every configuration document of the test modules (string constants
+    naming a model family), the README's YAML examples, and one input of
+    each benchmark workload."""
+    docs = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        docs += [node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and "model:" in node.value and "family" in node.value]
+    readme = re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.S)
+    assert readme
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    goldens = wl.load_goldens()
+    inputs = [wl.smooth_config(1), wl.kinked_input(1, goldens), wl.wide_config(1),
+              wl.series_input(1, goldens)]
+    return docs + readme + [wl.config_text(data) for data in inputs]
+
+
+def _load(text, loader):
+    """The document's data, or the class of the YAML error it raises."""
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        return type(exc)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestLoaders:
+    def test_libyaml_and_python_loaders_agree(self):
+        docs = _config_documents()
+        assert len(docs) >= 15
+        for text in docs:
+            assert _load(text, yaml.CSafeLoader) == _load(text, yaml.SafeLoader), text
+
+    @pytest.mark.parametrize("text", ["model: [unclosed", "model: {family: scalar",
+                                      "a: b: c", "\tmodel: 1"])
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_invalid_yaml_is_a_config_error(self, text, libyaml, monkeypatch):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader")
+        with pytest.raises(gf.ConfigError) as excinfo:
+            gf.parse_config(text)
+        assert any("invalid YAML" in m for m in excinfo.value.messages)

@@ -267,6 +267,36 @@ class TestHolderConstant:
             assert constants._relative_bound(model, 81) == constants._horizon_samples(model, 81)[1]
 
 
+class TestRelativeBound:
+    def test_diagonal_chunks_equal_the_svd_loop(self):
+        # LAPACK's singular values of a diagonal matrix are its sorted
+        # |entries|, so the largest one is read off bit for bit; zeros, ties
+        # and signs included
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            d, n = int(rng.integers(1, 129)), int(rng.integers(1, 9))
+            values = rng.choice([0.0, 0.5, 1.0, 2.0 ** -30], size=(n, d))
+            drawn = rng.random((n, d)) < 0.5
+            values[drawn] = rng.standard_normal(int(drawn.sum())) * 10.0 ** rng.integers(-8, 8)
+            b = np.apply_along_axis(np.diag, 1, values)
+            a_neg = np.diag(rng.random(d) + 0.5) if rng.random() < 0.5 else np.eye(d)
+            with mock.patch.object(constants, "opnorm", side_effect=AssertionError):
+                fast = constants._chunk_bound(b, a_neg)
+            assert fast == max(opnorm(m) for m in b @ a_neg)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_commuting_constants_need_no_svd(self, alpha):
+        d = 64
+        model = gf.commuting_model(np.linspace(1.0, 8.0, d), np.linspace(0.1, 1.0, d),
+                                   gf.kink_profile(0.37, 0.5, offset=0.5), alpha=alpha)
+        times = np.linspace(0.0, 1.0, 101)
+        a_neg = gf.fractional_power(model.generator.operator, -alpha).entries
+        expected = max(opnorm(m) for m in gf.perturbation_entries(model, times) @ a_neg)
+        with mock.patch.object(constants, "opnorm", side_effect=AssertionError):
+            rep = gf.estimate_constants(model, 0.0, 1.0, grid=101)
+        assert rep.c_alpha == expected
+
+
 class TestContractionCoefficient:
     def test_matches_full_estimate(self, scalar_const):
         fast = gf.contraction_coefficient(scalar_const, 0.1, 0.6)

@@ -2,11 +2,15 @@
 
 Every scheme on rotating and commuting models, on a family without a
 batched ``heat_factor``, and on a dense generator, which takes the kernel's
-matrix route for e^{-tau A}.  The batch size is drawn too, so products cross
-batch boundaries (including one-cell batches) and odd stack lengths.
+matrix route for e^{-tau A}.  The commuting model declares B(t) = b(t)
+diag(mu), so its products take the closed form; families without that
+declaration take the batched tree.  The batch size is drawn too, so
+products cross batch boundaries (including one-cell batches) and odd stack
+lengths.
 """
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -116,32 +120,126 @@ def test_symmetric_scheme_is_palindromic_for_constant_b(window, n, cells):
     assert gf.opnorm(u - u.T) <= 1e-12 * gf.opnorm(u)
 
 
-def _identity_basis(family):
-    """``family`` whose heat factor names the standard basis as an explicit
-    identity stack instead of ``None``, which forces the dense route."""
-    def heat_factor(ts, tau):
-        w, _ = family.heat_factor(ts, tau)
-        return w, np.broadcast_to(np.eye(w.shape[-1]), w.shape + w.shape[-1:])
+def _undeclared(model, identity_basis=False):
+    """``model`` whose family drops its ``scaled_diagonal`` declaration, so
+    its products take the batched tree.  With ``identity_basis`` the heat
+    factor names the standard basis as an explicit identity stack instead of
+    ``None``, which composes every factor as a dense matrix."""
+    family = model.perturbation
+    heat_factor = family.heat_factor
+    if identity_basis:
+        def heat_factor(ts, tau):
+            w, _ = family.heat_factor(ts, tau)
+            return w, np.broadcast_to(np.eye(w.shape[-1]), w.shape + w.shape[-1:])
 
-    return dataclasses.replace(family, heat_factor=heat_factor)
+    return dataclasses.replace(model, perturbation=dataclasses.replace(
+        family, heat_factor=heat_factor, scaled_diagonal=None))
 
 
-COMMUTING_DENSE = dataclasses.replace(COMMUTING,
-                                      perturbation=_identity_basis(COMMUTING.perturbation))
+COMMUTING_TREE = _undeclared(COMMUTING)
+COMMUTING_DENSE = _undeclared(COMMUTING, identity_basis=True)
 
 
 @given(schemes, windows, st.integers(1, 300), st.integers(0, 5))
 @settings(max_examples=40)
-def test_diagonal_route_is_bit_identical_to_dense_route(scheme, window, n, log_cells):
-    # Batch lengths that are powers of two all build the same aligned
-    # dyadic tree, so the diagonal route (d times longer batches) and the
-    # dense one must agree bit for bit, not merely within rounding.
+def test_closed_form_matches_dense_route(scheme, window, n, log_cells):
+    # The closed form rounds once, the tree n times, so they agree within
+    # rounding.  Without the declaration, diagonal factors give the dense
+    # products bit for bit: a matrix product with a diagonal operand adds
+    # exact zeros.
     s, width = window
     cells = 2 ** log_cells
-    vector = _kernel(COMMUTING, scheme, s, s + width, n, cells)
+    assert COMMUTING.perturbation.scaled_diagonal is not None
+    assert COMMUTING_DENSE.perturbation.scaled_diagonal is None
+    closed = _kernel(COMMUTING, scheme, s, s + width, n, cells)
     dense = _kernel(COMMUTING_DENSE, scheme, s, s + width, n, cells)
-    assert np.array_equal(vector, dense)
-    assert np.count_nonzero(vector - np.diag(np.diagonal(vector))) == 0
+    assert _rel(closed, dense) <= 1e-12
+    assert np.count_nonzero(closed - np.diag(np.diagonal(closed))) == 0
+    assert np.array_equal(_kernel(COMMUTING_TREE, scheme, s, s + width, n, cells), dense)
+
+
+def _hand_written_diagonal(lambdas, mu, profile):
+    """Model whose family writes B(t) = b(t) diag(mu) and its heat factor by
+    hand, with a ``None`` basis and no ``scaled_diagonal`` declaration."""
+    mu = np.asarray(mu, dtype=float)
+
+    def values(ts):
+        return np.asarray(profile.value(ts), dtype=float)[:, None] * mu
+
+    family = gf.PerturbationFamily(
+        entries=lambda ts: gf.eigen_entries(values(ts), None),
+        heat_factor=lambda ts, tau: (np.exp(-tau * values(ts)), None),
+        alpha=0.0, beta=profile.beta, descriptor="hand-written diagonal",
+        breakpoints=profile.breakpoints)
+    return gf.Model(gf.Generator(np.diag(lambdas)), family)
+
+
+HAND_WRITTEN = _hand_written_diagonal(np.linspace(1.0, 3.0, 4), [0.6, 0.1, 0.9, 0.3],
+                                      gf.kink_profile(0.45, 0.5))
+
+
+@given(schemes, windows, st.integers(1, 300), batch_cells)
+@settings(max_examples=40)
+def test_undeclared_diagonal_family_matches_per_cell_loop(scheme, window, n, cells):
+    s, width = window
+    part = gf.make_partition(s, s + width, n)
+    kernel = _kernel(HAND_WRITTEN, scheme, part.s, part.t, n, cells)
+    assert _rel(kernel, _loop(HAND_WRITTEN, scheme, part.points, part.step)) <= 1e-12
+
+
+def test_declaration_survives_a_wrapped_heat_factor():
+    # A benchmark tracer counts heat factor calls by replacing the field on
+    # a copy of the family; the copy keeps the declaration, takes the closed
+    # form without calling the wrapper, and still serves as a memo key.
+    calls = []
+
+    def wrapper(ts, tau):
+        calls.append(len(ts))
+        return COMMUTING.perturbation.heat_factor(ts, tau)
+
+    wrapped = dataclasses.replace(COMMUTING, perturbation=dataclasses.replace(
+        COMMUTING.perturbation, heat_factor=wrapper))
+    assert wrapped.perturbation.scaled_diagonal is COMMUTING.perturbation.scaled_diagonal
+    for scheme in gf.Scheme:
+        assert np.array_equal(gf.product_approximant(scheme, wrapped, 0.0, 1.0, 4096).U,
+                              gf.product_approximant(scheme, COMMUTING, 0.0, 1.0, 4096).U)
+    assert calls == []
+    first = gf.reference_propagator(wrapped, 0.0, 0.5, tol=1e-8)
+    assert gf.reference_propagator(wrapped, 0.0, 0.5, tol=1e-8) is first
+    assert (0.0, 0.5, 1e-8) in propagator._REFERENCE_MEMO[wrapped]
+
+
+def _reference_err_tr(lambdas, mu, t0, offset, n):
+    """Trace-norm error on [0, 1] of the n-cell product for the commuting
+    model with b(t) = offset + |t - t0|^(1/2), to 40 digits from the exact
+    values of the float inputs and sample times."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t0, offset = Decimal(t0), Decimal(offset)
+        points = [Decimal(float(p)) for p in gf.make_partition(0.0, 1.0, n).points]
+        riemann = sum(offset + abs(p - t0).sqrt() for p in points) / n
+
+        def antiderivative(x):
+            u = x - t0
+            return u * abs(u).sqrt() / Decimal("1.5")
+
+        integral = offset + antiderivative(Decimal(1)) - antiderivative(Decimal(0))
+        return sum(abs((-Decimal(l) - Decimal(m) * riemann).exp()
+                       - (-Decimal(l) - Decimal(m) * integral).exp())
+                   for l, m in zip(lambdas.tolist(), mu.tolist()))
+
+
+def test_closed_form_error_matches_a_40_digit_reference():
+    # A factor rounded once and applied n times drifts by about n eps / 2:
+    # the batched tree was 1.7e-12 off here.
+    lambdas = np.linspace(1.0, 8.0, 64)
+    mu = np.random.default_rng(1).permutation(np.linspace(0.1, 1.0, 64))
+    model = gf.commuting_model(lambdas, mu, gf.kink_profile(0.37, 0.5, offset=0.5))
+    n = 2 ** 15
+    reference = _reference_err_tr(lambdas, mu, 0.37, 0.5, n)
+    for scheme in gf.Scheme:
+        err_tr = gf.run_convergence(model, scheme, 0.0, 1.0, [n // 4, n // 2, n]).err_tr[-1]
+        assert abs(Decimal(err_tr) - reference) <= Decimal("1e-15")
 
 
 @pytest.mark.parametrize("model", [
@@ -149,7 +247,9 @@ def test_diagonal_route_is_bit_identical_to_dense_route(scheme, window, n, log_c
     gf.commuting_model(np.linspace(1.0, 3.0, 12), np.linspace(0.1, 0.9, 12),
                        gf.kink_profile(0.45, 0.5)),
     ROTATING,
-], ids=["commuting-3", "commuting-12", "rotating-5"])
+    _undeclared(gf.commuting_model(np.linspace(1.0, 3.0, 12), np.linspace(0.1, 0.9, 12),
+                                   gf.kink_profile(0.45, 0.5))),
+], ids=["commuting-3", "commuting-12", "rotating-5", "undeclared-12"])
 @pytest.mark.parametrize("n", [100, 1000, 5000])
 def test_product_does_not_depend_on_batch_bytes(model, n, monkeypatch):
     # Batch lengths are rounded down to powers of two, so the pairwise tree
