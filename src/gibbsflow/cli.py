@@ -46,6 +46,7 @@ from .errors import (
     GibbsflowError,
     ValidationError,
 )
+from .models import Model
 from .propagator import Scheme
 from .reports import (
     ReportEnvelope,
@@ -143,109 +144,68 @@ def _emit(envelope: ReportEnvelope, path: str, fmt: str) -> None:
     log.info("wrote %d records to %s (%s)", len(envelope.records), path, fmt)
 
 
-def _timed(label: str, fn: Callable[[], dict]) -> Callable[[], dict]:
-    def job() -> dict:
-        start = time.perf_counter()
-        record = fn()
-        log.info("%s finished in %.3fs", label, time.perf_counter() - start)
-        return record
-
-    return job
+# A command is a list of (stage, job) pairs; each job returns one record.
+Jobs = list[tuple[str, Callable[[], dict]]]
 
 
-def _cmd_run(config: ExperimentConfig) -> tuple[ReportEnvelope, int]:
-    model = build_model(config)
-    envelope = ReportEnvelope()
-    envelope.add(meta_record(config.to_dict(), config.seed))
-    envelope.add(constants_record(estimate_constants(model, config.s, config.t,
-                                                     grid=config.grid)))
-
-    def convergence_job(scheme_name: str) -> Callable[[], dict]:
-        def fn() -> dict:
-            report = run_convergence(
-                model, Scheme(scheme_name), config.s, config.t, config.n_list,
-                tol_ref=config.tol_ref, slack=config.slack,
-            )
-            return convergence_record(report)
-
-        return _timed(f"convergence[{scheme_name}]", fn)
-
-    jobs = [convergence_job(name) for name in config.schemes]
-    results, exit_code = _run_jobs(jobs, [f"run:{n}" for n in config.schemes])
-    for record in results:
-        envelope.add(record)
-    return envelope, exit_code
+def _constants_jobs(config: ExperimentConfig, model: Model) -> Jobs:
+    return [("constants", lambda: constants_record(
+        estimate_constants(model, config.s, config.t, grid=config.grid)))]
 
 
-def _run_jobs(jobs: Sequence[Callable[[], dict]],
-              stages: Sequence[str]) -> tuple[list, int]:
-    """Execute jobs; a failing job degrades to a failure record."""
-    exit_code = EXIT_OK
-    records = []
-    for job, stage in zip(jobs, stages):
-        try:
-            records.append(job())
-        except GibbsflowError as exc:
-            record = failure_record(stage, exc)
-            records.append(record)
-            exit_code = max(exit_code, _exit_code(exc))
-            log.error("stage %s failed: %s", stage, "; ".join(record["messages"]))
-    return records, exit_code
+def _convergence_jobs(config: ExperimentConfig, model: Model) -> Jobs:
+    return _constants_jobs(config, model) + [
+        (f"run:{name}", lambda name=name: convergence_record(run_convergence(
+            model, Scheme(name), config.s, config.t, config.n_list,
+            tol_ref=config.tol_ref, slack=config.slack)))
+        for name in config.schemes
+    ]
 
 
-def _cmd_verify(config: ExperimentConfig) -> tuple[ReportEnvelope, int]:
-    model = build_model(config)
-    envelope = ReportEnvelope()
-    envelope.add(meta_record(config.to_dict(), config.seed))
+def _verify_jobs(config: ExperimentConfig, model: Model) -> Jobs:
     spec = config.verify
-    jobs: list[Callable[[], dict]] = []
-    stages: list[str] = []
-
-    jobs.append(_timed("lemma21", lambda: lemma21_record(
-        lemma21_ensemble(spec.lemma_instances, seed=config.seed,
-                         dim_max=spec.dim_max))))
-    stages.append("lemma21")
-
+    jobs: Jobs = [("lemma21", lambda: lemma21_record(
+        lemma21_ensemble(spec.lemma_instances, seed=config.seed, dim_max=spec.dim_max)))]
     for scheme_name in config.schemes:
         for n in spec.lifting_ns:
-            jobs.append(_timed(
-                f"lifting[{scheme_name}, n={n}]",
-                lambda sn=scheme_name, nn=n: lifting_record(
-                    verify_lifting(model, Scheme(sn), config.s, config.t, nn,
-                                   tol_ref=config.tol_ref))))
-            stages.append(f"lifting:{scheme_name}:n={n}")
-
+            jobs.append((f"lifting:{scheme_name}:n={n}",
+                         lambda sn=scheme_name, nn=n: lifting_record(
+                             verify_lifting(model, Scheme(sn), config.s, config.t, nn,
+                                            tol_ref=config.tol_ref))))
     rng = np.random.default_rng(config.seed)
     for i in range(spec.cocycle_triples):
         r = config.s + (0.2 + 0.6 * float(rng.random())) * (config.t - config.s)
-        jobs.append(_timed(
-            f"cocycle[{i}]",
-            lambda rr=r: cocycle_record(
-                verify_cocycle(model, config.s, rr, config.t,
-                               tol_ref=config.tol_ref))))
-        stages.append(f"cocycle:{i}")
-
+        jobs.append((f"cocycle:{i}", lambda rr=r: cocycle_record(
+            verify_cocycle(model, config.s, rr, config.t, tol_ref=config.tol_ref))))
     for scheme_name in config.schemes:
         for n in spec.contraction_ns:
-            jobs.append(_timed(
-                f"contraction[{scheme_name}, n={n}]",
-                lambda sn=scheme_name, nn=n: contraction_record(
-                    verify_contraction(model, Scheme(sn), config.s, config.t, nn))))
-            stages.append(f"contraction:{scheme_name}:n={n}")
-
-    records, exit_code = _run_jobs(jobs, stages)
-    for record in records:
-        envelope.add(record)
-    return envelope, exit_code
+            jobs.append((f"contraction:{scheme_name}:n={n}",
+                         lambda sn=scheme_name, nn=n: contraction_record(
+                             verify_contraction(model, Scheme(sn), config.s, config.t, nn))))
+    return jobs
 
 
-def _cmd_constants(config: ExperimentConfig) -> tuple[ReportEnvelope, int]:
-    model = build_model(config)
+def _run_jobs(config: ExperimentConfig, jobs: Jobs) -> tuple[ReportEnvelope, int]:
+    """The ``meta`` record, then one record per ``(stage, job)`` in order.
+
+    Each job is timed and logged under its stage; a failing job degrades to
+    a failure record and the remaining jobs still run.
+    """
     envelope = ReportEnvelope()
     envelope.add(meta_record(config.to_dict(), config.seed))
-    envelope.add(constants_record(estimate_constants(model, config.s, config.t,
-                                                     grid=config.grid)))
-    return envelope, EXIT_OK
+    exit_code = EXIT_OK
+    for stage, job in jobs:
+        start = time.perf_counter()
+        try:
+            record = job()
+        except GibbsflowError as exc:
+            record = failure_record(stage, exc)
+            exit_code = max(exit_code, _exit_code(exc))
+            log.error("stage %s failed: %s", stage, "; ".join(record["messages"]))
+        else:
+            log.info("%s finished in %.3fs", stage, time.perf_counter() - start)
+        envelope.add(record)
+    return envelope, exit_code
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[ReportEnvelope, int]:
@@ -278,10 +238,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fmt = args.format or config.output_format
             path = args.output or config.output_path
             _check_output_path(path)
-            command = {"run": _cmd_run, "verify": _cmd_verify,
-                       "constants": _cmd_constants}[args.command]
+            jobs = {"run": _convergence_jobs, "verify": _verify_jobs,
+                    "constants": _constants_jobs}[args.command]
             start = time.perf_counter()
-            envelope, exit_code = command(config)
+            envelope, exit_code = _run_jobs(config, jobs(config, build_model(config)))
             log.info("%s completed in %.3fs", args.command,
                      time.perf_counter() - start)
         _emit(envelope, path, fmt)

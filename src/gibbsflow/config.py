@@ -236,7 +236,8 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     col.check_known_keys(data, "", TOP_KEYS)
 
     alpha = col.require_number(data, "", "alpha", default=0.0, lo=0.0, hi=1.0, hi_open=True)
-    beta = col.require_number(data, "", "beta", default=1.0, lo=0.0, lo_open=True, hi=1.0)
+    beta = (col.require_number(data, "", "beta", lo=0.0, lo_open=True, hi=1.0)
+            if "beta" in data else None)
     horizon = col.require_number(data, "", "horizon", default=1.0, lo=0.0, lo_open=True)
     s = col.require_number(data, "", "s", default=0.0, lo=0.0)
     t = col.require_number(data, "", "t", default=1.0, lo=0.0, lo_open=True)
@@ -309,6 +310,13 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     family, params = _parse_model(data.get("model"), col,
                                   beta if beta is not None else 1.0,
                                   horizon if horizon is not None else 1.0)
+    # A kink declares its own Hoelder exponent: the model's beta defaults to
+    # it and may not claim more regularity than it has.
+    kink_beta = (params or {}).get("b", {}).get("beta")
+    if "beta" not in data:
+        beta = 1.0 if kink_beta is None else kink_beta
+    elif None not in (beta, kink_beta) and beta > kink_beta:
+        col.error("beta", f"must be <= the kink's beta {kink_beta:g}, got {beta:g}")
 
     if col.errors:
         raise ConfigError(col.errors)

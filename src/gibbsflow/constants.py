@@ -24,7 +24,8 @@ from .linalg import fractional_power, opnorm
 from .models import Model, perturbation_entries
 from .propagator import _batch_length, _check_window
 
-__all__ = ["ConstantsReport", "estimate_constants", "contraction_coefficient"]
+__all__ = ["ConstantsReport", "estimate_constants", "smoothing_constant",
+           "contraction_coefficient"]
 
 # xi must recompute from its factors to this relative tolerance.
 XI_CONSISTENCY_TOL = 1e-12

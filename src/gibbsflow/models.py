@@ -22,14 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, TimeRangeError, ValidationError
-from .linalg import (
-    SYMMETRY_TOL,
-    HermitianOperator,
-    _as_square_matrix,
-    checked_eigh,
-    heat,
-    symmetrized,
-)
+from .linalg import SYMMETRY_TOL, HermitianOperator, heat
 
 __all__ = [
     "TimeProfile",
@@ -116,7 +109,11 @@ class Generator:
     def __init__(self, operator):
         if not isinstance(operator, HermitianOperator):
             operator = HermitianOperator(operator)
-        _check_floor(operator.spectrum()[0])
+        w, _ = operator.spectrum()
+        if w[0] < GENERATOR_FLOOR:
+            raise ModelError(
+                f"generator spectrum must satisfy lambda_min >= 1, got {w[0]!r}"
+            )
         self.operator = operator
 
     @property
@@ -133,25 +130,6 @@ class Generator:
 
     def __repr__(self) -> str:
         return f"Generator(dim={self.dim})"
-
-
-def _check_floor(w: np.ndarray) -> None:
-    """Reject ascending spectra, shape (..., d), with lambda_min below 1."""
-    low = w[..., 0] < GENERATOR_FLOOR
-    if np.any(low):
-        raise ModelError(
-            f"generator spectrum must satisfy lambda_min >= 1, got {w[..., 0][low][0]!r}"
-        )
-
-
-def generator_spectra(entries) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra ``(w, q)`` of a stack (k, d, d) of generators, with every
-    check ``Generator`` makes on one: finite entries, symmetry, the
-    eigendecomposition self-check and lambda_min >= 1."""
-    sym = symmetrized(_as_square_matrix(entries, "generator", stacked=True))
-    w, q = checked_eigh(sym)
-    _check_floor(w)
-    return w, q
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import AccuracyError, DecompositionError, TimeRangeError, ValidationError
-from .linalg import HermitianOperator, heat, opnorm, trace_norm
+from .linalg import checked_eigh, heat, opnorm, trace_norm
 from .models import Model, _profile_values, eigen_entries, perturbation_entries
 from .quadrature import (QuadratureSpec, _refine_by_doubling, integrate_matrix, mesh_grading,
                          panel_edges)
@@ -149,14 +149,13 @@ def _check_window(model: Model, s: float, t: float) -> None:
 
 def _heat_of_perturbation(model: Model, times: np.ndarray, tau: float) -> np.ndarray:
     """Entries of every e^{-tau B(t)} for t in ``times``: the family's batched
-    ``heat_factor`` when present, otherwise the spectral decomposition of
-    each matrix of ``perturbation_entries``."""
+    ``heat_factor`` when present, otherwise one stacked, self-checked
+    decomposition of ``perturbation_entries``."""
     fast = model.perturbation.heat_factor
     if fast is not None:
         return eigen_entries(*fast(times, tau))
-    spectra = [HermitianOperator(b).spectrum() for b in perturbation_entries(model, times)]
-    return eigen_entries(np.exp(-tau * np.array([w for w, _ in spectra])),
-                         np.array([q for _, q in spectra]))
+    w, q = checked_eigh(perturbation_entries(model, times))
+    return eigen_entries(np.exp(-tau * w), q)
 
 
 def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndarray:
@@ -334,23 +333,8 @@ def _magnus_reference(model: Model, s: float, t: float, tol: float) -> Propagato
                             method=f"reference(tol={tol:g}, n={n}, diff={diff:.3e})")
 
 
-def _cross_validate(model: Model, result: PropagatorResult, tol: float) -> None:
-    """Raise unless ``result`` agrees with the series within its tail bound."""
-    from .dyson import dyson_phillips_sum
-
-    eps = max(tol, 1e-8)
-    series = dyson_phillips_sum(model, result.s, result.t, eps)
-    gap = trace_norm(result.U - series.U)
-    budget = (series.tail_bound or 0.0) + 10.0 * eps + tol
-    if gap > budget:
-        raise AccuracyError(
-            "reference propagator disagrees with the perturbation series",
-            requested=budget, achieved=gap,
-        )
-
-
-def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
-                         cross_validate: bool = False) -> PropagatorResult:
+def reference_propagator(model: Model, s: float, t: float,
+                         tol: float = 1e-10) -> PropagatorResult:
     """High-accuracy oracle propagator over [s, t].
 
     CF4 Magnus products on n cells per piece of [s, t] between the family's
@@ -364,8 +348,7 @@ def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
 
     Results and failures are memoized per model instance and (s, t, tol),
     with a read-only ``U``, so every caller asking for the same window shares
-    one computation.  With ``cross_validate`` the result, cached or not, is
-    also checked against the perturbation series within its tail bound.
+    one computation.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -380,8 +363,6 @@ def reference_propagator(model: Model, s: float, t: float, tol: float = 1e-10,
     result = memo[key]
     if isinstance(result, AccuracyError):
         raise result
-    if cross_validate:
-        _cross_validate(model, result, tol)
     return result
 
 

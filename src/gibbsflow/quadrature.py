@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AccuracyError, ValidationError
 from .linalg import trace_norm
 
-__all__ = ["QuadratureSpec", "panel_nodes", "integrate_matrix"]
+__all__ = ["QuadratureSpec", "panel_edges", "integrate_matrix"]
 
 # Nodes per call of a vectorized integrand.
 CHUNK_NODES = 128

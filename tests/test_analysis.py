@@ -23,7 +23,6 @@ from gibbsflow.analysis import (
     _lemma21_sides,
 )
 from gibbsflow.linalg import opnorm, singular_values, trace_norm
-from gibbsflow.models import generator_spectra
 
 from conftest import make_rotating, python_output
 
@@ -214,8 +213,9 @@ def brute_force_lemma21(count, seed, dim_max):
 
 def batch_sides(generators, factor_lists, time_lists):
     """``verify_lemma21``'s evaluation of the given instances, all of one
-    dimension, in one stack."""
-    w, q = generator_spectra(np.stack(generators))
+    dimension, in one stack.  Each generator passes every ``Generator`` check."""
+    spectra = [gf.Generator(g).operator.spectrum() for g in generators]
+    w, q = np.stack([w for w, _ in spectra]), np.stack([q for _, q in spectra])
     owner = [i for i, ts in enumerate(time_lists) for _ in ts]
     position = [j for ts in time_lists for j in range(len(ts))]
     return _framed_sides(w, q, np.stack([v for vs in factor_lists for v in vs]),

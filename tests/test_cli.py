@@ -226,10 +226,24 @@ class TestExitCodes:
         def breaks(*args, **kwargs):
             raise DomainError("power -0.5 is undefined at non-positive eigenvalue 0.0")
 
-        monkeypatch.setattr(cli, "estimate_constants", breaks)
+        monkeypatch.setattr(cli, "build_model", breaks)
         assert cli.main(["constants", "--config", config_path]) == 1
-        err = capsys.readouterr().err
-        assert "error: power -0.5" in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert "error: power -0.5" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_failed_constants_estimate_is_a_record(self, tmp_path, monkeypatch, capsys):
+        def breaks(*args, **kwargs):
+            raise DecompositionError("eigendecomposition did not converge", dim=1)
+
+        monkeypatch.setattr(cli, "estimate_constants", breaks)
+        path = tmp_path / "all.yaml"
+        path.write_text(CONFIG.replace("scheme: [left, symmetric]", "scheme: all"))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [r["kind"] for r in records] == ["meta", "failure"] + ["convergence"] * 3
+        assert records[1]["stage"] == "constants"
+        assert records[1]["error"] == "DecompositionError"
 
 
 class TestVerbose:

@@ -192,6 +192,33 @@ beta: 0.5
         model = gf.build_model(cfg)
         assert model.perturbation.beta == 0.5
 
+    def test_model_declares_the_kinks_beta_without_top_level_beta(self):
+        text = """
+model:
+  family: commuting
+  lambdas: [1.0, 2.0]
+  d0: [0.3, 0.2]
+  b: {kind: kink, t0: 0.4, beta: 0.5}
+"""
+        cfg = gf.parse_config(text)
+        assert cfg.beta == 0.5 and cfg.to_dict()["beta"] == 0.5
+        assert gf.config_from_dict(cfg.to_dict()) == cfg
+        model = gf.build_model(cfg)
+        assert model.perturbation.beta == 0.5
+        assert model.descriptor.endswith("beta=0.5)")
+
+    def test_top_level_beta_above_the_kinks_is_rejected(self):
+        text = """
+model:
+  family: scalar
+  a: 1.0
+  b: {kind: kink, t0: 0.4, beta: 0.5}
+beta: 0.75
+"""
+        with pytest.raises(gf.ConfigError) as excinfo:
+            gf.parse_config(text)
+        assert excinfo.value.messages == ["beta: must be <= the kink's beta 0.5, got 0.75"]
+
 
 def _config_documents() -> list:
     """Every configuration document of the test modules (string constants

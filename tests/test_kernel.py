@@ -100,6 +100,21 @@ def test_contracts_at_generator_rate(name, scheme, window, n, cells):
     assert gf.opnorm(u) <= bound * (1.0 + 1e-12)
 
 
+def test_entries_only_heat_equals_per_matrix_spectra():
+    # A family without heat_factor gets e^{-tau B(t)} from one stacked eigh;
+    # the reference decomposes each matrix on its own.
+    rotating = make_rotating(dim=16, seed=3)
+    model = dataclasses.replace(rotating, perturbation=dataclasses.replace(
+        rotating.perturbation, heat_factor=None))
+    times, tau = np.linspace(0.0, 1.0, 997), 1.0 / 997
+    spectra = [gf.HermitianOperator(b).spectrum()
+               for b in gf.perturbation_entries(model, times)]
+    expected = gf.eigen_entries(np.exp(-tau * np.array([w for w, _ in spectra])),
+                                np.array([q for _, q in spectra]))
+    np.testing.assert_array_equal(propagator._heat_of_perturbation(model, times, tau),
+                                  expected)
+
+
 def _constant_model(dim, seed):
     """Non-commuting model with B constant in time; no batched heat factor."""
     rng = np.random.default_rng(seed)

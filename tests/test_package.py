@@ -1,4 +1,6 @@
 """The package namespace: every public name resolves, submodules load lazily."""
+import importlib
+
 import pytest
 
 import gibbsflow as gf
@@ -37,3 +39,9 @@ def test_library_use_leaves_configuration_and_analysis_unloaded():
             "print(*(m in sys.modules for m in "
             "('yaml', 'gibbsflow.config', 'gibbsflow.analysis', 'gibbsflow.dyson')))")
     assert python_output(code) == ["False", "False", "False", "True"]
+
+
+def test_every_export_is_in_its_submodules_all():
+    for module, names in gf._EXPORTS.items():
+        exported = importlib.import_module(f"gibbsflow.{module}").__all__
+        assert set(names) <= set(exported), module

@@ -15,9 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbsflow as gf
-from gibbsflow import dyson, propagator, quadrature
+from gibbsflow import propagator, quadrature
 
 from conftest import make_rotating, random_symmetric_psd
+
+
+def assert_agrees_with_series(model, ref, tol: float) -> None:
+    """The oracle agrees with the perturbation series summed to
+    eps = max(tol, 1e-8), within the series' tail bound + 10 eps + tol."""
+    eps = max(tol, 1e-8)
+    series = gf.dyson_phillips_sum(model, ref.s, ref.t, eps)
+    assert gf.trace_norm(ref.U - series.U) <= series.tail_bound + 10.0 * eps + tol
 
 
 class TestPartition:
@@ -151,9 +159,10 @@ class TestReferencePropagator:
 
     def test_rotating_cross_validated(self):
         model = make_rotating(dim=3, seed=2)
-        ref = gf.reference_propagator(model, 0.1, 0.45, 1e-9, cross_validate=True)
+        ref = gf.reference_propagator(model, 0.1, 0.45, 1e-9)
         assert gf.opnorm(ref.U) <= 1.0
         assert "reference" in ref.method
+        assert_agrees_with_series(model, ref, 1e-9)
 
     def test_tolerance_validation(self, scalar_linear):
         with pytest.raises(gf.ValidationError):
@@ -192,19 +201,6 @@ class TestReferenceMemo:
         gf.reference_propagator(make_rotating(dim=4, seed=11), 0.0, 0.5, 1e-9)
         assert len(computations) == 4
 
-    def test_cross_validation_runs_on_cache_hit(self, rotating_small, computations,
-                                                monkeypatch):
-        gf.reference_propagator(rotating_small, 0.1, 0.45, 1e-9)
-
-        def far_off(model, s, t, eps):
-            return gf.PropagatorResult(np.zeros((model.dim, model.dim)), s, t,
-                                       method="test", tail_bound=0.0)
-
-        monkeypatch.setattr(dyson, "dyson_phillips_sum", far_off)
-        with pytest.raises(gf.AccuracyError):
-            gf.reference_propagator(rotating_small, 0.1, 0.45, 1e-9, cross_validate=True)
-        assert len(computations) == 1
-
     def test_three_scheme_run_computes_oracle_once(self, rotating_small, computations):
         for scheme in gf.Scheme:
             gf.run_convergence(rotating_small, scheme, 0.0, 1.0, [4, 8, 16],
@@ -241,7 +237,8 @@ class TestReferenceBreakpoints:
 
     def test_rotating_kink_reaches_tolerance(self):
         model = _kinked_rotating()
-        ref = gf.reference_propagator(model, 0.0, 1.0, 1e-10, cross_validate=True)
+        ref = gf.reference_propagator(model, 0.0, 1.0, 1e-10)
+        assert_agrees_with_series(model, ref, 1e-10)
         early = gf.reference_propagator(model, 0.0, 0.37, 2e-11)
         late = gf.reference_propagator(model, 0.37, 1.0, 2e-11)
         assert gf.trace_norm(ref.U - late.U @ early.U) <= 1e-10
