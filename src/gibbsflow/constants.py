@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import fractional_power, opnorm
-from .models import Model, perturbation_entries
+from .models import Model, _profile_values, diagonal_form, perturbation_entries
 from .propagator import _batch_length, _check_window
 
 __all__ = ["ConstantsReport", "estimate_constants", "smoothing_constant",
@@ -82,11 +82,17 @@ def smoothing_constant(eigenvalues: np.ndarray, delta: float, alpha: float) -> f
     return float(x ** alpha * math.exp(-x))
 
 
-def _horizon_batches(model: Model, grid: int):
-    """A^{-alpha}, the grid times on [0, T], and an iterator of (start, B).
+def _horizon_samples(model: Model, grid: int,
+                     keep: bool = True) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Grid times on [0, T], c_alpha, and S(t) = A^{-alpha} B(t) A^{-alpha} per time.
 
-    B holds B(t) at ``times[start:start + len(B)]``, a chunk of at most
-    ``BATCH_BYTES``.  ``grid`` is checked before anything is sampled.
+    For a model with a diagonal form (``diagonal_form``) no B(t) is sampled:
+    c_alpha and the diagonals of the S(t), shape (grid, d), are built in
+    closed form, bit for bit what the general route gives, since a matrix
+    product with a diagonal operand adds exact zeros.  Otherwise B is sampled
+    a chunk of at most ``BATCH_BYTES`` at a time, and the full stack
+    (grid, d, d) is returned only with ``keep`` (None without).  ``grid`` is
+    checked before anything is sampled.
     """
     if not (isinstance(grid, (int, np.integer)) and grid >= 2):
         raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
@@ -94,57 +100,26 @@ def _horizon_batches(model: Model, grid: int):
     a = model.generator.operator
     a_neg = fractional_power(a, -alpha).entries if alpha != 0.0 else np.eye(model.dim)
     times = np.linspace(0.0, model.horizon, grid)
-    chunk = _batch_length(model.dim)
-    batches = ((start, perturbation_entries(model, times[start:start + chunk]))
-               for start in range(0, grid, chunk))
-    return a_neg, times, batches
-
-
-def _is_diagonal(stack: np.ndarray) -> bool:
-    """Whether every off-diagonal entry of a stack (n, d, d) is exactly 0."""
-    n, d = stack.shape[:2]
-    return not np.any(stack.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d])
-
-
-def _chunk_bound(b: np.ndarray, a_neg: np.ndarray) -> float:
-    """Largest ||B(t) A^{-alpha}|| over a chunk of B; for diagonal products,
-    their largest |entry|, bit for bit what the SVD returns."""
-    chunk = b @ a_neg
-    if _is_diagonal(chunk):
-        return float(np.max(np.abs(np.diagonal(chunk, axis1=1, axis2=2))))
-    return max(opnorm(m) for m in chunk)
+    form = diagonal_form(model)
+    if form is not None:
+        profile, mu = form
+        b = _profile_values(profile, times)[:, None] * mu
+        lam_neg = np.diagonal(a_neg)
+        return times, float(np.max(np.abs(b * lam_neg))), lam_neg * b * lam_neg
+    d, chunk = model.dim, _batch_length(model.dim)
+    samples = np.empty((grid, d, d)) if keep else None
+    c_alpha = 0.0
+    for start in range(0, grid, chunk):
+        b = perturbation_entries(model, times[start:start + chunk])
+        c_alpha = max(c_alpha, *(opnorm(m) for m in b @ a_neg))
+        if keep:
+            samples[start:start + len(b)] = a_neg @ b @ a_neg
+    return times, c_alpha, samples
 
 
 def _relative_bound(model: Model, grid: int) -> float:
-    """c_alpha, the grid maximum of ||B(t) A^{-alpha}||, one chunk of B at a time."""
-    a_neg, _, batches = _horizon_batches(model, grid)
-    return max(0.0, *(_chunk_bound(b, a_neg) for _, b in batches))
-
-
-def _horizon_samples(model: Model, grid: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Grid times on [0, T], c_alpha, and S(t) = A^{-alpha} B(t) A^{-alpha} per time.
-
-    While every sampled S(t) is diagonal (scalar and commuting models), only
-    the diagonals are kept, shape (grid, d).  At the first chunk that is not,
-    the samples before it are redone as matrices and the full stack
-    (grid, d, d) is returned.
-    """
-    a_neg, times, batches = _horizon_batches(model, grid)
-    d = model.dim
-    samples = np.empty((grid, d))
-    c_alpha = 0.0
-    for start, b in batches:
-        c_alpha = max(c_alpha, _chunk_bound(b, a_neg))
-        chunk = a_neg @ b @ a_neg
-        if samples.ndim == 2 and not _is_diagonal(chunk):
-            samples = np.empty((grid, d, d))
-            length = _batch_length(d)
-            for early in range(0, start, length):
-                b_early = perturbation_entries(model, times[early:early + length])
-                samples[early:early + length] = a_neg @ b_early @ a_neg
-        stop = start + len(b)
-        samples[start:stop] = chunk if samples.ndim == 3 else np.diagonal(chunk, axis1=1, axis2=2)
-    return times, c_alpha, samples
+    """c_alpha, the grid maximum of ||B(t) A^{-alpha}||, without holding the samples."""
+    return _horizon_samples(model, grid, keep=False)[1]
 
 
 def _row_gaps(times: np.ndarray, i: int, beta: float) -> np.ndarray:
@@ -160,9 +135,9 @@ def _holder_constant(times: np.ndarray, samples: np.ndarray, beta: float) -> flo
 
     Bit for bit the maximum of that quotient over all i < j, without an SVD
     per pair.  ``samples`` holds the S(t) of ``_horizon_samples``: either
-    their diagonals, shape (grid, d), when every S(t) is diagonal, read as
-    the largest entry of |diag_j - diag_i|, which is what the SVD returns
-    for a diagonal matrix; or the full stack (grid, d, d).  For the full
+    their diagonals, shape (grid, d), for a model with a diagonal form, read as
+    the largest entry of |diag_j - diag_i|, which is what ``singular_values``
+    returns for a diagonal matrix; or the full stack (grid, d, d).  For the full
     stack the grid - 1 adjacent norms are computed, and the triangle
     inequality bounds every other pair by (P_j - P_i) / |t_j - t_i|^beta,
     P being their prefix sums; pairs are evaluated in order of decreasing
@@ -214,8 +189,6 @@ def contraction_coefficient(model: Model, s: float, t: float, grid: int = 101) -
     The perturbation series over [s, t] has tail ratio xi when xi < 1;
     computed without the (expensive) Hoelder constant.
     """
-    if not s < t:
-        raise ValidationError(f"coefficient requires s < t, got s={s!r}, t={t!r}")
     _check_window(model, s, t)
     return _coefficient(model, _relative_bound(model, grid), s, t)
 
@@ -226,8 +199,6 @@ def estimate_constants(model: Model, s: float, t: float, grid: int = 101) -> Con
     ``grid`` sets the number of horizon sample times; the Hoelder constant
     maximizes the quotient over all grid pairs (see ``_holder_constant``).
     """
-    if not s < t:
-        raise ValidationError(f"constants require s < t, got s={s!r}, t={t!r}")
     _check_window(model, s, t)
     alpha = model.perturbation.alpha
     beta = model.perturbation.beta

@@ -25,6 +25,8 @@ propagator composition law; truncation tails add across the composition.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .constants import _coefficient, _relative_bound
@@ -77,15 +79,15 @@ class _CollocationGrid:
         # panel [-1, 1], r_ij sits at zeta_ij = -1 + (1+xi_i)(1+xi_j)/2,
         # x_i - r_ij = h (1+xi_i)(1-xi_j)/2 and the weight is h (1+xi_i)/2 w_j
         # for half-width h, so only the heat factor depends on the panel.
-        # partial[m, i, k, a] sums over j.
+        # partial[m, a, i, k] sums over j.
         xi0, w0 = _leggauss(p)
         half = 0.5 * (edges[1:] - edges[:-1])
         rise = 0.5 * (1.0 + xi0)[:, None]                            # (P, 1)
-        rows = _barycentric_rows(xi0, -1.0 + rise * (1.0 + xi0))     # (P, P, P)
         gap = rise * (1.0 - xi0)                                     # (P, P)
         heat = np.exp(-(half[:, None, None] * gap)[..., None] * lam)  # (M, P, P, d)
         heat *= (half[:, None, None] * (rise * w0))[..., None]
-        self.partial = np.swapaxes(rows, 1, 2) @ heat                # (M, P, P, d)
+        partial = np.swapaxes(_reference_rows(p), 1, 2) @ heat       # (M, P, P, d)
+        self.partial = np.ascontiguousarray(np.moveaxis(partial, 3, 1))  # (M, d, P, P)
 
         # S_0 in the eigenbasis: diagonal heat factors from s.
         eye = np.eye(d)
@@ -102,7 +104,7 @@ class _CollocationGrid:
         for m in range(m_panels):
             cum[m + 1] = self.exp_panel[m][:, None] * cum[m] + k[m]
 
-        j = np.einsum("mika,mkab->miab", self.partial, f)
+        j = np.swapaxes(self.partial @ np.swapaxes(f, 1, 2), 1, 2)    # (M, P, d, d)
         new = -(self.exp_tocell[..., None] * cum[:-1, None] + j)
         return new, -cum[m_panels]
 
@@ -131,20 +133,24 @@ def _b_hat(model: Model, q: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out.reshape(times.shape + (d, d))
 
 
-def _barycentric_rows(base: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange rows: out[..., k] = ell_k(zeta) on nodes ``base``."""
-    p = base.size
+@lru_cache(maxsize=32)
+def _reference_rows(p: int) -> np.ndarray:
+    """Barycentric Lagrange rows on the reference panel, shape (P, P, P):
+    out[i, j, k] = ell_k(zeta_ij) on the P Gauss-Legendre nodes xi, where
+    zeta_ij = -1 + (1 + xi_i)(1 + xi_j)/2 is the j-th Gauss node of [-1, xi_i]."""
+    base, _ = _leggauss(p)
+    zeta = -1.0 + 0.5 * (1.0 + base)[:, None] * (1.0 + base)
     bw = np.empty(p)
     for k in range(p):
         bw[k] = 1.0 / np.prod(base[k] - np.delete(base, k))
-    diff = zeta[..., None] - base                                   # (..., P)
+    diff = zeta[..., None] - base                                   # (P, P, P)
     exact = np.isclose(diff, 0.0, atol=1e-15)
-    safe = np.where(exact, 1.0, diff)
-    rows = bw / safe
+    rows = bw / np.where(exact, 1.0, diff)
     rows /= rows.sum(axis=-1, keepdims=True)
     hit = exact.any(axis=-1)
     if np.any(hit):
         rows[hit] = np.where(exact[hit], 1.0, 0.0)
+    rows.setflags(write=False)
     return rows
 
 
@@ -160,11 +166,9 @@ def _refined(model: Model, s: float, t: float, depth: int, quad: QuadratureSpec,
 def dyson_phillips_term(model: Model, s: float, t: float, k: int,
                         quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """The k-th series term S_k(t, s)."""
-    if not s < t:
-        raise ValidationError(f"series term requires s < t, got s={s!r}, t={t!r}")
+    _check_window(model, s, t)
     if not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DEPTH):
         raise ValidationError(f"series order must be an integer in [0, {MAX_DEPTH}], got {k!r}")
-    _check_window(model, s, t)
     if k == 0:
         return model.generator.heat(t - s)
     return _refined(model, s, t, int(k), quad, lambda terms: terms[-1])[0]
@@ -199,8 +203,6 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
     if not (np.isfinite(eps_tail) and eps_tail > 0):
         raise ValidationError(f"eps_tail must be positive, got {eps_tail}")
     _check_window(model, s, t)
-    if not s < t:
-        raise ValidationError(f"series requires s < t, got s={s!r}, t={t!r}")
     if quad is None:
         quad = QuadratureSpec(tol=max(min(eps_tail / 10.0, 1e-8), 1e-13))
     if _c_alpha is None:

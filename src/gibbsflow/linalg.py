@@ -7,7 +7,7 @@ Matrices are real symmetric; the decomposition is cached on the operator.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,20 +56,21 @@ def _first_bad(bad: np.ndarray) -> tuple[tuple, str]:
     return k, f" (matrix {', '.join(str(int(i)) for i in k)} of the stack)"
 
 
-def symmetrized(m: np.ndarray) -> np.ndarray:
+def symmetrized(m: np.ndarray, where: Optional[Callable[[tuple], str]] = None) -> np.ndarray:
     """``0.5 (M + M^T)`` for a matrix or a stack (..., d, d) of them.
 
     Asymmetry beyond ``SYMMETRY_TOL * (1 + max|M|)`` in any matrix is
-    rejected.
+    rejected; ``where(k)`` names the first such matrix of a stack, at index
+    k, in the message (default: its position in the stack).
     """
     mt = np.swapaxes(m, -1, -2)
     scale = 1.0 + np.max(np.abs(m), axis=(-2, -1))
     asym = np.max(np.abs(m - mt), axis=(-2, -1))
     bad = asym > SYMMETRY_TOL * scale
     if np.any(bad):
-        k, where = _first_bad(bad)
+        k, place = _first_bad(bad)
         raise ValidationError(
-            f"matrix is not symmetric{where}: max|M - M^T| = "
+            f"matrix is not symmetric{where(k) if where else place}: max|M - M^T| = "
             f"{float(asym[k]):.3e} exceeds {SYMMETRY_TOL:g} * scale"
         )
     return 0.5 * (m + mt)
@@ -192,8 +193,16 @@ def fractional_power(h: HermitianOperator, p: float) -> HermitianOperator:
 
 def singular_values(m) -> np.ndarray:
     """Singular values in descending order, of a matrix or along the last
-    axis for every matrix of a stack (..., d, d)."""
+    axis for every matrix of a stack (..., d, d).
+
+    When every off-diagonal entry is exactly 0 they are the sorted |diagonal|,
+    exactly, and no decomposition runs.  LAPACK returns the same bits except
+    on some 2 x 2 matrices, where its closed formula may be an ulp off.
+    """
     a = _as_square_matrix(m, stacked=True)
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        return np.flip(np.sort(np.abs(diag), axis=-1), axis=-1)
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, TimeRangeError, ValidationError
-from .linalg import SYMMETRY_TOL, HermitianOperator, heat
+from .linalg import HermitianOperator, heat, symmetrized
 
 __all__ = [
     "TimeProfile",
@@ -37,6 +37,7 @@ __all__ = [
     "rotating_model",
     "evaluate_perturbation",
     "perturbation_entries",
+    "diagonal_form",
     "eigen_entries",
 ]
 
@@ -124,6 +125,13 @@ class Generator:
     def eigenvalues(self) -> np.ndarray:
         return self.operator.spectrum()[0]
 
+    @property
+    def diagonal(self) -> Optional[np.ndarray]:
+        """The diagonal of A when every off-diagonal entry is exactly 0, else None."""
+        a = self.operator.entries
+        lam = np.diagonal(a)
+        return lam if np.array_equal(a, np.diag(lam)) else None
+
     def heat(self, t: float) -> np.ndarray:
         """Entries of e^{-tA}."""
         return heat(self.operator, t)
@@ -204,8 +212,7 @@ def perturbation_entries(model: Model, times) -> np.ndarray:
     """Symmetrized entries of B(t) for a 1-D array of n times, shape (n, d, d).
 
     Every matrix of the family's ``entries`` gets the checks of
-    ``HermitianOperator``: finite entries and asymmetry within
-    ``SYMMETRY_TOL * (1 + max|B(t)|)``, then ``0.5 (B + B^T)``.
+    ``HermitianOperator``: finite entries, then ``symmetrized``.
     """
     times = np.asarray(times, dtype=float)
     shape = (times.size, model.dim, model.dim)
@@ -221,17 +228,18 @@ def perturbation_entries(model: Model, times) -> np.ndarray:
         raise ValidationError(f"perturbation entries have shape {b.shape}, expected {shape}")
     if not np.all(np.isfinite(b)):
         raise ValidationError("perturbation entries must be finite")
-    bt = np.swapaxes(b, -1, -2)
-    scale = 1.0 + np.max(np.abs(b), axis=(1, 2), initial=0.0)
-    asym = np.max(np.abs(b - bt), axis=(1, 2), initial=0.0)
-    bad = asym > SYMMETRY_TOL * scale
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ValidationError(
-            f"perturbation is not symmetric at t={float(times[k])!r}: max|B - B^T| = "
-            f"{float(asym[k]):.3e} exceeds {SYMMETRY_TOL:g} * scale"
-        )
-    return 0.5 * (b + bt)
+    return symmetrized(b, where=lambda k: f" at t={float(times[k])!r}")
+
+
+def diagonal_form(model: Model) -> Optional[tuple[TimeProfile, np.ndarray]]:
+    """``(profile, mu)`` when A is diagonal and the family declares
+    B(t) = profile(t) diag(mu) (``scaled_diagonal``), else None: the one test
+    of diagonal structure.  A family whose B(t) is diagonal without the
+    declaration gets None, and its callers take their general route."""
+    declared = model.perturbation.scaled_diagonal
+    if declared is None or model.generator.diagonal is None:
+        return None
+    return declared
 
 
 def _profile_values(profile: TimeProfile, ts: np.ndarray) -> np.ndarray:

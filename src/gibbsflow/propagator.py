@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AccuracyError, DecompositionError, TimeRangeError, ValidationError
 from .linalg import checked_eigh, heat, opnorm, trace_norm
-from .models import Model, _profile_values, eigen_entries, perturbation_entries
+from .models import Model, _profile_values, diagonal_form, eigen_entries, perturbation_entries
 from .quadrature import (QuadratureSpec, _refine_by_doubling, integrate_matrix, mesh_grading,
                          panel_edges)
 
@@ -139,8 +139,16 @@ class PropagatorResult:
         object.__setattr__(self, "U", u)
 
 
-def _check_window(model: Model, s: float, t: float) -> None:
-    """Reject windows reaching outside the model horizon [0, T]."""
+def _check_window(model: Model, s: float, t: Optional[float] = None) -> None:
+    """Reject a window [s, t] unless its ends are finite with s < t, and
+    reject one reaching outside the model horizon [0, T].  Without ``t``
+    the single time s is checked."""
+    single = t is None
+    t = s if single else t
+    if not (np.isfinite(s) and np.isfinite(t)):
+        raise ValidationError(f"window ends must be finite, got s={s!r}, t={t!r}")
+    if not (single or s < t):
+        raise ValidationError(f"window requires s < t, got s={s!r}, t={t!r}")
     if not (0.0 <= s and t <= model.horizon):
         raise TimeRangeError(
             f"window [{s!r}, {t!r}] outside the model horizon [0, {model.horizon!r}]"
@@ -162,7 +170,7 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
     """Single-cell factor W_k for the sample time t_k and cell width tau."""
     if tau <= 0:
         raise ValidationError(f"cell width must be positive, got {tau}")
-    _check_window(model, t_k, t_k)
+    _check_window(model, t_k)
     a = model.generator.operator
     eb = _heat_of_perturbation(model, np.array([float(t_k)]), tau)[0]
     if scheme is Scheme.LEFT:
@@ -226,9 +234,9 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
                      scheme: Scheme) -> np.ndarray:
     """Product of cell factors, later times applied on the left.
 
-    When A is diagonal and the family declares B(t) = b(t) diag(mu)
-    (``scaled_diagonal``), every factor of every scheme is diagonal, so the
-    factors commute and the product is the closed form
+    When the model has a diagonal form (``diagonal_form``: A is diagonal and
+    the family declares B(t) = b(t) diag(mu)), every factor of every scheme
+    is diagonal, so the factors commute and the product is the closed form
     diag(exp(-tau (n lambda + (sum_k b(t_k)) mu))): one pairwise sum of n
     samples and one exponential per entry, rounded once instead of n times.
 
@@ -241,17 +249,16 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
     if scheme not in (Scheme.LEFT, Scheme.RIGHT, Scheme.SYMMETRIC):
         raise ValidationError(f"unknown scheme {scheme!r}")
     a = model.generator.operator
-    lam = np.diagonal(a.entries)
-    diagonal = np.array_equal(a.entries, np.diag(lam))
+    lam = model.generator.diagonal
     n = len(sample_times)
-    declared = model.perturbation.scaled_diagonal
-    if diagonal and declared is not None:
-        profile, mu = declared
+    form = diagonal_form(model)
+    if form is not None:
+        profile, mu = form
         b_sum = np.sum(_profile_values(profile, sample_times))
         return np.diag(np.exp(-tau * (n * lam + b_sum * mu)))
 
     def semigroup(t: float) -> np.ndarray:
-        return np.exp(-t * lam) if diagonal else heat(a, t)
+        return np.exp(-t * lam) if lam is not None else heat(a, t)
 
     ea = semigroup(tau)
     half = semigroup(0.5 * tau) if scheme is Scheme.SYMMETRIC else None
@@ -375,8 +382,6 @@ def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],
     e^{-(t-r)A} B(r) U(s, r) dr; the residual measures how far ``u_fn``
     is from satisfying it.  ``u_fn(s, r)`` maps data at time s to time r.
     """
-    if not s < t:
-        raise ValidationError(f"residual requires s < t, got s={s!r}, t={t!r}")
     _check_window(model, s, t)
     a = model.generator.operator
     lam, q = a.spectrum()

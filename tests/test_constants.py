@@ -6,6 +6,7 @@ Frozen oracles:
 - smoothing factor for alpha > 0 equals max over x of x^alpha e^{-x}
   = (alpha/e)^alpha when delta * lambda_max >= alpha
 """
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -17,6 +18,7 @@ import gibbsflow as gf
 from gibbsflow import constants, propagator
 from gibbsflow.constants import smoothing_constant
 from gibbsflow.linalg import opnorm
+from gibbsflow.models import diagonal_form
 
 from conftest import make_rotating, random_symmetric_psd
 
@@ -231,9 +233,10 @@ class TestHolderConstant:
 
     @pytest.mark.parametrize("cut", [0.0, 0.5, 0.97])
     def test_samples_turning_dense_are_redone_as_the_full_stack(self, cut):
-        # B(t) is diagonal before ``cut`` and dense after it; with d = 16 a
-        # chunk holds 32 times, so at grid 101 the first dense chunk starts
-        # at 0, 32 or 96
+        # B(t) is diagonal before ``cut`` and dense after it, and the family
+        # declares no diagonal form, so every chunk is sampled as full
+        # matrices; with d = 16 a chunk holds 32 times, so at grid 101 the
+        # first dense chunk starts at 0, 32 or 96
         d, grid = 16, 101
         base = np.diag(np.linspace(0.1, 1.0, d))
         coupling = np.zeros((d, d))
@@ -268,22 +271,6 @@ class TestHolderConstant:
 
 
 class TestRelativeBound:
-    def test_diagonal_chunks_equal_the_svd_loop(self):
-        # LAPACK's singular values of a diagonal matrix are its sorted
-        # |entries|, so the largest one is read off bit for bit; zeros, ties
-        # and signs included
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            d, n = int(rng.integers(1, 129)), int(rng.integers(1, 9))
-            values = rng.choice([0.0, 0.5, 1.0, 2.0 ** -30], size=(n, d))
-            drawn = rng.random((n, d)) < 0.5
-            values[drawn] = rng.standard_normal(int(drawn.sum())) * 10.0 ** rng.integers(-8, 8)
-            b = np.apply_along_axis(np.diag, 1, values)
-            a_neg = np.diag(rng.random(d) + 0.5) if rng.random() < 0.5 else np.eye(d)
-            with mock.patch.object(constants, "opnorm", side_effect=AssertionError):
-                fast = constants._chunk_bound(b, a_neg)
-            assert fast == max(opnorm(m) for m in b @ a_neg)
-
     @pytest.mark.parametrize("alpha", [0.0, 0.4])
     def test_commuting_constants_need_no_svd(self, alpha):
         d = 64
@@ -295,6 +282,39 @@ class TestRelativeBound:
         with mock.patch.object(constants, "opnorm", side_effect=AssertionError):
             rep = gf.estimate_constants(model, 0.0, 1.0, grid=101)
         assert rep.c_alpha == expected
+
+
+def _undeclared(model):
+    """``model`` whose family drops its ``scaled_diagonal`` declaration."""
+    return dataclasses.replace(model, perturbation=dataclasses.replace(
+        model.perturbation, scaled_diagonal=None))
+
+
+# Commuting models, by alpha: sorted and unsorted eigenvalues, zero couplings.
+DIAGONAL_MODELS = {
+    "commuting-kink-64": lambda alpha: gf.commuting_model(
+        np.linspace(1.0, 8.0, 64), np.linspace(0.1, 1.0, 64),
+        gf.kink_profile(0.37, 0.5, offset=0.5), alpha=alpha),
+    "commuting-linear-unsorted": lambda alpha: gf.commuting_model(
+        [3.0, 1.0, 2.5, 1.2, 7.0], [0.0, 0.7, 0.2, 1.3, 0.4],
+        gf.linear_profile(2.0, 0.1), alpha=alpha),
+    "scalar-kink": lambda alpha: gf.scalar_model(1.5, gf.kink_profile(0.4, 0.5), alpha=alpha),
+}
+
+
+class TestDiagonalForm:
+    @pytest.mark.parametrize("grid", [2, 3, 101])
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_MODELS))
+    def test_closed_form_equals_general_route(self, name, alpha, grid):
+        model = DIAGONAL_MODELS[name](alpha)
+        general = _undeclared(model)
+        assert diagonal_form(model) is not None and diagonal_form(general) is None
+        with mock.patch.object(constants, "perturbation_entries", side_effect=AssertionError):
+            closed = (gf.estimate_constants(model, 0.1, 0.7, grid=grid),
+                      gf.contraction_coefficient(model, 0.1, 0.7, grid=grid))
+        assert closed == (gf.estimate_constants(general, 0.1, 0.7, grid=grid),
+                          gf.contraction_coefficient(general, 0.1, 0.7, grid=grid))
 
 
 class TestContractionCoefficient:

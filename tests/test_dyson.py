@@ -144,8 +144,10 @@ class TestCollocationGrid:
         xi = np.polynomial.legendre.leggauss(16)[0]
         gap = (0.5 * np.diff(grid.edges)[:, None] * (1.0 + xi))[..., None]
         expected = -np.expm1(-gap * grid.lam) / grid.lam
-        assert grid.partial.shape == grid.nodes.shape + (16, 6)
-        assert np.max(np.abs(grid.partial.sum(axis=2) / expected - 1.0)) <= 1e-13
+        # partial[m, a, i, k]: panel, eigenvalue, node, Lagrange row
+        assert grid.partial.shape == (16, 6, 16, 16)
+        summed = np.swapaxes(grid.partial.sum(axis=3), 1, 2)
+        assert np.max(np.abs(summed / expected - 1.0)) <= 1e-13
 
     def test_memory_stays_below_one_node_pair_matrix_array(self):
         # An (M, P, P, d, d) float array is 32 MiB here; the grid and two

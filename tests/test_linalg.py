@@ -3,6 +3,8 @@
 Independent oracles: scipy.linalg for eigendecompositions, matrix
 exponentials, and singular values; hand-computed 2x2 spectra.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -131,6 +133,27 @@ class TestSchattenNorms:
         assert values.shape == (3, 5, 6)
         for index in np.ndindex(3, 5):
             assert np.array_equal(values[index], gf.singular_values(stack[index]))
+
+    def test_diagonal_matrices_match_lapack_without_it(self, monkeypatch):
+        # LAPACK's singular values of a diagonal matrix are its sorted
+        # |entries|, so they are read off with no decomposition; zeros, ties
+        # and signs included, for stacks and their matrices one at a time
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(300):
+            d, n = int(rng.integers(1, 129)), int(rng.integers(1, 9))
+            values = rng.choice([0.0, 0.5, 1.0, 2.0 ** -30], size=(n, d))
+            drawn = rng.random((n, d)) < 0.5
+            values[drawn] = rng.standard_normal(int(drawn.sum())) * 10.0 ** rng.integers(-8, 8)
+            b = np.apply_along_axis(np.diag, 1, values)
+            a_neg = np.diag(rng.random(d) + 0.5) if rng.random() < 0.5 else np.eye(d)
+            stack = b @ a_neg
+            cases.append((stack, np.linalg.svd(stack, compute_uv=False)))
+        monkeypatch.setattr(np.linalg, "svd", mock.Mock(side_effect=AssertionError))
+        for stack, lapack in cases:
+            assert np.array_equal(gf.singular_values(stack), lapack)
+            assert gf.opnorm(stack[-1]) == lapack[-1, 0]
+            assert gf.trace_norm(stack[0]) == float(np.sum(lapack[0]))
 
     def test_schatten_norm_rejects_a_stack(self, rng):
         with pytest.raises(gf.ValidationError):

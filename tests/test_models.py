@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbsflow as gf
+from gibbsflow.models import diagonal_form
 
 from conftest import make_rotating, random_symmetric_psd
 
@@ -85,6 +86,22 @@ class TestGenerator:
     def test_eigenvalues_sorted(self):
         g = gf.Generator(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(g.eigenvalues, [1.0, 2.0, 3.0])
+
+
+class TestDiagonalForm:
+    def test_declared_families_on_a_diagonal_generator(self, commuting_small, rotating_small):
+        scalar = gf.scalar_model(1.5, gf.kink_profile(0.4, 0.5))
+        for model in (scalar, commuting_small):
+            assert diagonal_form(model) is model.perturbation.scaled_diagonal
+        assert np.array_equal(commuting_small.generator.diagonal, [1.0, 2.0, 3.0])
+        # diagonal A, but B(t) rotates: no declaration
+        assert rotating_small.generator.diagonal is not None
+        assert diagonal_form(rotating_small) is None
+
+    def test_dense_generator_has_no_diagonal_form(self, commuting_small):
+        dense = gf.Generator(np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]]))
+        model = dataclasses.replace(commuting_small, generator=dense)
+        assert dense.diagonal is None and diagonal_form(model) is None
 
 
 class TestScalarModel:

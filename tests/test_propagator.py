@@ -352,6 +352,34 @@ class TestHorizon:
     def test_whole_horizon_accepted(self, scalar_linear):
         gf.product_approximant(gf.Scheme.RIGHT, scalar_linear, 0.0, 1.0, 4)
 
+    WINDOWED = {
+        "product_approximant":
+            lambda m, s, t: gf.product_approximant(gf.Scheme.LEFT, m, s, t, 4),
+        "reference_propagator": lambda m, s, t: gf.reference_propagator(m, s, t, 1e-8),
+        "integral_equation_residual":
+            lambda m, s, t: gf.integral_equation_residual(m.exact, m, s, t),
+        "dyson_phillips_term": lambda m, s, t: gf.dyson_phillips_term(m, s, t, 1),
+        "dyson_phillips_sum": lambda m, s, t: gf.dyson_phillips_sum(m, s, t, 1e-8),
+        "contraction_coefficient": lambda m, s, t: gf.contraction_coefficient(m, s, t),
+        "estimate_constants": lambda m, s, t: gf.estimate_constants(m, s, t),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WINDOWED))
+    @pytest.mark.parametrize("s, t", [(0.6, 0.4), (0.5, 0.5), (math.nan, 0.5),
+                                      (0.0, math.inf), (-math.inf, 0.5)])
+    def test_window_must_be_finite_and_ordered(self, scalar_linear, name, s, t):
+        # one check, before any work: not the quadrature's "a < b", and not a
+        # horizon error for an infinite end
+        with pytest.raises(gf.ValidationError, match="s < t|finite") as info:
+            self.WINDOWED[name](scalar_linear, s, t)
+        assert not isinstance(info.value, gf.TimeRangeError)
+
+    def test_step_factor_checks_one_time(self, scalar_linear):
+        for t_k in (0.0, 1.0):
+            gf.step_factor(gf.Scheme.LEFT, scalar_linear, t_k, 0.1)
+        with pytest.raises(gf.ValidationError, match="finite"):
+            gf.step_factor(gf.Scheme.LEFT, scalar_linear, math.nan, 0.1)
+
 
 class TestIntegralEquationResidual:
     def test_exact_scalar_satisfies_equation(self, scalar_linear):
