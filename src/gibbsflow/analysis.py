@@ -30,7 +30,7 @@ import numpy as np
 from .constants import ConstantsReport, estimate_constants
 from .errors import NoKnownRateError, ValidationError
 from .linalg import opnorm, singular_values, trace_norm
-from .models import Generator, Model
+from .models import Generator, Model, check_exponents
 from .propagator import (
     Scheme,
     _check_window,
@@ -114,16 +114,9 @@ class RateRegime:
         return float(n) ** -(self.beta - self.alpha)
 
 
-def _validate_alpha_beta(alpha: float, beta: float) -> None:
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1), got {alpha}")
-    if not 0.0 < beta <= 1.0:
-        raise ValidationError(f"beta must lie in (0, 1], got {beta}")
-
-
 def applicable_regimes(alpha: float, beta: float) -> tuple[RateRegime, ...]:
     """Every known rate regime for (alpha, beta), headline first."""
-    _validate_alpha_beta(alpha, beta)
+    check_exponents(alpha, beta)
     regimes = []
     if beta == 1.0:
         regimes.append(RateRegime(RegimeKind.LIPSCHITZ_LOG, alpha, beta))

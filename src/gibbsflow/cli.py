@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
 import os
 import sys
 import time
@@ -63,12 +62,16 @@ from .reports import (
 
 __all__ = ["main"]
 
-log = logging.getLogger("gibbsflow")
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ACCURACY = 2
 EXIT_IO = 3
+
+
+def _info(verbose: bool, message: str) -> None:
+    """A ``--verbose`` progress line on stderr."""
+    if verbose:
+        print(f"INFO gibbsflow: {message}", file=sys.stderr)
 
 
 def _exit_code(exc: GibbsflowError) -> int:
@@ -135,13 +138,13 @@ def _check_output_path(path: str) -> None:
         raise PermissionError(f"output directory {directory!r} is missing or not writable")
 
 
-def _emit(envelope: ReportEnvelope, path: str, fmt: str) -> None:
+def _emit(envelope: ReportEnvelope, path: str, fmt: str, verbose: bool) -> None:
     if path == "-":
         envelope.write(sys.stdout, fmt)
         return
     with open(path, "w", encoding="utf-8", newline="") as handle:
         envelope.write(handle, fmt)
-    log.info("wrote %d records to %s (%s)", len(envelope.records), path, fmt)
+    _info(verbose, f"wrote {len(envelope.records)} records to {path} ({fmt})")
 
 
 # A command is a list of (stage, job) pairs; each job returns one record.
@@ -185,11 +188,12 @@ def _verify_jobs(config: ExperimentConfig, model: Model) -> Jobs:
     return jobs
 
 
-def _run_jobs(config: ExperimentConfig, jobs: Jobs) -> tuple[ReportEnvelope, int]:
+def _run_jobs(config: ExperimentConfig, jobs: Jobs,
+              verbose: bool) -> tuple[ReportEnvelope, int]:
     """The ``meta`` record, then one record per ``(stage, job)`` in order.
 
-    Each job is timed and logged under its stage; a failing job degrades to
-    a failure record and the remaining jobs still run.
+    A failing job degrades to a failure record, logged on stderr, and the
+    remaining jobs still run; with ``verbose`` each job's time is logged too.
     """
     envelope = ReportEnvelope()
     envelope.add(meta_record(config.to_dict(), config.seed))
@@ -201,9 +205,10 @@ def _run_jobs(config: ExperimentConfig, jobs: Jobs) -> tuple[ReportEnvelope, int
         except GibbsflowError as exc:
             record = failure_record(stage, exc)
             exit_code = max(exit_code, _exit_code(exc))
-            log.error("stage %s failed: %s", stage, "; ".join(record["messages"]))
+            print(f"ERROR gibbsflow: stage {stage} failed: {'; '.join(record['messages'])}",
+                  file=sys.stderr)
         else:
-            log.info("%s finished in %.3fs", stage, time.perf_counter() - start)
+            _info(verbose, f"{stage} finished in {time.perf_counter() - start:.3f}s")
         envelope.add(record)
     return envelope, exit_code
 
@@ -222,12 +227,6 @@ def _cmd_report(args: argparse.Namespace) -> tuple[ReportEnvelope, int]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
     try:
         if args.command == "report":
             envelope, exit_code = _cmd_report(args)
@@ -241,10 +240,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             jobs = {"run": _convergence_jobs, "verify": _verify_jobs,
                     "constants": _constants_jobs}[args.command]
             start = time.perf_counter()
-            envelope, exit_code = _run_jobs(config, jobs(config, build_model(config)))
-            log.info("%s completed in %.3fs", args.command,
-                     time.perf_counter() - start)
-        _emit(envelope, path, fmt)
+            envelope, exit_code = _run_jobs(config, jobs(config, build_model(config)),
+                                            args.verbose)
+            _info(args.verbose,
+                  f"{args.command} completed in {time.perf_counter() - start:.3f}s")
+        _emit(envelope, path, fmt, args.verbose)
         return exit_code
     except ConfigError as exc:
         for message in exc.messages:

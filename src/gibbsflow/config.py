@@ -4,10 +4,14 @@
 finds (with dotted key paths), not just the first.  A parsed configuration
 normalizes to a plain dictionary that re-parses to an equal configuration,
 which is how report envelopes echo their provenance.
+
+An absent key takes the field default of ``ExperimentConfig`` or ``VerifySpec``,
+or, in a model or profile, the keyword default of its constructor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -16,6 +20,7 @@ import yaml
 from .errors import ConfigError
 from .models import (
     Model,
+    TimeProfile,
     commuting_model,
     constant_profile,
     kink_profile,
@@ -28,10 +33,20 @@ __all__ = ["ExperimentConfig", "VerifySpec", "parse_config", "config_from_dict",
 
 SCHEME_NAMES = ("left", "right", "symmetric")
 OUTPUT_FORMATS = ("csv", "jsonl", "plot")
-PROFILE_KINDS = ("constant", "linear", "kink")
 MODEL_FAMILIES = ("scalar", "commuting", "rotating")
 
-DEFAULT_N_LIST = (8, 16, 32, 64, 128)
+# ``model.b`` of a scalar or commuting model when absent: no coupling.
+DEFAULT_COUPLING = 0.0
+
+# Each profile kind's constructor and its keys, in the order of the
+# constructor's arguments, with their bounds.  A canonical profile dict holds
+# the kind and then every one of these keys.
+PROFILES = {
+    "constant": (constant_profile, {"value": {"lo": 0.0}}),
+    "linear": (linear_profile, {"slope": {}, "offset": {"lo": 0.0}}),
+    "kink": (kink_profile, {"t0": {}, "beta": {"lo": 0.0, "lo_open": True, "hi": 1.0},
+                            "scale": {"lo": 0.0}, "offset": {"lo": 0.0}}),
+}
 
 
 @dataclass(frozen=True)
@@ -57,7 +72,7 @@ class ExperimentConfig:
     s: float = 0.0
     t: float = 1.0
     schemes: tuple[str, ...] = SCHEME_NAMES
-    n_list: tuple[int, ...] = DEFAULT_N_LIST
+    n_list: tuple[int, ...] = (8, 16, 32, 64, 128)
     tol_ref: float = 1e-10
     slack: float = 0.1
     grid: int = 101
@@ -82,14 +97,19 @@ class ExperimentConfig:
             "grid": self.grid,
             "seed": self.seed,
             "output": {"path": self.output_path, "format": self.output_format},
-            "verify": {
-                "lemma_instances": self.verify.lemma_instances,
-                "dim_max": self.verify.dim_max,
-                "lifting_ns": list(self.verify.lifting_ns),
-                "cocycle_triples": self.verify.cocycle_triples,
-                "contraction_ns": list(self.verify.contraction_ns),
-            },
+            "verify": {key: list(value) if isinstance(value, tuple) else value
+                       for key, value in asdict(self.verify).items()},
         }
+
+
+# The field defaults, read where a key is absent.
+DEFAULTS = ExperimentConfig(model_family="", model_params={})
+
+
+def _keyword_defaults(constructor) -> dict:
+    """The keyword defaults of a model or profile constructor."""
+    return {name: p.default for name, p in inspect.signature(constructor).parameters.items()
+            if p.default is not p.empty}
 
 
 class _Collector:
@@ -100,43 +120,34 @@ class _Collector:
         self.errors.append(f"{path}: {message}")
 
     def require_number(self, data: dict, path: str, key: str, default=None,
-                       lo=None, hi=None, lo_open=False, hi_open=False):
+                       lo=None, hi=None, lo_open=False, hi_open=False, integer=False):
+        """``data[key]`` (``default`` when absent) as a finite float, or an int
+        when ``integer``, within the bounds; None once a failure is recorded."""
         value = data.get(key, default)
+        where = f"{path}{key}"
         if value is None:
-            self.error(f"{path}{key}", "is required")
+            self.error(where, "is required")
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.error(f"{path}{key}", f"must be a number, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            self.error(where, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
             return None
-        value = float(value)
-        if not np.isfinite(value):
-            self.error(f"{path}{key}", f"must be finite, got {value!r}")
-            return None
+        show = str if integer else "{:g}".format
+        if not integer:
+            value = float(value)
+            if not np.isfinite(value):
+                self.error(where, f"must be finite, got {value!r}")
+                return None
         if lo is not None and (value <= lo if lo_open else value < lo):
-            self.error(f"{path}{key}",
-                       f"must be {'>' if lo_open else '>='} {lo:g}, got {value:g}")
+            self.error(where, f"must be {'>' if lo_open else '>='} {show(lo)}, got {show(value)}")
             return None
         if hi is not None and (value >= hi if hi_open else value > hi):
-            self.error(f"{path}{key}",
-                       f"must be {'<' if hi_open else '<='} {hi:g}, got {value:g}")
+            self.error(where, f"must be {'<' if hi_open else '<='} {show(hi)}, got {show(value)}")
             return None
         return value
 
-    def require_int(self, data: dict, path: str, key: str, default=None, lo=None, hi=None):
-        value = data.get(key, default)
-        if value is None:
-            self.error(f"{path}{key}", "is required")
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.error(f"{path}{key}", f"must be an integer, got {value!r}")
-            return None
-        if lo is not None and value < lo:
-            self.error(f"{path}{key}", f"must be >= {lo}, got {value}")
-            return None
-        if hi is not None and value > hi:
-            self.error(f"{path}{key}", f"must be <= {hi}, got {value}")
-            return None
-        return int(value)
+    def field_number(self, data: dict, path: str, key: str, defaults, **bounds):
+        """``require_number`` defaulting to the field ``key`` of ``defaults``."""
+        return self.require_number(data, path, key, getattr(defaults, key), **bounds)
 
     def check_known_keys(self, data: dict, path: str, known: tuple[str, ...]) -> None:
         for key in data:
@@ -150,7 +161,7 @@ def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
         col.check_known_keys(raw, f"{path}.", ("start", "stop", "count"))
         start = col.require_number(raw, f"{path}.", "start")
         stop = col.require_number(raw, f"{path}.", "stop")
-        n = col.require_int(raw, f"{path}.", "count", default=count, lo=1)
+        n = col.require_number(raw, f"{path}.", "count", default=count, lo=1, integer=True)
         if None in (start, stop, n):
             return None
         return [float(x) for x in np.linspace(start, stop, n)]
@@ -162,48 +173,40 @@ def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
 
 
 def _parse_profile(raw, col: _Collector, path: str, default_beta: float):
+    """The canonical dict of a profile, defaults filled in; a kink's beta
+    defaults to the model's."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         raw = {"kind": "constant", "value": float(raw)}
     if not isinstance(raw, dict):
         col.error(path, f"must be a number or a mapping with 'kind', got {raw!r}")
-        return None, None
+        return None
     kind = raw.get("kind")
-    if kind not in PROFILE_KINDS:
-        col.error(f"{path}.kind", f"must be one of {', '.join(PROFILE_KINDS)}, got {kind!r}")
-        return None, None
-    if kind == "constant":
-        col.check_known_keys(raw, f"{path}.", ("kind", "value"))
-        value = col.require_number(raw, f"{path}.", "value", lo=0.0)
-        if value is None:
-            return None, None
-        return constant_profile(value), {"kind": "constant", "value": value}
-    if kind == "linear":
-        col.check_known_keys(raw, f"{path}.", ("kind", "slope", "offset"))
-        slope = col.require_number(raw, f"{path}.", "slope")
-        offset = col.require_number(raw, f"{path}.", "offset", default=0.0, lo=0.0)
-        if None in (slope, offset):
-            return None, None
-        return linear_profile(slope, offset), {"kind": "linear", "slope": slope, "offset": offset}
-    col.check_known_keys(raw, f"{path}.", ("kind", "t0", "beta", "scale", "offset"))
-    t0 = col.require_number(raw, f"{path}.", "t0")
-    beta = col.require_number(raw, f"{path}.", "beta", default=default_beta,
-                              lo=0.0, lo_open=True, hi=1.0)
-    scale = col.require_number(raw, f"{path}.", "scale", default=1.0, lo=0.0)
-    offset = col.require_number(raw, f"{path}.", "offset", default=0.0, lo=0.0)
-    if None in (t0, beta, scale, offset):
-        return None, None
-    return (kink_profile(t0, beta, scale, offset),
-            {"kind": "kink", "t0": t0, "beta": beta, "scale": scale, "offset": offset})
+    if not isinstance(kind, str) or kind not in PROFILES:
+        col.error(f"{path}.kind", f"must be one of {', '.join(PROFILES)}, got {kind!r}")
+        return None
+    constructor, keys = PROFILES[kind]
+    col.check_known_keys(raw, f"{path}.", ("kind", *keys))
+    defaults = {"beta": default_beta, **_keyword_defaults(constructor)}
+    spec = {"kind": kind}
+    for key, bounds in keys.items():
+        spec[key] = col.require_number(raw, f"{path}.", key, default=defaults.get(key), **bounds)
+    return None if None in spec.values() else spec
+
+
+def _time_profile(spec: dict) -> TimeProfile:
+    """The profile of a canonical profile dict."""
+    kind, *args = spec.values()
+    return PROFILES[kind][0](*args)
 
 
 def _parse_n_list(raw, col: _Collector):
     if raw is None:
-        return DEFAULT_N_LIST
+        return DEFAULTS.n_list
     if isinstance(raw, dict):
         col.check_known_keys(raw, "n_list.", ("start", "stop", "factor"))
-        start = col.require_int(raw, "n_list.", "start", lo=1)
-        stop = col.require_int(raw, "n_list.", "stop", lo=1)
-        factor = col.require_int(raw, "n_list.", "factor", default=2, lo=2)
+        start = col.require_number(raw, "n_list.", "start", lo=1, integer=True)
+        stop = col.require_number(raw, "n_list.", "stop", lo=1, integer=True)
+        factor = col.require_number(raw, "n_list.", "factor", default=2, lo=2, integer=True)
         if None in (start, stop, factor) or stop < start:
             if stop is not None and start is not None and stop < start:
                 col.error("n_list.stop", f"must be >= start, got {stop} < {start}")
@@ -235,18 +238,18 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         raise ConfigError([f"configuration must be a mapping, got {type(data).__name__}"])
     col.check_known_keys(data, "", TOP_KEYS)
 
-    alpha = col.require_number(data, "", "alpha", default=0.0, lo=0.0, hi=1.0, hi_open=True)
+    alpha = col.field_number(data, "", "alpha", DEFAULTS, lo=0.0, hi=1.0, hi_open=True)
     beta = (col.require_number(data, "", "beta", lo=0.0, lo_open=True, hi=1.0)
             if "beta" in data else None)
-    horizon = col.require_number(data, "", "horizon", default=1.0, lo=0.0, lo_open=True)
-    s = col.require_number(data, "", "s", default=0.0, lo=0.0)
-    t = col.require_number(data, "", "t", default=1.0, lo=0.0, lo_open=True)
+    horizon = col.field_number(data, "", "horizon", DEFAULTS, lo=0.0, lo_open=True)
+    s = col.field_number(data, "", "s", DEFAULTS, lo=0.0)
+    t = col.field_number(data, "", "t", DEFAULTS, lo=0.0, lo_open=True)
     if s is not None and t is not None and not s < t:
         col.error("s", f"must satisfy s < t, got s={s:g}, t={t:g}")
     if t is not None and horizon is not None and t > horizon:
         col.error("t", f"must satisfy t <= horizon, got t={t:g}, horizon={horizon:g}")
 
-    raw_scheme = data.get("scheme", "all")
+    raw_scheme = data.get("scheme", list(DEFAULTS.schemes))
     if raw_scheme == "all":
         schemes: Optional[tuple[str, ...]] = SCHEME_NAMES
     elif isinstance(raw_scheme, str) and raw_scheme in SCHEME_NAMES:
@@ -263,42 +266,43 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     n_list = _parse_n_list(data.get("n_list"), col)
     if n_list is not None and len(n_list) < 3:
         col.error("n_list", f"needs at least 3 values for rate fitting, got {list(n_list)!r}")
-    tol_ref = col.require_number(data, "", "tol_ref", default=1e-10, lo=0.0, lo_open=True)
-    slack = col.require_number(data, "", "slack", default=0.1, lo=0.0, hi=1.0, hi_open=True)
-    grid = col.require_int(data, "", "grid", default=101, lo=2)
-    seed = col.require_int(data, "", "seed", default=0, lo=0, hi=2 ** 64 - 1)
+    tol_ref = col.field_number(data, "", "tol_ref", DEFAULTS, lo=0.0, lo_open=True)
+    slack = col.field_number(data, "", "slack", DEFAULTS, lo=0.0, hi=1.0, hi_open=True)
+    grid = col.field_number(data, "", "grid", DEFAULTS, lo=2, integer=True)
+    seed = col.field_number(data, "", "seed", DEFAULTS, lo=0, hi=2 ** 64 - 1, integer=True)
 
     raw_output = data.get("output", {})
-    output_path, output_format = "-", "jsonl"
+    output_path = output_format = None
     if not isinstance(raw_output, dict):
         col.error("output", f"must be a mapping, got {raw_output!r}")
     else:
         col.check_known_keys(raw_output, "output.", ("path", "format"))
-        output_path = raw_output.get("path", "-")
+        output_path = raw_output.get("path", DEFAULTS.output_path)
         if not isinstance(output_path, str) or not output_path:
             col.error("output.path", f"must be a non-empty string, got {output_path!r}")
-        output_format = raw_output.get("format", "jsonl")
+        output_format = raw_output.get("format", DEFAULTS.output_format)
         if output_format not in OUTPUT_FORMATS:
             col.error("output.format",
                       f"must be one of {', '.join(OUTPUT_FORMATS)}, got {output_format!r}")
 
     raw_verify = data.get("verify", {})
-    verify = VerifySpec()
+    verify = None
     if not isinstance(raw_verify, dict):
         col.error("verify", f"must be a mapping, got {raw_verify!r}")
     else:
-        col.check_known_keys(raw_verify, "verify.",
-                             ("lemma_instances", "dim_max", "lifting_ns",
-                              "cocycle_triples", "contraction_ns"))
-        lemma = col.require_int(raw_verify, "verify.", "lemma_instances", default=1000, lo=1)
-        dim_max = col.require_int(raw_verify, "verify.", "dim_max", default=16, lo=1)
-        triples = col.require_int(raw_verify, "verify.", "cocycle_triples", default=20, lo=1)
-        lifting_ns = raw_verify.get("lifting_ns", [4, 8, 16, 32])
+        col.check_known_keys(raw_verify, "verify.", tuple(f.name for f in fields(VerifySpec)))
+        sizes = DEFAULTS.verify
+        lemma = col.field_number(raw_verify, "verify.", "lemma_instances", sizes,
+                                 lo=1, integer=True)
+        dim_max = col.field_number(raw_verify, "verify.", "dim_max", sizes, lo=1, integer=True)
+        triples = col.field_number(raw_verify, "verify.", "cocycle_triples", sizes,
+                                   lo=1, integer=True)
+        lifting_ns = raw_verify.get("lifting_ns", list(sizes.lifting_ns))
         if (not isinstance(lifting_ns, list) or not lifting_ns
                 or any(not isinstance(x, int) or x < 4 or x % 2 for x in lifting_ns)):
             col.error("verify.lifting_ns", f"must be even integers >= 4, got {lifting_ns!r}")
             lifting_ns = None
-        contraction_ns = raw_verify.get("contraction_ns", [4, 16, 64])
+        contraction_ns = raw_verify.get("contraction_ns", list(sizes.contraction_ns))
         if (not isinstance(contraction_ns, list) or not contraction_ns
                 or any(not isinstance(x, int) or x < 1 for x in contraction_ns)):
             col.error("verify.contraction_ns", f"must be integers >= 1, got {contraction_ns!r}")
@@ -308,13 +312,13 @@ def config_from_dict(data: Any) -> ExperimentConfig:
                                 tuple(contraction_ns))
 
     family, params = _parse_model(data.get("model"), col,
-                                  beta if beta is not None else 1.0,
-                                  horizon if horizon is not None else 1.0)
+                                  DEFAULTS.beta if beta is None else beta,
+                                  DEFAULTS.horizon if horizon is None else horizon)
     # A kink declares its own Hoelder exponent: the model's beta defaults to
     # it and may not claim more regularity than it has.
     kink_beta = (params or {}).get("b", {}).get("beta")
     if "beta" not in data:
-        beta = 1.0 if kink_beta is None else kink_beta
+        beta = DEFAULTS.beta if kink_beta is None else kink_beta
     elif None not in (beta, kink_beta) and beta > kink_beta:
         col.error("beta", f"must be <= the kink's beta {kink_beta:g}, got {beta:g}")
 
@@ -341,16 +345,16 @@ def _parse_model(raw, col: _Collector, beta: float, horizon: float):
     if family == "scalar":
         col.check_known_keys(raw, "model.", ("family", "a", "b"))
         a = col.require_number(raw, "model.", "a", lo=1.0)
-        profile, profile_dict = _parse_profile(raw.get("b", 0.0), col, "model.b", beta)
+        profile = _parse_profile(raw.get("b", DEFAULT_COUPLING), col, "model.b", beta)
         if None in (a, profile):
             return family, None
-        return family, {"a": a, "b": profile_dict}
+        return family, {"a": a, "b": profile}
     if family == "commuting":
         col.check_known_keys(raw, "model.", ("family", "lambdas", "d0", "b"))
         lambdas = _float_list(raw.get("lambdas"), col, "model.lambdas")
         d0 = _float_list(raw.get("d0"), col, "model.d0",
                          count=None if lambdas is None else len(lambdas))
-        profile, profile_dict = _parse_profile(raw.get("b", 0.0), col, "model.b", beta)
+        profile = _parse_profile(raw.get("b", DEFAULT_COUPLING), col, "model.b", beta)
         if None in (lambdas, d0, profile):
             return family, None
         if min(lambdas) < 1.0:
@@ -359,11 +363,12 @@ def _parse_model(raw, col: _Collector, beta: float, horizon: float):
             col.error("model.d0", f"must be non-negative, got min {min(d0):g}")
         if len(d0) != len(lambdas):
             col.error("model.d0", f"length {len(d0)} must match lambdas ({len(lambdas)})")
-        return family, {"lambdas": lambdas, "d0": d0, "b": profile_dict}
+        return family, {"lambdas": lambdas, "d0": d0, "b": profile}
     col.check_known_keys(raw, "model.", ("family", "lambdas", "b0", "omega", "t0"))
     lambdas = _float_list(raw.get("lambdas"), col, "model.lambdas")
     omega = col.require_number(raw, "model.", "omega")
-    t0 = col.require_number(raw, "model.", "t0", default=0.5, lo=0.0, hi=horizon)
+    t0 = col.require_number(raw, "model.", "t0", _keyword_defaults(rotating_model)["t0"],
+                            lo=0.0, hi=horizon)
     b0_raw = raw.get("b0")
     b0 = None
     if isinstance(b0_raw, list) and b0_raw and all(isinstance(r, list) for r in b0_raw):
@@ -394,26 +399,14 @@ def parse_config(text: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def _profile_from_dict(spec: dict, default_beta: float):
-    kind = spec["kind"]
-    if kind == "constant":
-        return constant_profile(spec["value"])
-    if kind == "linear":
-        return linear_profile(spec["slope"], spec.get("offset", 0.0))
-    return kink_profile(spec["t0"], spec.get("beta", default_beta),
-                        spec.get("scale", 1.0), spec.get("offset", 0.0))
-
-
 def build_model(config: ExperimentConfig) -> Model:
     """Construct the configured model instance."""
     params = config.model_params
+    declared = {"beta": config.beta, "alpha": config.alpha, "horizon": config.horizon}
     if config.model_family == "scalar":
-        return scalar_model(params["a"], _profile_from_dict(params["b"], config.beta),
-                            beta=config.beta, alpha=config.alpha, horizon=config.horizon)
+        return scalar_model(params["a"], _time_profile(params["b"]), **declared)
     if config.model_family == "commuting":
-        return commuting_model(params["lambdas"], params["d0"],
-                               _profile_from_dict(params["b"], config.beta),
-                               beta=config.beta, alpha=config.alpha, horizon=config.horizon)
+        return commuting_model(params["lambdas"], params["d0"], _time_profile(params["b"]),
+                               **declared)
     return rotating_model(params["lambdas"], np.asarray(params["b0"], dtype=float),
-                          params["omega"], beta=config.beta, t0=params["t0"],
-                          alpha=config.alpha, horizon=config.horizon)
+                          params["omega"], t0=params["t0"], **declared)

@@ -204,10 +204,8 @@ def estimate_constants(model: Model, s: float, t: float, grid: int = 101) -> Con
     beta = model.perturbation.beta
     times, c_alpha, samples = _horizon_samples(model, grid)
     l_alpha_beta = _holder_constant(times, samples, beta)
-
-    delta = t - s
-    m_alpha = smoothing_constant(model.generator.eigenvalues, delta, alpha)
-    xi = c_alpha * m_alpha * delta ** (1.0 - alpha) / (1.0 - alpha)
+    m_alpha = smoothing_constant(model.generator.eigenvalues, t - s, alpha)
+    xi = _coefficient(model, c_alpha, s, t)
     return ConstantsReport(
         c_alpha=float(c_alpha), m_alpha=float(m_alpha),
         l_alpha_beta=float(l_alpha_beta), xi=float(xi),

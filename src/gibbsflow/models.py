@@ -140,6 +140,14 @@ class Generator:
         return f"Generator(dim={self.dim})"
 
 
+def check_exponents(alpha: float, beta: float) -> None:
+    """Reject a declared (alpha, beta) outside [0, 1) x (0, 1]."""
+    if not 0.0 <= alpha < 1.0:
+        raise ModelError(f"alpha must lie in [0, 1), got {alpha}")
+    if not 0.0 < beta <= 1.0:
+        raise ModelError(f"beta must lie in (0, 1], got {beta}")
+
+
 @dataclass(frozen=True)
 class PerturbationFamily:
     """Time-dependent perturbation B(t) with declared (alpha, beta).
@@ -169,10 +177,7 @@ class PerturbationFamily:
     scaled_diagonal: Optional[tuple[TimeProfile, np.ndarray]] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ModelError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ModelError(f"beta must lie in (0, 1], got {self.beta}")
+        check_exponents(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,8 @@ def reference_propagator(model: Model, s: float, t: float,
     returned.  Where the differences shrink by less than 16 per doubling,
     the estimate uses the observed ratio r instead of 16, D / (r - 1).
     Fails with the last estimate once a difference stops shrinking or the
-    doublings run out.
+    doublings run out; the second difference alone may grow, and the
+    estimate after it is the raw difference D.
 
     Results and failures are memoized per model instance and (s, t, tol),
     with a read-only ``U``, so every caller asking for the same window shares

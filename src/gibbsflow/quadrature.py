@@ -176,20 +176,25 @@ def _refine_by_doubling(estimate: Callable[[int], np.ndarray], n: int, tol: floa
     Fails once the doublings run out, or as soon as a difference is no
     smaller than the one before it: refinement has hit a rounding floor (or
     does not converge), and further doublings would only multiply the cost.
-    ``label`` names what is refined in the error message.
+    The second difference alone may grow, since a coarse mesh can still be
+    pre-asymptotic; the estimate after that growth is the raw difference D,
+    with no ratio against the grown one.  ``label`` names what is refined in
+    the error message.
     """
     prev = estimate(n)
     diff = error = float("inf")
-    for _ in range(max_doublings):
+    grew = False
+    for doubling in range(max_doublings):
         n *= 2
         curr = estimate(n)
         last, diff = diff, trace_norm(curr - prev)
         error = diff
-        if order is not None and 0.0 < diff < last:
+        if order is not None and 0.0 < diff < last and not grew:
             error = diff / (min(last / diff, 2.0 ** order) - 1.0)
         if error <= tol:
             return curr, n, error
-        if diff >= last:
+        grew = diff >= last
+        if grew and doubling != 1:
             raise AccuracyError(f"{label} stopped converging at n={n}: the difference "
                                 f"{diff:.3e} did not shrink from {last:.3e}",
                                 requested=tol, achieved=error)

@@ -1,11 +1,14 @@
 """End-to-end command-line behaviour: subcommands, exit codes, determinism."""
 import json
+import logging
 
 import pytest
 
 import gibbsflow as gf
 from gibbsflow import cli, propagator
 from gibbsflow.errors import AccuracyError, DecompositionError, DomainError
+
+from conftest import python_output
 
 CONFIG = """
 model:
@@ -253,3 +256,32 @@ class TestVerbose:
         assert "finished in" in captured.err
         for line in captured.out.splitlines():
             json.loads(line)  # stdout stays pure jsonl
+
+    def test_progress_and_failure_lines(self, config_path, monkeypatch, capsys):
+        def always_fails(*args, **kwargs):
+            raise AccuracyError("reference did not converge", requested=1e-10, achieved=1e-3)
+
+        monkeypatch.setattr(cli, "run_convergence", always_fails)
+        assert cli.main(["run", "--config", config_path]) == 2
+        failure = ("ERROR gibbsflow: stage run:left failed: reference did not converge "
+                   "(requested=1.000e-10, achieved=1.000e-03)")
+        assert capsys.readouterr().err.splitlines()[0] == failure
+        assert cli.main(["run", "--config", config_path, "--verbose"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("INFO gibbsflow: constants finished in ")
+        assert lines[1] == failure
+        assert lines[-1].startswith("INFO gibbsflow: run completed in ")
+
+    def test_root_logging_handlers_are_left_alone(self, config_path, capsys):
+        root = logging.getLogger()
+        handler = logging.NullHandler()
+        root.addHandler(handler)
+        try:
+            assert cli.main(["constants", "--config", config_path, "--verbose"]) == 0
+            assert handler in root.handlers
+        finally:
+            root.removeHandler(handler)
+
+    def test_import_does_not_load_logging(self):
+        code = "import sys, gibbsflow.cli; print('logging' in sys.modules)"
+        assert python_output(code) == ["False"]

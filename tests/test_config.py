@@ -1,5 +1,6 @@
 """YAML configuration parsing: defaults, collect-all validation, round-trip."""
 import ast
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import yaml
 
 import gibbsflow as gf
+from gibbsflow import config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,6 +72,23 @@ class TestDefaults:
         assert cfg.n_list == (8, 16, 32, 64)
         assert cfg.verify.lifting_ns == (4, 8)
         assert cfg.output_format == "csv"
+
+
+class TestDefaultsAreStatedOnce:
+    def test_a_model_section_alone_parses_to_the_field_defaults(self):
+        cfg = gf.parse_config(MINIMAL)
+        defaults = {f.name: f.default for f in dataclasses.fields(config.ExperimentConfig)
+                    if f.default is not dataclasses.MISSING}
+        assert {name: getattr(cfg, name) for name in defaults} == defaults
+        assert cfg.verify == config.VerifySpec()
+
+    def test_the_readme_defaults_block_equals_its_model_section_alone(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"defaults\s+shown\):\n\n```yaml\n(.*?)```", readme, re.S)
+        data = yaml.safe_load(block.group(1))
+        assert set(data) == set(config.TOP_KEYS)
+        assert set(data["verify"]) == {f.name for f in dataclasses.fields(config.VerifySpec)}
+        assert gf.config_from_dict(data) == gf.config_from_dict({"model": data["model"]})
 
 
 class TestRoundTrip:

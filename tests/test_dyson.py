@@ -89,6 +89,18 @@ class TestCertifiedSum:
         err = gf.opnorm(result.U - ref.U)
         assert err <= result.tail_bound + 1e-7
 
+    @pytest.mark.parametrize("t, eps_tail", [(0.5, 1e-6), (1.0, 1e-8)])
+    def test_pre_asymptotic_growth_of_the_panel_differences(self, t, eps_tail):
+        # on this short kinked model a subinterval's second panel-doubling
+        # difference grows (1.1e-8 to 9.9e-8) before refinement converges
+        g = np.random.default_rng(5).standard_normal((5, 5))
+        model = gf.rotating_model(np.linspace(1.0, 3.0, 5), g @ g.T / 5, 2.0, beta=0.5,
+                                  t0=0.3, alpha=0.3)
+        result = gf.dyson_phillips_sum(model, 0.0, t, eps_tail)
+        ref = gf.reference_propagator(model, 0.0, t, 1e-10)
+        quad_tol = min(eps_tail / 10.0, 1e-8)
+        assert gf.trace_norm(result.U - ref.U) <= result.tail_bound + 10 * quad_tol
+
     def test_bisection_on_large_interval(self, scalar_linear):
         # xi = 1 on [0, 1] forces composition of subinterval sums
         result = gf.dyson_phillips_sum(scalar_linear, 0.0, 1.0, 1e-10)

@@ -161,6 +161,24 @@ class TestRefineByDoubling:
         assert caught.value.achieved == pytest.approx(1e-3)
         assert "stopped converging" in str(caught.value)
 
+    def test_a_growth_at_the_first_comparison_is_pre_asymptotic(self):
+        # differences 1e-2, 5e-2, 1e-4, 1e-9: the second difference grows and
+        # refinement goes on; the next error is the raw 1e-4, not 1e-4 / 15,
+        # so tol 1e-5 still needs one more doubling
+        estimate, calls = self.sequence([1.0, 1.01, 1.06, 1.0601, 1.060100001])
+        u, n, error = _refine_by_doubling(estimate, 1, 1e-5, 10, order=4)
+        assert calls == [1, 2, 4, 8, 16] and n == 16 and u[0, 0] == 1.060100001
+        assert error == pytest.approx(1e-9 / 15, rel=1e-4)
+
+    def test_a_growth_at_the_second_comparison_gives_up(self):
+        # differences 1e-2, 5e-2, 6e-2: only the first growth is forgiven
+        estimate, calls = self.sequence([1.0, 1.01, 1.06, 1.12, 1.0])
+        with pytest.raises(gf.AccuracyError) as caught:
+            _refine_by_doubling(estimate, 1, 1e-12, 10, order=4)
+        assert calls == [1, 2, 4, 8]
+        assert caught.value.achieved == pytest.approx(6e-2)
+        assert "did not shrink from 5.000e-02" in str(caught.value)
+
     def test_gives_up_when_the_doublings_run_out(self):
         estimate, calls = self.sequence([1.0, 0.5, 0.25, 0.125])
         with pytest.raises(gf.AccuracyError) as caught:
