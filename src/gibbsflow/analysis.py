@@ -525,27 +525,20 @@ def verify_lifting(model: Model, scheme: Scheme, s: float, t: float, n: int,
 
 @dataclass(frozen=True)
 class CocycleCheck:
-    """Composition-law residual ||U(r,t) U(s,r) - U(s,t)|| of an oracle."""
+    """Composition-law residual ||U(r,t) U(s,r) - U(s,t)|| of an oracle.
+
+    ``budget`` is the triangle-inequality budget, three oracles at tol_ref
+    each; ``contraction_ok`` says ||U(s,t)|| <= 1.
+    """
 
     s: float
     r: float
     t: float
     residual: float
+    budget: float
     norm: float
-    tol_ref: float
-
-    @property
-    def budget(self) -> float:
-        """Triangle-inequality budget: three oracles, tol_ref each."""
-        return 3.0 * self.tol_ref
-
-    @property
-    def holds(self) -> bool:
-        return self.residual <= self.budget
-
-    @property
-    def contraction_ok(self) -> bool:
-        return self.norm <= 1.0 + INEQUALITY_SLACK
+    contraction_ok: bool
+    holds: bool
 
 
 def verify_cocycle(model: Model, s: float, r: float, t: float,
@@ -555,9 +548,11 @@ def verify_cocycle(model: Model, s: float, r: float, t: float,
     u_sr = reference_propagator(model, s, r, tol_ref)
     u_rt = reference_propagator(model, r, t, tol_ref)
     u_st = reference_propagator(model, s, t, tol_ref)
-    residual = trace_norm(u_rt.U @ u_sr.U - u_st.U)
-    return CocycleCheck(float(s), float(r), float(t), float(residual),
-                        float(opnorm(u_st.U)), float(tol_ref))
+    residual = float(trace_norm(u_rt.U @ u_sr.U - u_st.U))
+    norm = float(opnorm(u_st.U))
+    budget = 3.0 * float(tol_ref)
+    return CocycleCheck(float(s), float(r), float(t), residual, budget, norm,
+                        norm <= 1.0 + INEQUALITY_SLACK, residual <= budget)
 
 
 @dataclass(frozen=True)

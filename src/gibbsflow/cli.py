@@ -49,15 +49,12 @@ from .models import Model
 from .propagator import Scheme
 from .reports import (
     ReportEnvelope,
-    cocycle_record,
-    constants_record,
-    contraction_record,
     convergence_record,
     failure_record,
     lemma21_record,
-    lifting_record,
     meta_record,
     read_jsonl,
+    result_record,
 )
 
 __all__ = ["main"]
@@ -152,8 +149,8 @@ Jobs = list[tuple[str, Callable[[], dict]]]
 
 
 def _constants_jobs(config: ExperimentConfig, model: Model) -> Jobs:
-    return [("constants", lambda: constants_record(
-        estimate_constants(model, config.s, config.t, grid=config.grid)))]
+    return [("constants", lambda: result_record(
+        "constants", estimate_constants(model, config.s, config.t, grid=config.grid)))]
 
 
 def _convergence_jobs(config: ExperimentConfig, model: Model) -> Jobs:
@@ -172,18 +169,19 @@ def _verify_jobs(config: ExperimentConfig, model: Model) -> Jobs:
     for scheme_name in config.schemes:
         for n in spec.lifting_ns:
             jobs.append((f"lifting:{scheme_name}:n={n}",
-                         lambda sn=scheme_name, nn=n: lifting_record(
-                             verify_lifting(model, Scheme(sn), config.s, config.t, nn,
-                                            tol_ref=config.tol_ref))))
+                         lambda sn=scheme_name, nn=n: result_record("lifting", verify_lifting(
+                             model, Scheme(sn), config.s, config.t, nn,
+                             tol_ref=config.tol_ref))))
     rng = np.random.default_rng(config.seed)
     for i in range(spec.cocycle_triples):
         r = config.s + (0.2 + 0.6 * float(rng.random())) * (config.t - config.s)
-        jobs.append((f"cocycle:{i}", lambda rr=r: cocycle_record(
-            verify_cocycle(model, config.s, rr, config.t, tol_ref=config.tol_ref))))
+        jobs.append((f"cocycle:{i}", lambda rr=r: result_record(
+            "cocycle", verify_cocycle(model, config.s, rr, config.t, tol_ref=config.tol_ref))))
     for scheme_name in config.schemes:
         for n in spec.contraction_ns:
             jobs.append((f"contraction:{scheme_name}:n={n}",
-                         lambda sn=scheme_name, nn=n: contraction_record(
+                         lambda sn=scheme_name, nn=n: result_record(
+                             "contraction",
                              verify_contraction(model, Scheme(sn), config.s, config.t, nn))))
     return jobs
 

@@ -164,9 +164,16 @@ def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
         n = col.require_number(raw, f"{path}.", "count", default=count, lo=1, integer=True)
         if None in (start, stop, n):
             return None
-        return [float(x) for x in np.linspace(start, stop, n)]
+        try:
+            return [float(x) for x in np.linspace(start, stop, n)]
+        except ValueError as exc:  # a count numpy cannot allocate
+            col.error(f"{path}.count", f"is too large ({exc}), got {n}")
+            return None
     if isinstance(raw, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                                      for x in raw):
+        if not raw:
+            col.error(path, "must not be empty")
+            return None
         return [float(x) for x in raw]
     col.error(path, f"must be a list of numbers or {{start, stop, count}}, got {raw!r}")
     return None

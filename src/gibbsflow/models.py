@@ -170,7 +170,6 @@ class PerturbationFamily:
     entries: Callable[[np.ndarray], np.ndarray]
     alpha: float
     beta: float
-    descriptor: str
     breakpoints: tuple[float, ...] = ()
     heat_factor: Optional[Callable[[np.ndarray, float],
                                    tuple[np.ndarray, Optional[np.ndarray]]]] = None
@@ -319,7 +318,6 @@ def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
         b, np.ones(1),
         alpha=alpha,
         beta=beta,
-        descriptor=f"scalar b={b.label}",
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
     )
     return Model(generator, family, horizon, exact,
@@ -356,7 +354,6 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
         b, d0,
         alpha=alpha,
         beta=beta,
-        descriptor=f"commuting b={b.label}",
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
     )
     return Model(generator, family, horizon, exact,
@@ -405,7 +402,6 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
         envelope, mu, rotated_basis,
         alpha=alpha,
         beta=beta,
-        descriptor=f"rotating omega={omega:g}, envelope={envelope.label}",
         breakpoints=(t0,) if 0.0 < t0 < horizon else (),
     )
     return Model(generator, family, horizon, None,

@@ -1,8 +1,12 @@
 """Result records and emitters.
 
 Every computation is reduced to a plain record dictionary (``kind`` key plus
-JSON-compatible payload).  Emitters consume record dicts only, so a stored
-JSONL stream can be re-emitted in any other format without recomputing.
+JSON-compatible payload).  The ``constants``, ``lifting``, ``cocycle`` and
+``contraction`` records are ``kind`` plus the fields of ``ConstantsReport``,
+``LiftingCheck``, ``CocycleCheck`` and ``ContractionCheck`` (``result_record``),
+so renaming a field renames its record key.  Emitters consume record dicts
+only, so a stored JSONL stream can be re-emitted in any other format without
+recomputing.
 
 The JSONL emitter is byte-deterministic for a fixed (configuration, seed)
 pair: keys are sorted, floats are serialized at full precision, and no
@@ -11,32 +15,23 @@ record carries a wall-clock measurement.
 from __future__ import annotations
 
 import csv
+import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, TextIO
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    CocycleCheck,
-    ContractionCheck,
-    ConvergenceReport,
-    Lemma21Ensemble,
-    LiftingCheck,
-)
-from .constants import ConstantsReport
+from .analysis import ConvergenceReport, Lemma21Ensemble
 from .errors import ValidationError
 
 __all__ = [
     "ReportEnvelope",
     "meta_record",
-    "constants_record",
+    "result_record",
     "convergence_record",
-    "lifting_record",
     "lemma21_record",
-    "cocycle_record",
-    "contraction_record",
     "failure_record",
     "write_jsonl",
     "write_csv",
@@ -49,7 +44,9 @@ RECORD_KINDS = ("meta", "constants", "convergence", "lifting", "lemma21",
 
 
 def _plain(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays to plain Python data."""
+    """Recursively convert numpy scalars/arrays and enums to plain Python data."""
+    if isinstance(value, enum.Enum):
+        return value.value
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
@@ -77,19 +74,9 @@ def meta_record(config_dict: dict, seed: int) -> dict:
     })
 
 
-def constants_record(report: ConstantsReport) -> dict:
-    return _plain({
-        "kind": "constants",
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "s": report.s,
-        "t": report.t,
-        "grid": report.grid,
-        "c_alpha": report.c_alpha,
-        "m_alpha": report.m_alpha,
-        "l_alpha_beta": report.l_alpha_beta,
-        "xi": report.xi,
-    })
+def result_record(kind: str, result: Any) -> dict:
+    """A result dataclass as a record: ``kind`` plus its fields, verbatim."""
+    return _plain({"kind": kind, **asdict(result)})
 
 
 def convergence_record(report: ConvergenceReport) -> dict:
@@ -125,21 +112,6 @@ def convergence_record(report: ConvergenceReport) -> dict:
     })
 
 
-def lifting_record(check: LiftingCheck) -> dict:
-    return _plain({
-        "kind": "lifting",
-        "scheme": check.scheme.value,
-        "n": check.n,
-        "k_n": check.k_n,
-        "lhs": check.lhs,
-        "rhs": check.rhs,
-        "half_op_errors": list(check.half_op_errors),
-        "half_tr_norms": list(check.half_tr_norms),
-        "c_ts": check.c_ts,
-        "holds": check.holds,
-    })
-
-
 def lemma21_record(ensemble: Lemma21Ensemble) -> dict:
     return _plain({
         "kind": "lemma21",
@@ -150,33 +122,6 @@ def lemma21_record(ensemble: Lemma21Ensemble) -> dict:
         "failures": ensemble.count - ensemble.holds,
         "min_margin": ensemble.min_margin,
         "holds": ensemble.holds == ensemble.count,
-    })
-
-
-def cocycle_record(check: CocycleCheck) -> dict:
-    return _plain({
-        "kind": "cocycle",
-        "s": check.s,
-        "r": check.r,
-        "t": check.t,
-        "residual": check.residual,
-        "budget": check.budget,
-        "norm": check.norm,
-        "contraction_ok": check.contraction_ok,
-        "holds": check.holds,
-    })
-
-
-def contraction_record(check: ContractionCheck) -> dict:
-    return _plain({
-        "kind": "contraction",
-        "scheme": check.scheme.value,
-        "n": check.n,
-        "s": check.s,
-        "t": check.t,
-        "norm": check.norm,
-        "bound": check.bound,
-        "holds": check.holds,
     })
 
 

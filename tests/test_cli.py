@@ -159,6 +159,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "model.a" in err and "beta" in err and "s" in err
 
+    @pytest.mark.parametrize("document, line", [
+        ("model: {family: commuting, lambdas: [], d0: [], b: 1.0}",
+         "error: model.lambdas: must not be empty"),
+        ("model: {family: rotating, lambdas: [], b0: [1.0, 2.0], omega: 1.0}",
+         "error: model.lambdas: must not be empty"),
+        # Only a count no array can hold: numpy refuses it before allocating.
+        ("model: {family: commuting, lambdas: {start: 1, stop: 2,"
+         " count: 100000000000000000000}, d0: [1.0], b: 1.0}",
+         "error: model.lambdas.count: is too large (Maximum allowed size exceeded), "
+         "got 100000000000000000000"),
+    ], ids=["commuting-empty", "rotating-empty", "count-1e20"])
+    def test_unbuildable_eigenvalue_lists_are_config_errors(self, document, line,
+                                                            tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(document + "\n")
+        assert cli.main(["constants", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert line in captured.err.splitlines()
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 3
 
@@ -247,6 +267,45 @@ class TestExitCodes:
         assert [r["kind"] for r in records] == ["meta", "failure"] + ["convergence"] * 3
         assert records[1]["stage"] == "constants"
         assert records[1]["error"] == "DecompositionError"
+
+
+class TestRecordSchema:
+    # Four of these key sets are the field names of ConstantsReport,
+    # LiftingCheck, CocycleCheck and ContractionCheck; renaming a field
+    # must show up here, not silently in stored JSONL.
+    KEYS = {
+        "meta": {"config", "kind", "package", "schema", "seed", "version"},
+        "constants": {"alpha", "beta", "c_alpha", "grid", "kind", "l_alpha_beta",
+                      "m_alpha", "s", "t", "xi"},
+        "convergence": {"bound_satisfied", "err_op", "err_tr", "exact_reproduction",
+                        "fitted_prefactor", "fitted_slope", "kind", "model", "n_list",
+                        "notes", "oracle", "r_squared", "regime", "regimes", "s",
+                        "scheme", "slack", "t"},
+        "lemma21": {"count", "dim_max", "failures", "holds", "holds_count", "kind",
+                    "min_margin", "seed"},
+        "lifting": {"c_ts", "half_op_errors", "half_tr_norms", "holds", "k_n", "kind",
+                    "lhs", "n", "rhs", "scheme"},
+        "cocycle": {"budget", "contraction_ok", "holds", "kind", "norm", "r",
+                    "residual", "s", "t"},
+        "contraction": {"bound", "holds", "kind", "n", "norm", "s", "scheme", "t"},
+        "failure": {"error", "kind", "messages", "stage"},
+    }
+
+    def test_key_set_of_every_record_kind(self, config_path, monkeypatch, capsys):
+        records = []
+        for command in ("run", "verify", "constants"):
+            assert cli.main([command, "--config", config_path]) == 0
+            records += [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+
+        def breaks(*args, **kwargs):
+            raise DecompositionError("eigendecomposition did not converge", dim=1)
+
+        monkeypatch.setattr(cli, "estimate_constants", breaks)
+        assert cli.main(["constants", "--config", config_path]) == 2
+        records += [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert {r["kind"] for r in records} == set(self.KEYS)
+        for record in records:
+            assert set(record) == self.KEYS[record["kind"]], record["kind"]
 
 
 class TestVerbose:

@@ -247,7 +247,7 @@ class TestHolderConstant:
             return (base * (1.0 + ts)[:, None, None]
                     + coupling * np.maximum(ts - cut, 0.0)[:, None, None])
 
-        family = gf.PerturbationFamily(entries=entries, alpha=0.2, beta=1.0, descriptor="mixed")
+        family = gf.PerturbationFamily(entries=entries, alpha=0.2, beta=1.0)
         model = gf.Model(gf.Generator(np.diag(np.linspace(1.0, 4.0, d))), family)
         times, _, samples = constants._horizon_samples(model, grid)
         a_neg = gf.fractional_power(model.generator.operator, -0.2).entries

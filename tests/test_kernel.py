@@ -120,7 +120,7 @@ def _constant_model(dim, seed):
     rng = np.random.default_rng(seed)
     b = random_symmetric_psd(rng, dim)
     family = gf.PerturbationFamily(entries=lambda ts: np.broadcast_to(b, (ts.size, dim, dim)),
-                                   alpha=0.0, beta=1.0, descriptor="constant")
+                                   alpha=0.0, beta=1.0)
     return gf.Model(gf.Generator(np.diag(np.linspace(1.0, 4.0, dim))), family)
 
 
@@ -184,7 +184,7 @@ def _hand_written_diagonal(lambdas, mu, profile):
     family = gf.PerturbationFamily(
         entries=lambda ts: gf.eigen_entries(values(ts), None),
         heat_factor=lambda ts, tau: (np.exp(-tau * values(ts)), None),
-        alpha=0.0, beta=profile.beta, descriptor="hand-written diagonal",
+        alpha=0.0, beta=profile.beta,
         breakpoints=profile.breakpoints)
     return gf.Model(gf.Generator(np.diag(lambdas)), family)
 

@@ -293,7 +293,7 @@ class TestFamilyContract:
     @classmethod
     def _entries_only(cls, entries):
         family = gf.PerturbationFamily(entries=entries, alpha=0.0, beta=0.5,
-                                       descriptor="entries only", breakpoints=(0.5,))
+                                       breakpoints=(0.5,))
         return gf.Model(cls.ROTATING.generator, family)
 
     @classmethod

@@ -8,13 +8,12 @@ import gibbsflow as gf
 from gibbsflow import reports
 from gibbsflow.reports import (
     ReportEnvelope,
-    constants_record,
-    contraction_record,
     convergence_record,
     failure_record,
     lemma21_record,
     meta_record,
     read_jsonl,
+    result_record,
     write_csv,
     write_jsonl,
     write_plot,
@@ -28,7 +27,7 @@ def sample_records(scalar_linear):
                                 [8, 16, 32, 64])
     return [
         meta_record(cfg.to_dict(), cfg.seed),
-        constants_record(gf.estimate_constants(scalar_linear, 0.0, 1.0)),
+        result_record("constants", gf.estimate_constants(scalar_linear, 0.0, 1.0)),
         convergence_record(report),
     ]
 
@@ -66,7 +65,7 @@ class TestRecords:
 
     def test_contraction_record(self, commuting_small):
         check = gf.verify_contraction(commuting_small, gf.Scheme.LEFT, 0.0, 1.0, 8)
-        record = contraction_record(check)
+        record = result_record("contraction", check)
         assert record["holds"] is True and record["n"] == 8
 
 
