@@ -17,7 +17,7 @@ only ever go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import io
 import os
 import sys
 import time
@@ -36,7 +36,7 @@ from .analysis import (
     verify_contraction,
     verify_lifting,
 )
-from .config import ExperimentConfig, build_model, parse_config
+from .config import ExperimentConfig, build_model, config_from_dict, parse_config
 from .constants import estimate_constants
 from .errors import (
     AccuracyError,
@@ -110,17 +110,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config == "-":
-        text = sys.stdin.read()
+def _read_text(path: str, error: type[ValidationError]) -> str:
+    """All of ``path`` ('-' for stdin) decoded as UTF-8; other bytes raise
+    ``error``.  Bytes are read, so no locale's error handler can let them
+    through as surrogates."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    config = parse_config(text)
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{'stdin' if path == '-' else path}: not UTF-8 text ({exc})") from exc
+
+
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The configuration at ``--config``; a ``--seed`` override is judged by
+    the configuration's own seed rule."""
+    config = parse_config(_read_text(args.config, ConfigError))
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        config = dataclasses.replace(config, seed=args.seed)
+        config = config_from_dict({**config.to_dict(), "seed": args.seed})
     return config
 
 
@@ -212,11 +222,7 @@ def _run_jobs(config: ExperimentConfig, jobs: Jobs,
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[ReportEnvelope, int]:
-    if args.input == "-":
-        records = read_jsonl(sys.stdin)
-    else:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            records = read_jsonl(handle)
+    records = read_jsonl(io.StringIO(_read_text(args.input, ValidationError), newline=None))
     envelope = ReportEnvelope()
     for record in records:
         envelope.add(record)

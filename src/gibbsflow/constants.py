@@ -136,12 +136,14 @@ def _holder_constant(times: np.ndarray, samples: np.ndarray, beta: float) -> flo
     Bit for bit the maximum of that quotient over all i < j, without an SVD
     per pair.  ``samples`` holds the S(t) of ``_horizon_samples``: either
     their diagonals, shape (grid, d), for a model with a diagonal form, read as
-    the largest entry of |diag_j - diag_i|, which is what ``singular_values``
-    returns for a diagonal matrix; or the full stack (grid, d, d).  For the full
-    stack the grid - 1 adjacent norms are computed, and the triangle
-    inequality bounds every other pair by (P_j - P_i) / |t_j - t_i|^beta,
-    P being their prefix sums; pairs are evaluated in order of decreasing
-    bound while the bound exceeds the largest quotient so far.
+    the largest entry of |diag_j - diag_i|; or the full stack (grid, d, d).
+    LAPACK's singular values of a diagonal matrix, and so ``opnorm``'s, are
+    its sorted |entries|, except on some 2 x 2 matrices, where its closed
+    formula may be an ulp off.  For the full stack the grid - 1 adjacent
+    norms are computed, and the triangle inequality bounds every other pair
+    by (P_j - P_i) / |t_j - t_i|^beta, P being their prefix sums; pairs are
+    evaluated in order of decreasing bound while the bound exceeds the
+    largest quotient so far.
     """
     grid = samples.shape[0]
     if samples.ndim == 2:

@@ -193,16 +193,8 @@ def fractional_power(h: HermitianOperator, p: float) -> HermitianOperator:
 
 def singular_values(m) -> np.ndarray:
     """Singular values in descending order, of a matrix or along the last
-    axis for every matrix of a stack (..., d, d).
-
-    When every off-diagonal entry is exactly 0 they are the sorted |diagonal|,
-    exactly, and no decomposition runs.  LAPACK returns the same bits except
-    on some 2 x 2 matrices, where its closed formula may be an ulp off.
-    """
+    axis for every matrix of a stack (..., d, d)."""
     a = _as_square_matrix(m, stacked=True)
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    if np.count_nonzero(a) == np.count_nonzero(diag):
-        return np.flip(np.sort(np.abs(diag), axis=-1), axis=-1)
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -127,7 +127,9 @@ class Generator:
 
     @property
     def diagonal(self) -> Optional[np.ndarray]:
-        """The diagonal of A when every off-diagonal entry is exactly 0, else None."""
+        """The diagonal of A when every off-diagonal entry is exactly 0, else None.
+
+        Read only by ``diagonal_form`` and the closed-form product it selects."""
         a = self.operator.entries
         lam = np.diagonal(a)
         return lam if np.array_equal(a, np.diag(lam)) else None

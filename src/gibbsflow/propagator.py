@@ -183,20 +183,6 @@ def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndar
     raise ValidationError(f"unknown scheme {scheme!r}")
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for matrices or stacks, where a 1-D operand holds the diagonal
-    of a diagonal matrix.
-
-    Scaling rows or columns gives the matrix product bit for bit: every other
-    term of its sums is an exact zero.
-    """
-    if x.ndim == 1:
-        return x[:, None] * y
-    if y.ndim == 1:
-        return x * y
-    return x @ y
-
-
 def _pairwise(factors: np.ndarray) -> np.ndarray:
     """Ordered product of a stack (later factors on the left) by pairwise
     halving."""
@@ -241,39 +227,34 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
     samples and one exponential per entry, rounded once instead of n times.
 
     Otherwise factors are built a batch of at most ``BATCH_BYTES`` at a time
-    and multiplied by ``_tree_product``.  The symmetric scheme shares the
-    half steps of neighbouring cells: half eB_n eA eB_{n-1} ... eA eB_1 half.
-    A diagonal A enters as the vector of its heat factor's diagonal, so it
-    scales rows or columns.
+    and multiplied by ``_tree_product``; e^{-tau A} is one matrix, whatever
+    the structure of A.  The symmetric scheme shares the half steps of
+    neighbouring cells: half eB_n eA eB_{n-1} ... eA eB_1 half.
     """
     if scheme not in (Scheme.LEFT, Scheme.RIGHT, Scheme.SYMMETRIC):
         raise ValidationError(f"unknown scheme {scheme!r}")
-    a = model.generator.operator
-    lam = model.generator.diagonal
     n = len(sample_times)
     form = diagonal_form(model)
     if form is not None:
         profile, mu = form
         b_sum = np.sum(_profile_values(profile, sample_times))
-        return np.diag(np.exp(-tau * (n * lam + b_sum * mu)))
+        return np.diag(np.exp(-tau * (n * model.generator.diagonal + b_sum * mu)))
 
-    def semigroup(t: float) -> np.ndarray:
-        return np.exp(-t * lam) if lam is not None else heat(a, t)
-
-    ea = semigroup(tau)
-    half = semigroup(0.5 * tau) if scheme is Scheme.SYMMETRIC else None
+    a = model.generator.operator
+    ea = heat(a, tau)
+    half = heat(a, 0.5 * tau) if scheme is Scheme.SYMMETRIC else None
     batch = _batch_length(model.dim)
 
     def batches():
         for start in range(0, n, batch):
             eb = _heat_of_perturbation(model, sample_times[start:start + batch], tau)
-            factors = _dot(eb, ea) if scheme is Scheme.RIGHT else _dot(ea, eb)
+            factors = eb @ ea if scheme is Scheme.RIGHT else ea @ eb
             if half is not None and start + batch >= n:
-                factors[-1] = _dot(half, eb[-1])
+                factors[-1] = half @ eb[-1]
             yield factors
 
     u = _tree_product(batches())
-    return _dot(u, half) if half is not None else u
+    return u @ half if half is not None else u
 
 
 def product_approximant(scheme: Scheme, model: Model, s: float, t: float,

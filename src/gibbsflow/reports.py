@@ -18,7 +18,7 @@ import csv
 import enum
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Optional, TextIO
 
 import numpy as np
 
@@ -167,8 +167,35 @@ def write_jsonl(records: Iterable[dict], stream: TextIO) -> None:
         stream.write("\n")
 
 
+# Keys of a convergence record that ``write_csv`` or ``write_plot`` read;
+# ``regimes`` is optional.
+EMITTED_KEYS = ("model", "scheme", "s", "t", "n_list", "err_op", "err_tr",
+                "fitted_slope", "regime")
+
+
+def _unemittable(record: dict) -> Optional[str]:
+    """Why the emitters could not write a convergence record, or None."""
+    missing = [key for key in EMITTED_KEYS if key not in record]
+    if missing:
+        return f"convergence record lacks {', '.join(missing)}"
+    regimes = record.get("regimes") or []
+    if not (isinstance(regimes, list) and all(isinstance(r, dict) for r in regimes)):
+        return "convergence record's regimes must be a list of objects"
+    n_list = record["n_list"]
+    if not isinstance(n_list, list):
+        return "convergence record's n_list must be a list"
+    columns = {"err_op": record["err_op"], "err_tr": record["err_tr"],
+               **{f"regimes[{i}].epsilon": r.get("epsilon") for i, r in enumerate(regimes)}}
+    for name, column in columns.items():
+        if not (isinstance(column, list) and len(column) == len(n_list)
+                and all(isinstance(x, float) for x in column)):
+            return f"convergence record's {name} must be a list of floats as long as n_list"
+    return None
+
+
 def read_jsonl(stream: TextIO) -> list:
-    """Parse a stored JSONL stream back into record dicts."""
+    """Parse a stored JSONL stream back into record dicts, rejecting a
+    convergence record that the CSV or plot emitter could not write."""
     records = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -180,6 +207,9 @@ def read_jsonl(stream: TextIO) -> list:
             raise ValidationError(f"line {lineno}: invalid JSON record: {exc}") from exc
         if not isinstance(record, dict) or record.get("kind") not in RECORD_KINDS:
             raise ValidationError(f"line {lineno}: not a known record kind")
+        problem = _unemittable(record) if record["kind"] == "convergence" else None
+        if problem is not None:
+            raise ValidationError(f"line {lineno}: {problem}")
         records.append(record)
     return records
 

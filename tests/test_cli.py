@@ -1,11 +1,15 @@
 """End-to-end command-line behaviour: subcommands, exit codes, determinism."""
+import dataclasses
+import io
 import json
 import logging
+import sys
 
 import pytest
 
 import gibbsflow as gf
 from gibbsflow import cli, propagator
+from gibbsflow.config import config_from_dict, parse_config
 from gibbsflow.errors import AccuracyError, DecompositionError, DomainError
 
 from conftest import python_output
@@ -36,6 +40,12 @@ model:
 n_list: [8, 16, 32]
 tol_ref: 1.0e-12
 """
+
+
+# A convergence record with one err_tr value fewer than its n_list.
+SHORT_ERR_TR = {"kind": "convergence", "model": "m", "scheme": "left", "s": 0.0, "t": 1.0,
+                "n_list": [4, 8], "err_op": [0.1, 0.05], "err_tr": [0.1],
+                "fitted_slope": -1.0, "regime": None}
 
 
 @pytest.fixture
@@ -77,6 +87,24 @@ class TestRun:
         out = capsys.readouterr().out
         meta = json.loads(out.splitlines()[0])
         assert meta["seed"] == 99
+
+    @pytest.mark.parametrize("seed, line", [
+        ("18446744073709551616", "error: seed: must be <= 18446744073709551615, "
+                                 "got 18446744073709551616"),
+        ("-1", "error: seed: must be >= 0, got -1"),
+    ], ids=["above-2**64-1", "negative"])
+    def test_seed_override_obeys_the_config_seed_rule(self, seed, line, config_path, capsys):
+        assert cli.main(["constants", "--config", config_path, "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line] and captured.out == ""
+
+    def test_seed_override_echo_reparses_to_the_run_config(self, config_path, capsys):
+        seed = str(2 ** 64 - 1)
+        assert cli.main(["constants", "--config", config_path, "--seed", seed]) == 0
+        meta = json.loads(capsys.readouterr().out.splitlines()[0])
+        expected = dataclasses.replace(parse_config(CONFIG), seed=2 ** 64 - 1)
+        assert meta["seed"] == 2 ** 64 - 1
+        assert config_from_dict(meta["config"]) == expected
 
     def test_csv_format_flag(self, config_path, capsys):
         assert cli.main(["run", "--config", config_path, "--format", "csv"]) == 0
@@ -149,6 +177,31 @@ class TestReport:
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "missing.jsonl")]) == 3
+
+    @pytest.mark.parametrize("command, data, fragment", [
+        (["report", "-", "--format", "csv"], b'{"kind":"convergence"}\n',
+         "line 1: convergence record lacks model, scheme"),
+        (["report", "-", "--format", "plot"], b'{"kind":"convergence"}\n',
+         "line 1: convergence record lacks model, scheme"),
+        (["report", "-", "--format", "csv"], json.dumps(SHORT_ERR_TR).encode() + b"\n",
+         "line 1: convergence record's err_tr must be a list of floats as long as n_list"),
+        (["report", "{path}"], b"\xff\xfe", "not UTF-8 text"),
+        (["constants", "--config", "{path}"], b"\xff\xfe", "not UTF-8 text"),
+        (["report", "-"], b"\xff\xfe", "stdin: not UTF-8 text"),
+        (["constants", "--config", "-"], b"\xff\xfe", "stdin: not UTF-8 text"),
+    ], ids=["csv-bare-convergence", "plot-bare-convergence", "short-err-tr",
+            "report-not-utf8", "config-not-utf8", "report-stdin-not-utf8",
+            "config-stdin-not-utf8"])
+    def test_unreadable_inputs_exit_one_without_traceback(self, command, data, fragment,
+                                                          tmp_path, monkeypatch, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert cli.main([arg.format(path=path) for arg in command]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestExitCodes:

@@ -1,10 +1,10 @@
 """Properties of the batched pairwise ordered-product kernel.
 
 Every scheme on rotating and commuting models, on a family without a
-batched ``heat_factor``, and on a dense generator, which takes the kernel's
-matrix route for e^{-tau A}.  The commuting model declares B(t) = b(t)
-diag(mu), so its products take the closed form; families without that
-declaration take the batched tree.  The batch size is drawn too, so
+batched ``heat_factor``, and on a dense generator.  The commuting model
+declares B(t) = b(t) diag(mu), so its products take the closed form; the
+others take the batched tree, where e^{-tau A} is a matrix whether A is
+diagonal or dense.  The batch size is drawn too, so
 products cross batch boundaries (including one-cell batches) and odd stack
 lengths.
 """
