@@ -37,14 +37,14 @@ _EXPORTS = {
     ),
     "models": (
         "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
-        "Generator", "PerturbationFamily", "Model", "evaluate_perturbation",
-        "perturbation_entries", "eigen_entries", "scalar_model", "commuting_model",
-        "rotating_model",
+        "Generator", "SpectralForm", "PerturbationFamily", "Model",
+        "evaluate_perturbation", "perturbation_entries", "eigen_entries", "scalar_model",
+        "commuting_model", "rotating_model",
     ),
     "quadrature": ("QuadratureSpec", "panel_edges", "integrate_matrix"),
     "propagator": (
         "Scheme", "Partition", "make_partition", "PropagatorResult",
-        "step_factor", "product_approximant", "reference_propagator",
+        "product_approximant", "reference_propagator",
         "integral_equation_residual",
     ),
     "constants": (

@@ -155,6 +155,16 @@ class _Collector:
                 self.error(f"{path}{key}", f"unknown key (expected one of {', '.join(known)})")
 
 
+def _finite_floats(values, col: _Collector, path: str):
+    """``values`` as floats, or None once a non-finite one is recorded."""
+    floats = [float(x) for x in values]
+    bad = next((x for x in floats if not np.isfinite(x)), None)
+    if bad is not None:
+        col.error(path, f"must be finite, got {bad!r}")
+        return None
+    return floats
+
+
 def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
     """A list of floats, or a {start, stop, count} linspace shorthand."""
     if isinstance(raw, dict):
@@ -174,7 +184,7 @@ def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
         if not raw:
             col.error(path, "must not be empty")
             return None
-        return [float(x) for x in raw]
+        return _finite_floats(raw, col, path)
     col.error(path, f"must be a list of numbers or {{start, stop, count}}, got {raw!r}")
     return None
 
@@ -382,7 +392,9 @@ def _parse_model(raw, col: _Collector, beta: float, horizon: float):
         if (len({len(r) for r in b0_raw}) == 1 and len(b0_raw[0]) == len(b0_raw)
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                         for r in b0_raw for x in r)):
-            b0 = [[float(x) for x in r] for r in b0_raw]
+            rows = _finite_floats([x for r in b0_raw for x in r], col, "model.b0")
+            if rows is not None:
+                b0 = np.reshape(rows, (len(b0_raw), len(b0_raw))).tolist()
         else:
             col.error("model.b0", "nested lists must form a square numeric matrix")
     else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import fractional_power, opnorm
-from .models import Model, _profile_values, diagonal_form, perturbation_entries
+from .models import Model, diagonal_form, perturbation_entries
 from .propagator import _batch_length, _check_window
 
 __all__ = ["ConstantsReport", "estimate_constants", "smoothing_constant",
@@ -102,8 +102,7 @@ def _horizon_samples(model: Model, grid: int,
     times = np.linspace(0.0, model.horizon, grid)
     form = diagonal_form(model)
     if form is not None:
-        profile, mu = form
-        b = _profile_values(profile, times)[:, None] * mu
+        b = form.values(times)[:, None] * form.mu
         lam_neg = np.diagonal(a_neg)
         return times, float(np.max(np.abs(b * lam_neg))), lam_neg * b * lam_neg
     d, chunk = model.dim, _batch_length(model.dim)

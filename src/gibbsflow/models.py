@@ -16,7 +16,7 @@ scalar and commuting models expose exact propagators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "linear_profile",
     "kink_profile",
     "Generator",
+    "SpectralForm",
     "PerturbationFamily",
     "Model",
     "scalar_model",
@@ -129,7 +130,8 @@ class Generator:
     def diagonal(self) -> Optional[np.ndarray]:
         """The diagonal of A when every off-diagonal entry is exactly 0, else None.
 
-        Read only by ``diagonal_form`` and the closed-form product it selects."""
+        Read only by ``diagonal_form``, which pairs it with a spectral form in
+        the standard basis, and by the closed-form product it selects."""
         a = self.operator.entries
         lam = np.diagonal(a)
         return lam if np.array_equal(a, np.diag(lam)) else None
@@ -150,35 +152,60 @@ def check_exponents(alpha: float, beta: float) -> None:
         raise ModelError(f"beta must lie in (0, 1], got {beta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class SpectralForm:
+    """B(t) = b(t) V(t) diag(mu) V(t)^T: a profile b, fixed eigenvalues ``mu``
+    (finite and non-negative, shape (d,)) and ``basis(ts)``, the orthonormal
+    V(t) for a 1-D array of n times, shape (n, d, d), or None for V = I.
+
+    It compares by identity, so a family holding it stays a memo key and the
+    array ``mu`` never enters equality or hashing.
+    """
+
+    profile: TimeProfile
+    mu: np.ndarray
+    basis: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.ndim != 1 or not np.all(np.isfinite(mu)) or np.any(mu < 0):
+            raise ModelError(f"spectral mu must be a finite, non-negative vector, got {mu}")
+        object.__setattr__(self, "mu", mu)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """b(t) for every time in ``ts``, shaped like ``ts``."""
+        return _profile_values(self.profile, ts)
+
+    def frame(self, ts: np.ndarray) -> Optional[np.ndarray]:
+        """V(t) for every time in ``ts``, or None for the standard basis."""
+        return None if self.basis is None else self.basis(ts)
+
+
+@dataclass(frozen=True, kw_only=True)
 class PerturbationFamily:
     """Time-dependent perturbation B(t) with declared (alpha, beta).
 
-    ``entries(ts)`` is the one description of B: for a 1-D array of n times
-    it returns the entries of every B(t), shape (n, d, d).  Read them through
-    ``perturbation_entries``, which validates them like ``HermitianOperator``.
-    ``heat_factor(ts, tau)``, when provided, returns every e^{-tau B(t)} in
-    eigen-form ``(w, V)``: the eigenvalues ``w``, shape (n, d), and the
-    orthonormal eigenvectors ``V``, shape (n, d, d), or ``None`` for the
-    standard basis, so that e^{-tau B(t)} = V diag(w) V^T (``eigen_entries``).
-    It must agree with the spectral route.  ``breakpoints`` lists the times
+    B is declared exactly once, in one of two ways.  ``spectral`` is a
+    ``SpectralForm``, B(t) = b(t) V(t) diag(mu) V(t)^T; every built-in
+    family is one.  ``entries(ts)`` is a general formula: for a 1-D array of
+    n times it returns the entries of every B(t), shape (n, d, d).  Read B
+    through ``perturbation_entries``, which builds it from either and
+    validates it like ``HermitianOperator``.  ``breakpoints`` lists the times
     where t -> B(t) is not smooth, so quadratures can align panel edges with
-    them.  ``scaled_diagonal``, when provided, is ``(profile, mu)`` declaring
-    B(t) = profile(t) diag(mu); like ``breakpoints`` and ``beta`` it must agree
-    with ``entries``.  It is left out of equality and hashing (a ``Model`` is a
-    memo key, and ``mu`` is an array).
+    them; like ``beta`` it must agree with B.
     """
 
-    entries: Callable[[np.ndarray], np.ndarray]
+    entries: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    spectral: Optional[SpectralForm] = None
     alpha: float
     beta: float
     breakpoints: tuple[float, ...] = ()
-    heat_factor: Optional[Callable[[np.ndarray, float],
-                                   tuple[np.ndarray, Optional[np.ndarray]]]] = None
-    scaled_diagonal: Optional[tuple[TimeProfile, np.ndarray]] = field(default=None, compare=False)
 
     def __post_init__(self):
         check_exponents(self.alpha, self.beta)
+        if (self.entries is None) == (self.spectral is None):
+            raise ModelError("a perturbation family declares exactly one of entries "
+                             "and spectral")
 
 
 @dataclass(frozen=True)
@@ -217,19 +244,24 @@ def evaluate_perturbation(model: Model, t: float, validate: bool = False) -> Her
 def perturbation_entries(model: Model, times) -> np.ndarray:
     """Symmetrized entries of B(t) for a 1-D array of n times, shape (n, d, d).
 
-    Every matrix of the family's ``entries`` gets the checks of
-    ``HermitianOperator``: finite entries, then ``symmetrized``.
+    B comes from the family's spectral form or its ``entries``, and every
+    matrix gets the checks of ``HermitianOperator``: finite entries, then
+    ``symmetrized``.
     """
     times = np.asarray(times, dtype=float)
     shape = (times.size, model.dim, model.dim)
     if times.ndim != 1:
         raise ValidationError(f"times must be a 1-D array, got shape {times.shape}")
+    if not np.all(np.isfinite(times)):
+        raise ValidationError("times must be finite")
     if times.size and not (0.0 <= times.min() and times.max() <= model.horizon):
         raise TimeRangeError(
-            f"times [{times.min()!r}, {times.max()!r}] outside the model horizon "
-            f"[0, {model.horizon!r}]"
+            f"times [{float(times.min())!r}, {float(times.max())!r}] outside the model "
+            f"horizon [0, {model.horizon!r}]"
         )
-    b = np.asarray(model.perturbation.entries(times), dtype=float)
+    form = model.perturbation.spectral
+    b = (eigen_entries(form.values(times)[..., None] * form.mu, form.frame(times))
+         if form is not None else np.asarray(model.perturbation.entries(times), dtype=float))
     if b.shape != shape:
         raise ValidationError(f"perturbation entries have shape {b.shape}, expected {shape}")
     if not np.all(np.isfinite(b)):
@@ -237,15 +269,15 @@ def perturbation_entries(model: Model, times) -> np.ndarray:
     return symmetrized(b, where=lambda k: f" at t={float(times[k])!r}")
 
 
-def diagonal_form(model: Model) -> Optional[tuple[TimeProfile, np.ndarray]]:
-    """``(profile, mu)`` when A is diagonal and the family declares
-    B(t) = profile(t) diag(mu) (``scaled_diagonal``), else None: the one test
-    of diagonal structure.  A family whose B(t) is diagonal without the
-    declaration gets None, and its callers take their general route."""
-    declared = model.perturbation.scaled_diagonal
-    if declared is None or model.generator.diagonal is None:
+def diagonal_form(model: Model) -> Optional[SpectralForm]:
+    """The family's spectral form when A is diagonal and the form's basis is
+    None, so that B(t) = b(t) diag(mu), else None: the one test of diagonal
+    structure.  A family whose B(t) is diagonal in some other way gets None,
+    and its callers take their general route."""
+    form = model.perturbation.spectral
+    if form is None or form.basis is not None or model.generator.diagonal is None:
         return None
-    return declared
+    return form
 
 
 def _profile_values(profile: TimeProfile, ts: np.ndarray) -> np.ndarray:
@@ -266,28 +298,6 @@ def eigen_entries(w: np.ndarray, v: Optional[np.ndarray]) -> np.ndarray:
     out = np.zeros(w.shape[:-1] + (d * d,))
     out[..., ::d + 1] = w
     return out.reshape(w.shape + (d,))
-
-
-def _spectral_family(profile: TimeProfile, mu: np.ndarray, basis=None,
-                     **fields) -> PerturbationFamily:
-    """The family B(t) = b(t) V(t) diag(mu) V(t)^T, with its heat factor.
-
-    ``basis(ts)`` returns V(t) for every time, shape (n, d, d); without it
-    V = I, which the heat factor reports as ``None`` and the family declares
-    as ``scaled_diagonal``.  ``fields`` are the remaining
-    ``PerturbationFamily`` fields.
-    """
-    frame = basis if basis is not None else (lambda ts: None)
-
-    def entries(ts: np.ndarray) -> np.ndarray:
-        return eigen_entries(_profile_values(profile, ts)[..., None] * mu, frame(ts))
-
-    def heat_factor(ts: np.ndarray, tau: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        return np.exp((-tau * _profile_values(profile, ts))[..., None] * mu), frame(ts)
-
-    return PerturbationFamily(entries=entries, heat_factor=heat_factor,
-                              scaled_diagonal=(profile, mu) if basis is None else None,
-                              **fields)
 
 
 def _check_profile_nonneg(profile: TimeProfile, horizon: float) -> None:
@@ -316,8 +326,8 @@ def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
     def exact(s: float, t: float) -> np.ndarray:
         return np.array([[math.exp(-a * (t - s) - b.integral(s, t))]])
 
-    family = _spectral_family(
-        b, np.ones(1),
+    family = PerturbationFamily(
+        spectral=SpectralForm(b, np.ones(1)),
         alpha=alpha,
         beta=beta,
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
@@ -341,8 +351,6 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
             f"lambdas and d0 must be one-dimensional with equal length, "
             f"got {lam.shape} and {d0.shape}"
         )
-    if np.any(d0 < 0):
-        raise ModelError(f"d0 must be non-negative, got {d0}")
     _check_profile_nonneg(b, horizon)
     generator = Generator(np.diag(lam))
     if beta is None:
@@ -352,8 +360,8 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
         ib = b.integral(s, t)
         return np.diag(np.exp(-lam * (t - s) - d0 * ib))
 
-    family = _spectral_family(
-        b, d0,
+    family = PerturbationFamily(
+        spectral=SpectralForm(b, d0),
         alpha=alpha,
         beta=beta,
         breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
@@ -400,8 +408,8 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
         v[..., 1, :] = s * q0[0, :] + c * q0[1, :]
         return v
 
-    family = _spectral_family(
-        envelope, mu, rotated_basis,
+    family = PerturbationFamily(
+        spectral=SpectralForm(envelope, mu, rotated_basis),
         alpha=alpha,
         beta=beta,
         breakpoints=(t0,) if 0.0 < t0 < horizon else (),

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AccuracyError, DecompositionError, TimeRangeError, ValidationError
 from .linalg import checked_eigh, heat, opnorm, trace_norm
-from .models import Model, _profile_values, diagonal_form, eigen_entries, perturbation_entries
+from .models import Model, diagonal_form, eigen_entries, perturbation_entries
 from .quadrature import (QuadratureSpec, _refine_by_doubling, integrate_matrix, mesh_grading,
                          panel_edges)
 
@@ -43,7 +43,6 @@ __all__ = [
     "Partition",
     "make_partition",
     "PropagatorResult",
-    "step_factor",
     "product_approximant",
     "reference_propagator",
     "integral_equation_residual",
@@ -139,15 +138,12 @@ class PropagatorResult:
         object.__setattr__(self, "U", u)
 
 
-def _check_window(model: Model, s: float, t: Optional[float] = None) -> None:
+def _check_window(model: Model, s: float, t: float) -> None:
     """Reject a window [s, t] unless its ends are finite with s < t, and
-    reject one reaching outside the model horizon [0, T].  Without ``t``
-    the single time s is checked."""
-    single = t is None
-    t = s if single else t
+    reject one reaching outside the model horizon [0, T]."""
     if not (np.isfinite(s) and np.isfinite(t)):
         raise ValidationError(f"window ends must be finite, got s={s!r}, t={t!r}")
-    if not (single or s < t):
+    if not s < t:
         raise ValidationError(f"window requires s < t, got s={s!r}, t={t!r}")
     if not (0.0 <= s and t <= model.horizon):
         raise TimeRangeError(
@@ -156,31 +152,15 @@ def _check_window(model: Model, s: float, t: Optional[float] = None) -> None:
 
 
 def _heat_of_perturbation(model: Model, times: np.ndarray, tau: float) -> np.ndarray:
-    """Entries of every e^{-tau B(t)} for t in ``times``: the family's batched
-    ``heat_factor`` when present, otherwise one stacked, self-checked
+    """Entries of every e^{-tau B(t)} for t in ``times``: V diag(e^{-tau b(t) mu}) V^T
+    from the family's spectral form, otherwise one stacked, self-checked
     decomposition of ``perturbation_entries``."""
-    fast = model.perturbation.heat_factor
-    if fast is not None:
-        return eigen_entries(*fast(times, tau))
+    form = model.perturbation.spectral
+    if form is not None:
+        return eigen_entries(np.exp((-tau * form.values(times))[..., None] * form.mu),
+                             form.frame(times))
     w, q = checked_eigh(perturbation_entries(model, times))
     return eigen_entries(np.exp(-tau * w), q)
-
-
-def step_factor(scheme: Scheme, model: Model, t_k: float, tau: float) -> np.ndarray:
-    """Single-cell factor W_k for the sample time t_k and cell width tau."""
-    if tau <= 0:
-        raise ValidationError(f"cell width must be positive, got {tau}")
-    _check_window(model, t_k)
-    a = model.generator.operator
-    eb = _heat_of_perturbation(model, np.array([float(t_k)]), tau)[0]
-    if scheme is Scheme.LEFT:
-        return heat(a, tau) @ eb
-    if scheme is Scheme.RIGHT:
-        return eb @ heat(a, tau)
-    if scheme is Scheme.SYMMETRIC:
-        half = heat(a, 0.5 * tau)
-        return half @ eb @ half
-    raise ValidationError(f"unknown scheme {scheme!r}")
 
 
 def _pairwise(factors: np.ndarray) -> np.ndarray:
@@ -221,7 +201,7 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
     """Product of cell factors, later times applied on the left.
 
     When the model has a diagonal form (``diagonal_form``: A is diagonal and
-    the family declares B(t) = b(t) diag(mu)), every factor of every scheme
+    the family's spectral form is B(t) = b(t) diag(mu)), every factor of every scheme
     is diagonal, so the factors commute and the product is the closed form
     diag(exp(-tau (n lambda + (sum_k b(t_k)) mu))): one pairwise sum of n
     samples and one exponential per entry, rounded once instead of n times.
@@ -236,9 +216,8 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
     n = len(sample_times)
     form = diagonal_form(model)
     if form is not None:
-        profile, mu = form
-        b_sum = np.sum(_profile_values(profile, sample_times))
-        return np.diag(np.exp(-tau * (n * model.generator.diagonal + b_sum * mu)))
+        b_sum = np.sum(form.values(sample_times))
+        return np.diag(np.exp(-tau * (n * model.generator.diagonal + b_sum * form.mu)))
 
     a = model.generator.operator
     ea = heat(a, tau)

@@ -1,6 +1,7 @@
 """Shared fixtures: model factories and seeded random matrices."""
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -25,6 +26,36 @@ def python_output(code: str) -> list[str]:
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     return done.stdout.split()
+
+
+def entries_only(model: "gf.Model") -> "gf.Model":
+    """``model`` with a family that gives B as an ``entries`` formula alone:
+    the same B(t), bit for bit, without its spectral form, so every route
+    takes its general branch."""
+    family = model.perturbation
+    general = gf.PerturbationFamily(entries=lambda ts: gf.perturbation_entries(model, ts),
+                                    alpha=family.alpha, beta=family.beta,
+                                    breakpoints=family.breakpoints)
+    return dataclasses.replace(model, perturbation=general)
+
+
+def per_cell_product(scheme: "gf.Scheme", model: "gf.Model", points, tau: float) -> np.ndarray:
+    """W_n ... W_1 over the sample times ``points``, one cell at a time, with
+    e^{-tau B(t_k)} from the ``HermitianOperator`` spectrum of each
+    ``perturbation_entries`` matrix: a construction independent of the
+    product kernel's batches and of the family's spectral form."""
+    a = model.generator.operator
+    ea, half = gf.heat(a, tau), gf.heat(a, 0.5 * tau)
+    u = np.eye(model.dim)
+    for b in gf.perturbation_entries(model, np.asarray(points, dtype=float)):
+        eb = gf.heat(gf.HermitianOperator(b), tau)
+        if scheme is gf.Scheme.LEFT:
+            u = ea @ eb @ u
+        elif scheme is gf.Scheme.RIGHT:
+            u = eb @ ea @ u
+        else:
+            u = half @ eb @ half @ u
+    return u
 
 
 def random_symmetric_psd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

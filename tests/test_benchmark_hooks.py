@@ -5,7 +5,6 @@
 and its metrics silently read 0, so these tests fail instead.  The tracer
 module is loaded by path and never installed.
 """
-import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,9 +13,10 @@ import numpy as np
 import pytest
 
 import gibbsflow as gf
-from gibbsflow import dyson
+from gibbsflow import dyson, propagator
+from gibbsflow.models import diagonal_form
 
-from conftest import python_output
+from conftest import entries_only, python_output
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,20 +46,26 @@ def test_importing_the_cli_loads_every_hooked_module(tracer):
     assert python_output(code) == ["True"] * len(modules)
 
 
-def test_family_counter_wraps_the_eigen_form_heat_factor(tracer):
-    fields = {field.name for field in dataclasses.fields(gf.PerturbationFamily)}
-    assert "heat_factor" in fields
-    assert tracer.FAMILY_COUNTERS["heat_factor"] == "models.heat_factor"
-    ts = np.array([0.1, 0.6])
-    for model in (gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.4, 0.5)),
-                  gf.rotating_model([1.0, 2.0, 3.0], [0.3, 0.2, 0.5], 2.0, beta=0.5)):
-        counting = tracer.Tracer()
-        w, v = counting.instrument_model(model).perturbation.heat_factor(ts, 0.05)
-        assert counting.counters["models.heat_factor"][0] == 1
-        plain_w, plain_v = model.perturbation.heat_factor(ts, 0.05)
-        assert np.array_equal(w, plain_w) and w.shape == (ts.size, model.dim)
-        assert (v is None) == (plain_v is None)
-        assert np.array_equal(gf.eigen_entries(w, v), gf.eigen_entries(plain_w, plain_v))
+def test_instrumented_model_matches_the_model(tracer):
+    # The tracer rebuilds every traced model with ``dataclasses.replace``.
+    # The copy keeps the family's declaration, computes what the model
+    # computes bit for bit, and serves as a memo key.
+    commuting = gf.commuting_model([1.0, 2.0, 3.0], [0.3, 0.2, 0.5], gf.kink_profile(0.4, 0.5))
+    models = (gf.scalar_model(1.5, gf.kink_profile(0.4, 0.5)), commuting,
+              gf.rotating_model([1.0, 2.0, 3.0], [0.3, 0.2, 0.5], 2.0, beta=0.5),
+              entries_only(commuting))
+    for model in models:
+        traced = tracer.Tracer().instrument_model(model)
+        assert traced is not model and traced == model and hash(traced) == hash(model)
+        assert diagonal_form(traced) is diagonal_form(model)
+        for scheme in gf.Scheme:
+            assert np.array_equal(gf.product_approximant(scheme, traced, 0.0, 1.0, 4096).U,
+                                  gf.product_approximant(scheme, model, 0.0, 1.0, 4096).U)
+        first = gf.reference_propagator(traced, 0.0, 0.5, tol=1e-8)
+        assert gf.reference_propagator(traced, 0.0, 0.5, tol=1e-8) is first
+        assert (0.0, 0.5, 1e-8) in propagator._REFERENCE_MEMO[traced]
+        uncached = propagator._magnus_reference(model, 0.0, 0.5, 1e-8)
+        assert np.array_equal(first.U, uncached.U)
 
 
 def test_collocation_grid_exists():

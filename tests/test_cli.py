@@ -232,6 +232,26 @@ class TestExitCodes:
         assert line in captured.err.splitlines()
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("value, shown", [(".inf", "inf"), (".nan", "nan")])
+    @pytest.mark.parametrize("key, document", [
+        ("d0", "{family: commuting, lambdas: [1.0, 2.0], d0: [V, 0.2], b: 1.0}"),
+        ("lambdas", "{family: commuting, lambdas: [1.0, V], d0: [0.1, 0.2], b: 1.0}"),
+        ("b0", "{family: rotating, lambdas: [1.0, 2.0], b0: [V, 0.2], omega: 1.0}"),
+        ("b0", "{family: rotating, lambdas: [1.0, 2.0], b0: [[V, 0.0], [0.0, 0.2]],"
+               " omega: 1.0}"),
+    ], ids=["d0", "lambdas", "b0", "b0-matrix"])
+    @pytest.mark.parametrize("command", ["run", "constants"])
+    def test_non_finite_model_lists_are_config_errors(self, command, key, document, value,
+                                                      shown, tmp_path, capsys):
+        # The closed-form routes of a commuting model never check B's entries,
+        # so the configuration must reject a non-finite d0 itself.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"model: {document.replace('V', value)}\n")
+        assert cli.main([command, "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: model.{key}: must be finite, got {shown}"]
+        assert captured.out == ""
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 3
 

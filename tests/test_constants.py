@@ -6,7 +6,6 @@ Frozen oracles:
 - smoothing factor for alpha > 0 equals max over x of x^alpha e^{-x}
   = (alpha/e)^alpha when delta * lambda_max >= alpha
 """
-import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -20,7 +19,7 @@ from gibbsflow.constants import smoothing_constant
 from gibbsflow.linalg import opnorm
 from gibbsflow.models import diagonal_form
 
-from conftest import make_rotating, random_symmetric_psd
+from conftest import entries_only, make_rotating, random_symmetric_psd
 
 README_B0 = [0.5, 0.3, 0.8, 0.2, 0.9, 0.4, 0.7, 0.1,
              0.6, 0.2, 0.4, 0.8, 0.3, 0.5, 0.9, 0.2]
@@ -284,12 +283,6 @@ class TestRelativeBound:
         assert rep.c_alpha == expected
 
 
-def _undeclared(model):
-    """``model`` whose family drops its ``scaled_diagonal`` declaration."""
-    return dataclasses.replace(model, perturbation=dataclasses.replace(
-        model.perturbation, scaled_diagonal=None))
-
-
 # Commuting models, by alpha: sorted and unsorted eigenvalues, zero couplings.
 DIAGONAL_MODELS = {
     "commuting-kink-64": lambda alpha: gf.commuting_model(
@@ -308,7 +301,7 @@ class TestDiagonalForm:
     @pytest.mark.parametrize("name", sorted(DIAGONAL_MODELS))
     def test_closed_form_equals_general_route(self, name, alpha, grid):
         model = DIAGONAL_MODELS[name](alpha)
-        general = _undeclared(model)
+        general = entries_only(model)
         assert diagonal_form(model) is not None and diagonal_form(general) is None
         with mock.patch.object(constants, "perturbation_entries", side_effect=AssertionError):
             closed = (gf.estimate_constants(model, 0.1, 0.7, grid=grid),

@@ -1,10 +1,10 @@
 """Properties of the batched pairwise ordered-product kernel.
 
-Every scheme on rotating and commuting models, on a family without a
-batched ``heat_factor``, and on a dense generator.  The commuting model
-declares B(t) = b(t) diag(mu), so its products take the closed form; the
-others take the batched tree, where e^{-tau A} is a matrix whether A is
-diagonal or dense.  The batch size is drawn too, so
+Every scheme on rotating and commuting models, on an entries-only family,
+and on a dense generator.  The commuting model's spectral form is
+B(t) = b(t) diag(mu), so its products take the closed form; the others take
+the batched tree, where e^{-tau A} is a matrix whether A is diagonal or
+dense.  The batch size is drawn too, so
 products cross batch boundaries (including one-cell batches) and odd stack
 lengths.
 """
@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import gibbsflow as gf
 from gibbsflow import propagator
+from gibbsflow.models import diagonal_form
 
-from conftest import make_rotating, random_symmetric_psd
+from conftest import entries_only, make_rotating, per_cell_product, random_symmetric_psd
 
 ROTATING = make_rotating(dim=5, seed=7)
 COMMUTING = gf.commuting_model(np.linspace(1.0, 3.0, 4), [0.6, 0.1, 0.9, 0.3],
@@ -38,8 +39,7 @@ def _dense_generator(model, seed):
 MODELS = {
     "rotating": ROTATING,
     "commuting": COMMUTING,
-    "spectral": dataclasses.replace(
-        ROTATING, perturbation=dataclasses.replace(ROTATING.perturbation, heat_factor=None)),
+    "entries-only": entries_only(ROTATING),
     "dense-generator": _dense_generator(COMMUTING, 23),
 }
 
@@ -56,13 +56,6 @@ def _kernel(model, scheme, s, t, n, cells):
         return propagator._ordered_product(model, part.points, part.step, scheme)
 
 
-def _loop(model, scheme, points, tau):
-    u = np.eye(model.dim)
-    for t_k in points:
-        u = gf.step_factor(scheme, model, float(t_k), tau) @ u
-    return u
-
-
 def _rel(a, b):
     return gf.opnorm(a - b) / gf.opnorm(b)
 
@@ -74,7 +67,7 @@ def test_matches_per_cell_loop(name, scheme, window, n, cells):
     s, width = window
     part = gf.make_partition(s, s + width, n)
     kernel = _kernel(model, scheme, part.s, part.t, n, cells)
-    assert _rel(kernel, _loop(model, scheme, part.points, part.step)) <= 1e-12
+    assert _rel(kernel, per_cell_product(scheme, model, part.points, part.step)) <= 1e-12
 
 
 @given(models, schemes, windows, st.integers(1, 150), batch_cells)
@@ -101,11 +94,9 @@ def test_contracts_at_generator_rate(name, scheme, window, n, cells):
 
 
 def test_entries_only_heat_equals_per_matrix_spectra():
-    # A family without heat_factor gets e^{-tau B(t)} from one stacked eigh;
-    # the reference decomposes each matrix on its own.
-    rotating = make_rotating(dim=16, seed=3)
-    model = dataclasses.replace(rotating, perturbation=dataclasses.replace(
-        rotating.perturbation, heat_factor=None))
+    # A family without a spectral form gets e^{-tau B(t)} from one stacked
+    # eigh; the reference decomposes each matrix on its own.
+    model = entries_only(make_rotating(dim=16, seed=3))
     times, tau = np.linspace(0.0, 1.0, 997), 1.0 / 997
     spectra = [gf.HermitianOperator(b).spectrum()
                for b in gf.perturbation_entries(model, times)]
@@ -116,7 +107,7 @@ def test_entries_only_heat_equals_per_matrix_spectra():
 
 
 def _constant_model(dim, seed):
-    """Non-commuting model with B constant in time; no batched heat factor."""
+    """Non-commuting model with B constant in time, given by its entries."""
     rng = np.random.default_rng(seed)
     b = random_symmetric_psd(rng, dim)
     family = gf.PerturbationFamily(entries=lambda ts: np.broadcast_to(b, (ts.size, dim, dim)),
@@ -135,47 +126,45 @@ def test_symmetric_scheme_is_palindromic_for_constant_b(window, n, cells):
     assert gf.opnorm(u - u.T) <= 1e-12 * gf.opnorm(u)
 
 
-def _undeclared(model, identity_basis=False):
-    """``model`` whose family drops its ``scaled_diagonal`` declaration, so
-    its products take the batched tree.  With ``identity_basis`` the heat
-    factor names the standard basis as an explicit identity stack instead of
-    ``None``, which composes every factor as a dense matrix."""
-    family = model.perturbation
-    heat_factor = family.heat_factor
-    if identity_basis:
-        def heat_factor(ts, tau):
-            w, _ = family.heat_factor(ts, tau)
-            return w, np.broadcast_to(np.eye(w.shape[-1]), w.shape + w.shape[-1:])
-
+def _identity_basis(model):
+    """``model`` whose spectral form names the standard basis as an explicit
+    identity stack instead of ``None``: it has no diagonal form, so its
+    products take the batched tree and compose every factor as a dense
+    matrix."""
+    form, eye = model.perturbation.spectral, np.eye(model.dim)
+    identity = gf.SpectralForm(form.profile, form.mu,
+                               lambda ts: np.broadcast_to(eye, ts.shape + eye.shape))
     return dataclasses.replace(model, perturbation=dataclasses.replace(
-        family, heat_factor=heat_factor, scaled_diagonal=None))
+        model.perturbation, spectral=identity))
 
 
-COMMUTING_TREE = _undeclared(COMMUTING)
-COMMUTING_DENSE = _undeclared(COMMUTING, identity_basis=True)
+COMMUTING_DENSE = _identity_basis(COMMUTING)
 
 
 @given(schemes, windows, st.integers(1, 300), st.integers(0, 5))
 @settings(max_examples=40)
 def test_closed_form_matches_dense_route(scheme, window, n, log_cells):
     # The closed form rounds once, the tree n times, so they agree within
-    # rounding.  Without the declaration, diagonal factors give the dense
+    # rounding.  On the tree, a ``None`` basis gives the identity basis's
     # products bit for bit: a matrix product with a diagonal operand adds
-    # exact zeros.
+    # exact zeros.  A diagonal A would select the closed form, so that pair
+    # runs on a dense generator.
     s, width = window
     cells = 2 ** log_cells
-    assert COMMUTING.perturbation.scaled_diagonal is not None
-    assert COMMUTING_DENSE.perturbation.scaled_diagonal is None
+    assert diagonal_form(COMMUTING) is COMMUTING.perturbation.spectral
+    assert diagonal_form(COMMUTING_DENSE) is None
     closed = _kernel(COMMUTING, scheme, s, s + width, n, cells)
     dense = _kernel(COMMUTING_DENSE, scheme, s, s + width, n, cells)
     assert _rel(closed, dense) <= 1e-12
     assert np.count_nonzero(closed - np.diag(np.diagonal(closed))) == 0
-    assert np.array_equal(_kernel(COMMUTING_TREE, scheme, s, s + width, n, cells), dense)
+    assert np.array_equal(
+        _kernel(MODELS["dense-generator"], scheme, s, s + width, n, cells),
+        _kernel(_dense_generator(COMMUTING_DENSE, 23), scheme, s, s + width, n, cells))
 
 
 def _hand_written_diagonal(lambdas, mu, profile):
-    """Model whose family writes B(t) = b(t) diag(mu) and its heat factor by
-    hand, with a ``None`` basis and no ``scaled_diagonal`` declaration."""
+    """Model whose family writes B(t) = b(t) diag(mu) by hand as its
+    ``entries``, without a spectral form."""
     mu = np.asarray(mu, dtype=float)
 
     def values(ts):
@@ -183,7 +172,6 @@ def _hand_written_diagonal(lambdas, mu, profile):
 
     family = gf.PerturbationFamily(
         entries=lambda ts: gf.eigen_entries(values(ts), None),
-        heat_factor=lambda ts, tau: (np.exp(-tau * values(ts)), None),
         alpha=0.0, beta=profile.beta,
         breakpoints=profile.breakpoints)
     return gf.Model(gf.Generator(np.diag(lambdas)), family)
@@ -199,29 +187,23 @@ def test_undeclared_diagonal_family_matches_per_cell_loop(scheme, window, n, cel
     s, width = window
     part = gf.make_partition(s, s + width, n)
     kernel = _kernel(HAND_WRITTEN, scheme, part.s, part.t, n, cells)
-    assert _rel(kernel, _loop(HAND_WRITTEN, scheme, part.points, part.step)) <= 1e-12
+    assert _rel(kernel, per_cell_product(scheme, HAND_WRITTEN, part.points, part.step)) <= 1e-12
 
 
-def test_declaration_survives_a_wrapped_heat_factor():
-    # A benchmark tracer counts heat factor calls by replacing the field on
-    # a copy of the family; the copy keeps the declaration, takes the closed
-    # form without calling the wrapper, and still serves as a memo key.
-    calls = []
-
-    def wrapper(ts, tau):
-        calls.append(len(ts))
-        return COMMUTING.perturbation.heat_factor(ts, tau)
-
-    wrapped = dataclasses.replace(COMMUTING, perturbation=dataclasses.replace(
-        COMMUTING.perturbation, heat_factor=wrapper))
-    assert wrapped.perturbation.scaled_diagonal is COMMUTING.perturbation.scaled_diagonal
+def test_declaration_survives_a_copied_family():
+    # A benchmark tracer rebuilds a model around a copy of its family; the
+    # copy keeps the spectral form itself, so it takes the closed form, gives
+    # the same products bit for bit, and still serves as a memo key.
+    copied = dataclasses.replace(COMMUTING, perturbation=dataclasses.replace(
+        COMMUTING.perturbation))
+    assert copied.perturbation is not COMMUTING.perturbation
+    assert diagonal_form(copied) is COMMUTING.perturbation.spectral
     for scheme in gf.Scheme:
-        assert np.array_equal(gf.product_approximant(scheme, wrapped, 0.0, 1.0, 4096).U,
+        assert np.array_equal(gf.product_approximant(scheme, copied, 0.0, 1.0, 4096).U,
                               gf.product_approximant(scheme, COMMUTING, 0.0, 1.0, 4096).U)
-    assert calls == []
-    first = gf.reference_propagator(wrapped, 0.0, 0.5, tol=1e-8)
-    assert gf.reference_propagator(wrapped, 0.0, 0.5, tol=1e-8) is first
-    assert (0.0, 0.5, 1e-8) in propagator._REFERENCE_MEMO[wrapped]
+    first = gf.reference_propagator(copied, 0.0, 0.5, tol=1e-8)
+    assert gf.reference_propagator(copied, 0.0, 0.5, tol=1e-8) is first
+    assert (0.0, 0.5, 1e-8) in propagator._REFERENCE_MEMO[copied]
 
 
 def _reference_err_tr(lambdas, mu, t0, offset, n):
@@ -262,8 +244,8 @@ def test_closed_form_error_matches_a_40_digit_reference():
     gf.commuting_model(np.linspace(1.0, 3.0, 12), np.linspace(0.1, 0.9, 12),
                        gf.kink_profile(0.45, 0.5)),
     ROTATING,
-    _undeclared(gf.commuting_model(np.linspace(1.0, 3.0, 12), np.linspace(0.1, 0.9, 12),
-                                   gf.kink_profile(0.45, 0.5))),
+    entries_only(gf.commuting_model(np.linspace(1.0, 3.0, 12), np.linspace(0.1, 0.9, 12),
+                                    gf.kink_profile(0.45, 0.5))),
 ], ids=["commuting-3", "commuting-12", "rotating-5", "undeclared-12"])
 @pytest.mark.parametrize("n", [100, 1000, 5000])
 def test_product_does_not_depend_on_batch_bytes(model, n, monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbsflow as gf
+from gibbsflow import propagator
 from gibbsflow.models import diagonal_form
 
 from conftest import make_rotating, random_symmetric_psd
@@ -92,9 +93,9 @@ class TestDiagonalForm:
     def test_declared_families_on_a_diagonal_generator(self, commuting_small, rotating_small):
         scalar = gf.scalar_model(1.5, gf.kink_profile(0.4, 0.5))
         for model in (scalar, commuting_small):
-            assert diagonal_form(model) is model.perturbation.scaled_diagonal
+            assert diagonal_form(model) is model.perturbation.spectral
         assert np.array_equal(commuting_small.generator.diagonal, [1.0, 2.0, 3.0])
-        # diagonal A, but B(t) rotates: no declaration
+        # diagonal A, but B(t) rotates: its spectral form has a basis
         assert rotating_small.generator.diagonal is not None
         assert diagonal_form(rotating_small) is None
 
@@ -138,6 +139,12 @@ class TestCommutingModel:
         with pytest.raises(gf.ModelError):
             gf.commuting_model([1.0, 2.0], [0.1, -0.2], gf.constant_profile(1.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_d0(self, bad):
+        # the closed forms never pass B through perturbation_entries' check
+        with pytest.raises(gf.ModelError, match="finite"):
+            gf.commuting_model([1.0, 2.0], [bad, 0.2], gf.constant_profile(1.0))
+
 
 class TestDeclaredBeta:
     def test_models_declare_the_profile_beta(self):
@@ -176,7 +183,7 @@ class TestRotatingModel:
         tau = 0.03
         for t in (0.1, 0.5, 0.9):
             b = gf.evaluate_perturbation(m, t).entries
-            fast = gf.eigen_entries(*m.perturbation.heat_factor(np.array([t]), tau))[0]
+            fast = propagator._heat_of_perturbation(m, np.array([t]), tau)[0]
             assert np.allclose(fast, scipy.linalg.expm(-tau * b), atol=1e-12)
 
     def test_rejects_indefinite_b0(self):
@@ -201,13 +208,13 @@ class TestBatchedHeatFactor:
         model = build()
         ts = np.array([0.0, 0.13, 0.4, 0.5, 0.77, 1.0])
         tau = 0.05
-        w, v = model.perturbation.heat_factor(ts, tau)
-        assert w.shape == (ts.size, model.dim)
-        assert (v is None) == model.descriptor.startswith(("scalar", "commuting"))
-        batched = gf.eigen_entries(w, v)
+        form = model.perturbation.spectral
+        assert form.values(ts).shape == ts.shape and form.mu.shape == (model.dim,)
+        assert (form.frame(ts) is None) == model.descriptor.startswith(("scalar", "commuting"))
+        batched = propagator._heat_of_perturbation(model, ts, tau)
         assert batched.shape == (ts.size, model.dim, model.dim)
         for t, factor in zip(ts, batched):
-            single = gf.eigen_entries(*model.perturbation.heat_factor(np.array([t]), tau))
+            single = propagator._heat_of_perturbation(model, np.array([t]), tau)
             assert single.shape == (1, model.dim, model.dim)
             assert np.allclose(factor, single[0], rtol=0, atol=1e-15)
             spectral = gf.heat(gf.evaluate_perturbation(model, float(t)), tau)
@@ -225,14 +232,20 @@ class TestBatchedEntries:
     # 0, the horizon and each family's breakpoint (0.4 or 0.5) among them
     TIMES = np.array([0.0, 0.13, 0.4, 0.5, 0.77, 1.0])
 
+    @staticmethod
+    def _formula(model, ts):
+        """B from the spectral form's formula, before any check."""
+        form = model.perturbation.spectral
+        return gf.eigen_entries(form.values(ts)[..., None] * form.mu, form.frame(ts))
+
     @pytest.mark.parametrize("build", FAMILIES)
     def test_batch_matches_evaluate(self, build):
         model = build()
-        batched = model.perturbation.entries(self.TIMES)
+        batched = self._formula(model, self.TIMES)
         assert batched.shape == (self.TIMES.size, model.dim, model.dim)
         checked = gf.perturbation_entries(model, self.TIMES)
         for t, raw, b in zip(self.TIMES, batched, checked):
-            single = model.perturbation.entries(np.array([t]))[0]
+            single = self._formula(model, np.array([t]))[0]
             scale = np.max(np.abs(single))
             assert np.max(np.abs(raw - single)) <= 1e-15 * scale
             assert np.max(np.abs(b - single)) <= 1e-15 * scale
@@ -243,7 +256,7 @@ class TestBatchedEntries:
     def _with_entries(entries):
         model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.constant_profile(1.0))
         return dataclasses.replace(model, perturbation=dataclasses.replace(
-            model.perturbation, entries=entries))
+            model.perturbation, entries=entries, spectral=None))
 
     def test_non_finite_entries_rejected(self):
         def entries(ts):
@@ -313,7 +326,7 @@ class TestFamilyContract:
     def test_matches_built_in_rotating_model(self):
         user = self._entries_only(self._rotating_formula)
         built = self.ROTATING
-        assert user.perturbation.heat_factor is None
+        assert user.perturbation.spectral is None
         for scheme in gf.Scheme:
             assert self._rel(gf.product_approximant(scheme, user, 0.0, 1.0, 64).U,
                              gf.product_approximant(scheme, built, 0.0, 1.0, 64).U) <= 1e-12
@@ -327,6 +340,13 @@ class TestFamilyContract:
             lambda s, r: m.generator.heat(r - s), m, 0.1, 0.4) for m in (user, built)]
         assert residuals[0] == pytest.approx(residuals[1], rel=1e-12)
 
+    def test_family_declares_b_exactly_once(self):
+        both = {"entries": self._rotating_formula,
+                "spectral": self.ROTATING.perturbation.spectral}
+        for given in (both, {}):
+            with pytest.raises(gf.ModelError, match="exactly one of entries and spectral"):
+                gf.PerturbationFamily(alpha=0.0, beta=0.5, **given)
+
     def test_spectral_route_rejects_asymmetric_entries(self):
         def entries(ts):
             b = self._rotating_formula(ts)
@@ -339,9 +359,9 @@ class TestFamilyContract:
     def test_spectral_route_rejects_times_past_horizon(self):
         user = self._entries_only(self._rotating_formula)
         with pytest.raises(gf.TimeRangeError):
-            gf.step_factor(gf.Scheme.SYMMETRIC, user, 1.5, 0.1)
+            propagator._heat_of_perturbation(user, np.array([1.5]), 0.1)
         with pytest.raises(gf.TimeRangeError):
-            gf.step_factor(gf.Scheme.LEFT, user, -0.25, 0.1)
+            gf.perturbation_entries(user, np.array([-0.25]))
 
 
 class TestTimeValidation:

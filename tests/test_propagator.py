@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import gibbsflow as gf
 from gibbsflow import propagator, quadrature
 
-from conftest import make_rotating, random_symmetric_psd
+from conftest import make_rotating, per_cell_product, random_symmetric_psd
 
 
 def assert_agrees_with_series(model, ref, tol: float) -> None:
@@ -106,12 +106,10 @@ class TestSplitProduct:
         n = 8
         part = gf.make_partition(0.0, 1.0, n)
         full = gf.product_approximant(gf.Scheme.LEFT, rotating_small, 0.0, 1.0, n).U
-        early = np.eye(rotating_small.dim)
-        for t_k in part.points[: n // 2]:
-            early = gf.step_factor(gf.Scheme.LEFT, rotating_small, t_k, part.step) @ early
-        late = np.eye(rotating_small.dim)
-        for t_k in part.points[n // 2:]:
-            late = gf.step_factor(gf.Scheme.LEFT, rotating_small, t_k, part.step) @ late
+        early = per_cell_product(gf.Scheme.LEFT, rotating_small, part.points[: n // 2],
+                                 part.step)
+        late = per_cell_product(gf.Scheme.LEFT, rotating_small, part.points[n // 2:],
+                                part.step)
         assert np.allclose(full, late @ early, atol=1e-15)
 
 
@@ -136,9 +134,7 @@ class TestTransposeSymmetry:
         n = 6
         part = gf.make_partition(0.0, 1.0, n)
         centred = part.points + 0.5 * part.step  # midpoints symmetric about 1/2
-        u = np.eye(4)
-        for t_k in centred:
-            u = gf.step_factor(gf.Scheme.SYMMETRIC, model, t_k, part.step) @ u
+        u = per_cell_product(gf.Scheme.SYMMETRIC, model, centred, part.step)
         assert np.allclose(u, u.T, atol=1e-13)
 
 
@@ -343,11 +339,11 @@ class TestHorizon:
             gf.integral_equation_residual(scalar_linear.exact, scalar_linear, -0.5, 0.5)
 
     @pytest.mark.parametrize("t_k", [7.0, -0.1])
-    def test_step_factor_outside_horizon_rejected(self, t_k):
+    def test_spectral_sample_outside_horizon_rejected(self, t_k):
         model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.kink_profile(0.5, 0.5))
-        assert model.perturbation.heat_factor is not None
+        assert model.perturbation.spectral is not None
         with pytest.raises(gf.TimeRangeError):
-            gf.step_factor(gf.Scheme.LEFT, model, t_k, 0.1)
+            gf.perturbation_entries(model, np.array([t_k]))
 
     def test_whole_horizon_accepted(self, scalar_linear):
         gf.product_approximant(gf.Scheme.RIGHT, scalar_linear, 0.0, 1.0, 4)
@@ -374,11 +370,13 @@ class TestHorizon:
             self.WINDOWED[name](scalar_linear, s, t)
         assert not isinstance(info.value, gf.TimeRangeError)
 
-    def test_step_factor_checks_one_time(self, scalar_linear):
-        for t_k in (0.0, 1.0):
-            gf.step_factor(gf.Scheme.LEFT, scalar_linear, t_k, 0.1)
-        with pytest.raises(gf.ValidationError, match="finite"):
-            gf.step_factor(gf.Scheme.LEFT, scalar_linear, math.nan, 0.1)
+    def test_sample_times_include_both_ends(self, scalar_linear):
+        assert gf.perturbation_entries(scalar_linear, np.array([0.0, 1.0])).shape == (2, 1, 1)
+        with pytest.raises(gf.ValidationError, match="finite") as info:
+            gf.perturbation_entries(scalar_linear, np.array([0.5, math.nan]))
+        assert not isinstance(info.value, gf.TimeRangeError)
+        with pytest.raises(gf.TimeRangeError, match=re.escape("times [0.5, 1.5] outside")):
+            gf.perturbation_entries(scalar_linear, np.array([0.5, 1.5]))
 
 
 class TestIntegralEquationResidual:
