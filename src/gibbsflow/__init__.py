@@ -32,13 +32,13 @@ _EXPORTS = {
     ),
     "linalg": (
         "HermitianOperator", "eigh", "operator_function", "heat",
-        "fractional_power", "singular_values", "schatten_norm", "trace_norm",
-        "opnorm",
+        "fractional_power", "singular_values", "eigen_entries", "schatten_norm",
+        "trace_norm", "opnorm",
     ),
     "models": (
         "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
         "Generator", "SpectralForm", "PerturbationFamily", "Model",
-        "evaluate_perturbation", "perturbation_entries", "eigen_entries", "scalar_model",
+        "evaluate_perturbation", "perturbation_entries", "scalar_model",
         "commuting_model", "rotating_model",
     ),
     "quadrature": ("QuadratureSpec", "panel_edges", "integrate_matrix"),

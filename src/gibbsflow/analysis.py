@@ -427,7 +427,7 @@ def _lemma21_blocks(count: int, seed: int, dim_max: int):
     for start in range(0, count, LEMMA21_BLOCK):
         dims = rng.integers(1, dim_max + 1, min(LEMMA21_BLOCK, count - start))
         counts = rng.integers(1, 9, dims.size)
-        for dim in np.flatnonzero(np.bincount(dims)):
+        for dim in sorted(set(dims.tolist())):
             members = np.flatnonzero(dims == dim)
             basis = _haar(rng.standard_normal((members.size, dim, dim)))
             lam = 1.0 + 4.0 * rng.random((members.size, dim))

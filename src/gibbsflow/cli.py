@@ -9,7 +9,8 @@ constants  perturbation/smoothing constants for the configured model
 report     re-emit a stored JSONL record stream in another format
 
 Exit codes: 0 success, 1 validation failure (``ValidationError`` and its
-subclasses, ``DomainError``, ``NoKnownRateError``), 2 numerical failure
+subclasses, ``DomainError``, ``NoKnownRateError``, and ``MemoryError`` for a
+size no array can hold), 2 numerical failure
 (``AccuracyError``, ``DecompositionError``), 3 I/O failure.  JSONL output
 is byte-identical for a fixed configuration and seed; wall-clock timings
 only ever go to stderr.
@@ -71,8 +72,9 @@ def _info(verbose: bool, message: str) -> None:
         print(f"INFO gibbsflow: {message}", file=sys.stderr)
 
 
-def _exit_code(exc: GibbsflowError) -> int:
-    """Numerical failures exit 2; every other package error is a validation failure."""
+def _exit_code(exc: Exception) -> int:
+    """Numerical failures exit 2; every other package error, and a
+    ``MemoryError``, is a validation failure."""
     if isinstance(exc, (AccuracyError, DecompositionError)):
         return EXIT_ACCURACY
     return EXIT_VALIDATION
@@ -210,7 +212,7 @@ def _run_jobs(config: ExperimentConfig, jobs: Jobs,
         start = time.perf_counter()
         try:
             record = job()
-        except GibbsflowError as exc:
+        except (GibbsflowError, MemoryError) as exc:
             record = failure_record(stage, exc)
             exit_code = max(exit_code, _exit_code(exc))
             print(f"ERROR gibbsflow: stage {stage} failed: {'; '.join(record['messages'])}",
@@ -257,6 +259,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GibbsflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -112,6 +112,22 @@ def _keyword_defaults(constructor) -> dict:
             if p.default is not p.empty}
 
 
+def _float_hint(values) -> str:
+    """A hint for the first string in ``values`` that reads as a finite float:
+    YAML 1.1 takes ``1e-10`` (no dot) for a string, and ``1.0e-10`` for a
+    number."""
+    for x in values:
+        if isinstance(x, str):
+            try:
+                value = float(x)
+            except ValueError:
+                continue
+            if np.isfinite(value):
+                return (f" (YAML reads {x!r} as a string; write it as "
+                        f"{np.format_float_scientific(value, trim='0')})")
+    return ""
+
+
 class _Collector:
     def __init__(self):
         self.errors: list[str] = []
@@ -129,7 +145,8 @@ class _Collector:
             self.error(where, "is required")
             return None
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            self.error(where, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
+            self.error(where, f"must be an integer, got {value!r}" if integer
+                       else f"must be a number, got {value!r}{_float_hint([value])}")
             return None
         show = str if integer else "{:g}".format
         if not integer:
@@ -176,7 +193,7 @@ def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
             return None
         try:
             return [float(x) for x in np.linspace(start, stop, n)]
-        except ValueError as exc:  # a count numpy cannot allocate
+        except (ValueError, MemoryError) as exc:  # a count numpy cannot allocate
             col.error(f"{path}.count", f"is too large ({exc}), got {n}")
             return None
     if isinstance(raw, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -185,7 +202,8 @@ def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
             col.error(path, "must not be empty")
             return None
         return _finite_floats(raw, col, path)
-    col.error(path, f"must be a list of numbers or {{start, stop, count}}, got {raw!r}")
+    hint = _float_hint(raw) if isinstance(raw, list) else ""
+    col.error(path, f"must be a list of numbers or {{start, stop, count}}, got {raw!r}{hint}")
     return None
 
 
@@ -396,7 +414,8 @@ def _parse_model(raw, col: _Collector, beta: float, horizon: float):
             if rows is not None:
                 b0 = np.reshape(rows, (len(b0_raw), len(b0_raw))).tolist()
         else:
-            col.error("model.b0", "nested lists must form a square numeric matrix")
+            col.error("model.b0", "nested lists must form a square numeric matrix"
+                                  + _float_hint(x for r in b0_raw for x in r))
     else:
         b0 = _float_list(b0_raw, col, "model.b0")
     if None in (lambdas, omega, t0) or b0 is None:

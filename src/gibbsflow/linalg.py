@@ -22,6 +22,7 @@ __all__ = [
     "singular_values",
     "symmetrized",
     "checked_eigh",
+    "eigen_entries",
     "schatten_norm",
     "trace_norm",
     "opnorm",
@@ -76,6 +77,20 @@ def symmetrized(m: np.ndarray, where: Optional[Callable[[tuple], str]] = None) -
     return 0.5 * (m + mt)
 
 
+def eigen_entries(w: np.ndarray, v: Optional[np.ndarray]) -> np.ndarray:
+    """Entries of V diag(w) V^T from the last axes: w (..., d), V (..., d, d).
+
+    ``v=None`` stands for the standard basis; the diagonal matrices are then
+    filled in directly.
+    """
+    if v is not None:
+        return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+    d = w.shape[-1]
+    out = np.zeros(w.shape[:-1] + (d * d,))
+    out[..., ::d + 1] = w
+    return out.reshape(w.shape + (d,))
+
+
 def checked_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
     matrix or of every matrix of a stack (..., d, d).
@@ -99,7 +114,7 @@ def checked_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     qt = np.swapaxes(q, -1, -2)
     scale = 1.0 + np.max(np.abs(w), axis=-1, initial=0.0)
     ortho = np.max(np.abs(qt @ q - np.eye(dim)), axis=(-2, -1))
-    recon = np.max(np.abs((q * w[..., None, :]) @ qt - sym), axis=(-2, -1))
+    recon = np.max(np.abs(eigen_entries(w, q) - sym), axis=(-2, -1))
     bad = (ortho > RECONSTRUCTION_TOL) | (recon > RECONSTRUCTION_TOL * scale)
     if np.any(bad):
         k, where = _first_bad(bad)
@@ -171,7 +186,7 @@ def operator_function(h: HermitianOperator, f: Callable[[np.ndarray], np.ndarray
     if np.any(bad):
         lam = w[bad][0]
         raise DomainError(f"operator function is undefined at eigenvalue {lam!r}")
-    return HermitianOperator((q * fw) @ q.T)
+    return HermitianOperator(eigen_entries(fw, q))
 
 
 def heat(h: HermitianOperator, t: float) -> np.ndarray:
@@ -179,7 +194,7 @@ def heat(h: HermitianOperator, t: float) -> np.ndarray:
     if t < 0:
         raise ValidationError(f"heat kernel requires t >= 0, got {t}")
     w, q = h.spectrum()
-    return (q * np.exp(-t * w)) @ q.T
+    return eigen_entries(np.exp(-t * w), q)
 
 
 def fractional_power(h: HermitianOperator, p: float) -> HermitianOperator:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, TimeRangeError, ValidationError
-from .linalg import HermitianOperator, heat, symmetrized
+from .linalg import HermitianOperator, eigen_entries, heat, symmetrized
 
 __all__ = [
     "TimeProfile",
@@ -39,7 +39,6 @@ __all__ = [
     "evaluate_perturbation",
     "perturbation_entries",
     "diagonal_form",
-    "eigen_entries",
 ]
 
 # Smallest admissible generator eigenvalue (A >= 1 up to rounding).
@@ -286,21 +285,15 @@ def _profile_values(profile: TimeProfile, ts: np.ndarray) -> np.ndarray:
     return values if values.shape == ts.shape else np.full(ts.shape, values)
 
 
-def eigen_entries(w: np.ndarray, v: Optional[np.ndarray]) -> np.ndarray:
-    """Entries of V diag(w) V^T from the last axes: w (..., d), V (..., d, d).
+def _spectral_model(lam, profile: TimeProfile, mu, basis, exact, beta: float | None,
+                    alpha: float, horizon: float, name: str, details: str) -> Model:
+    """The model of a built-in family: A = diag(lam) and the spectral form
+    B(t) = b(t) V(t) diag(mu) V(t)^T of ``profile``, ``mu`` and ``basis``.
 
-    ``v=None`` stands for the standard basis; the diagonal matrices are then
-    filled in directly.
+    The profile is screened for negativity on ``PROFILE_SAMPLES`` times of
+    [0, horizon], ``beta=None`` declares the profile's beta, and the
+    family's breakpoints are the profile's inside (0, horizon).
     """
-    if v is not None:
-        return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-    d = w.shape[-1]
-    out = np.zeros(w.shape[:-1] + (d * d,))
-    out[..., ::d + 1] = w
-    return out.reshape(w.shape + (d,))
-
-
-def _check_profile_nonneg(profile: TimeProfile, horizon: float) -> None:
     ts = np.linspace(0.0, horizon, PROFILE_SAMPLES)
     vals = _profile_values(profile, ts)
     if np.any(vals < -NONNEG_TOL):
@@ -309,6 +302,17 @@ def _check_profile_nonneg(profile: TimeProfile, horizon: float) -> None:
             f"profile {profile.label} is negative at sampled t={t_bad:g} "
             f"(value {float(np.min(vals)):g})"
         )
+    generator = Generator(np.diag(lam))
+    if beta is None:
+        beta = profile.beta
+    family = PerturbationFamily(
+        spectral=SpectralForm(profile, mu, basis),
+        alpha=alpha,
+        beta=beta,
+        breakpoints=tuple(x for x in profile.breakpoints if 0.0 < x < horizon),
+    )
+    return Model(generator, family, horizon, exact,
+                 descriptor=f"{name}({details}, alpha={alpha:g}, beta={beta:g})")
 
 
 def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
@@ -318,22 +322,12 @@ def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
     a = float(a)
     if isinstance(b, (int, float)):
         b = constant_profile(b)
-    _check_profile_nonneg(b, horizon)
-    generator = Generator(np.array([[a]]))
-    if beta is None:
-        beta = b.beta
 
     def exact(s: float, t: float) -> np.ndarray:
         return np.array([[math.exp(-a * (t - s) - b.integral(s, t))]])
 
-    family = PerturbationFamily(
-        spectral=SpectralForm(b, np.ones(1)),
-        alpha=alpha,
-        beta=beta,
-        breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
-    )
-    return Model(generator, family, horizon, exact,
-                 descriptor=f"scalar(a={a:g}, b={b.label}, alpha={alpha:g}, beta={beta:g})")
+    return _spectral_model(np.array([a]), b, np.ones(1), None, exact, beta, alpha, horizon,
+                           "scalar", f"a={a:g}, b={b.label}")
 
 
 def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
@@ -351,24 +345,13 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
             f"lambdas and d0 must be one-dimensional with equal length, "
             f"got {lam.shape} and {d0.shape}"
         )
-    _check_profile_nonneg(b, horizon)
-    generator = Generator(np.diag(lam))
-    if beta is None:
-        beta = b.beta
 
     def exact(s: float, t: float) -> np.ndarray:
         ib = b.integral(s, t)
         return np.diag(np.exp(-lam * (t - s) - d0 * ib))
 
-    family = PerturbationFamily(
-        spectral=SpectralForm(b, d0),
-        alpha=alpha,
-        beta=beta,
-        breakpoints=tuple(x for x in b.breakpoints if 0.0 < x < horizon),
-    )
-    return Model(generator, family, horizon, exact,
-                 descriptor=f"commuting(dim={lam.size}, b={b.label}, "
-                            f"alpha={alpha:g}, beta={beta:g})")
+    return _spectral_model(lam, b, d0, None, exact, beta, alpha, horizon,
+                           "commuting", f"dim={lam.size}, b={b.label}")
 
 
 def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
@@ -392,13 +375,9 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
     mu, q0 = b0.spectrum()
     if mu[0] < -NONNEG_TOL:
         raise ModelError(f"b0 must be non-negative, got min eigenvalue {mu[0]!r}")
-    mu = np.maximum(mu, 0.0)
     omega, beta, t0 = float(omega), float(beta), float(t0)
     if not 0.0 <= t0 <= horizon:
         raise ModelError(f"t0={t0!r} outside the horizon [0, {horizon!r}]")
-    dim = lam.size
-    envelope = kink_profile(t0, beta, scale=1.0, offset=1.0)
-    generator = Generator(np.diag(lam))
 
     def rotated_basis(ts: np.ndarray) -> np.ndarray:
         # R(omega t) @ q0 for every time; it touches only the first two rows.
@@ -408,12 +387,6 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
         v[..., 1, :] = s * q0[0, :] + c * q0[1, :]
         return v
 
-    family = PerturbationFamily(
-        spectral=SpectralForm(envelope, mu, rotated_basis),
-        alpha=alpha,
-        beta=beta,
-        breakpoints=(t0,) if 0.0 < t0 < horizon else (),
-    )
-    return Model(generator, family, horizon, None,
-                 descriptor=f"rotating(dim={dim}, omega={omega:g}, t0={t0:g}, "
-                            f"alpha={alpha:g}, beta={beta:g})")
+    return _spectral_model(lam, kink_profile(t0, beta, scale=1.0, offset=1.0),
+                           np.maximum(mu, 0.0), rotated_basis, None, beta, alpha, horizon,
+                           "rotating", f"dim={lam.size}, omega={omega:g}, t0={t0:g}")

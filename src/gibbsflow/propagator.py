@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import AccuracyError, DecompositionError, TimeRangeError, ValidationError
-from .linalg import checked_eigh, heat, opnorm, trace_norm
-from .models import Model, diagonal_form, eigen_entries, perturbation_entries
+from .linalg import checked_eigh, eigen_entries, heat, opnorm, trace_norm
+from .models import Model, diagonal_form, perturbation_entries
 from .quadrature import (QuadratureSpec, _refine_by_doubling, integrate_matrix, mesh_grading,
                          panel_edges)
 
@@ -348,7 +348,7 @@ def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],
     lam, q = a.spectrum()
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        heats = (q * np.exp(-(t - r)[:, None] * lam)[:, None, :]) @ q.T
+        heats = eigen_entries(np.exp(-(t - r)[:, None] * lam), q)
         b = perturbation_entries(model, r)
         u = np.array([np.asarray(u_fn(s, float(x)), dtype=float) for x in r])
         return heats @ b @ u

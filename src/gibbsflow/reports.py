@@ -126,13 +126,17 @@ def lemma21_record(ensemble: Lemma21Ensemble) -> dict:
 
 
 def failure_record(stage: str, exc: Exception) -> dict:
-    """Degrade an exception to a record so a partial run still reports."""
+    """Degrade an exception to a record so a partial run still reports.
+
+    The error is named by the exception's first public class, so numpy's
+    private ``_ArrayMemoryError`` reads ``MemoryError``.
+    """
     messages = (list(exc.messages) if isinstance(exc, ValidationError)
                 and getattr(exc, "messages", None) else [str(exc)])
     return _plain({
         "kind": "failure",
         "stage": stage,
-        "error": type(exc).__name__,
+        "error": next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_")),
         "messages": messages,
     })
 

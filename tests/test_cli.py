@@ -342,6 +342,64 @@ class TestExitCodes:
         assert records[1]["error"] == "DecompositionError"
 
 
+# A size no array can hold: numpy refuses it before allocating anything.
+HUGE = 10 ** 15
+
+
+class TestUnallocatableSizes:
+    """An unallocatable size exits 1 without a traceback; a job that hits it
+    becomes a ``MemoryError`` failure record and the other jobs' records are
+    written."""
+
+    @pytest.mark.parametrize("command, edit, failed, records", [
+        ("constants", ("seed: 5", f"seed: 5\ngrid: {HUGE}"), ["constants"], 2),
+        ("run", ("seed: 5", f"seed: 5\ngrid: {HUGE}"), ["constants"], 4),
+        ("run", ("n_list: [8, 16, 32]", f"n_list: [8, 16, {HUGE}]"),
+         ["run:left", "run:symmetric"], 4),
+        ("verify", ("lifting_ns: [4, 8]", f"lifting_ns: [4, {HUGE}]"),
+         [f"lifting:left:n={HUGE}", f"lifting:symmetric:n={HUGE}"], 10),
+        ("verify", ("contraction_ns: [4]", f"contraction_ns: [4, {HUGE}]"),
+         [f"contraction:left:n={HUGE}", f"contraction:symmetric:n={HUGE}"], 12),
+        ("verify", ("dim_max: 6", "dim_max: 1000000000"), ["lemma21"], 10),
+    ], ids=["constants-grid", "run-grid", "n_list", "lifting_ns", "contraction_ns",
+            "dim_max"])
+    def test_a_job_fails_with_a_record(self, command, edit, failed, records, tmp_path,
+                                       capsys):
+        path = tmp_path / "huge.yaml"
+        path.write_text(CONFIG.replace(*edit))
+        assert cli.main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        written = [json.loads(l) for l in captured.out.splitlines()]
+        failures = [r for r in written if r["kind"] == "failure"]
+        assert [(r["stage"], r["error"]) for r in failures] == [
+            (stage, "MemoryError") for stage in failed]
+        assert len(written) == records
+        assert "Traceback" not in captured.err
+
+    def test_a_model_too_large_to_build_is_an_error_line(self, tmp_path, capsys):
+        # The lists parse (10^6 entries each); diag(lambdas) cannot be allocated.
+        path = tmp_path / "huge.yaml"
+        path.write_text("model: {family: commuting, b: 1.0,"
+                        " lambdas: {start: 1, stop: 2, count: 1000000},"
+                        " d0: {start: 0, stop: 1, count: 1000000}}\n")
+        assert cli.main(["constants", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: MemoryError: ")
+        assert captured.out == ""
+
+    def test_an_unallocatable_count_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.yaml"
+        path.write_text(f"model: {{family: commuting, b: 1.0, d0: [1.0],"
+                        f" lambdas: {{start: 1, stop: 2, count: {HUGE}}}}}\n")
+        assert cli.main(["constants", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: model.lambdas.count: is too large (")
+        assert lines[0].endswith(f"), got {HUGE}") and captured.out == ""
+
+
 class TestRecordSchema:
     # Four of these key sets are the field names of ConstantsReport,
     # LiftingCheck, CocycleCheck and ContractionCheck; renaming a field

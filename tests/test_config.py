@@ -158,6 +158,29 @@ model:
         assert any("lambdas" in m for m in messages)
         assert any("d0" in m for m in messages)
 
+    @pytest.mark.parametrize("document, spelling, message", [
+        (MINIMAL + "tol_ref: V\n", ("1e-10", "1.0e-10"),
+         "tol_ref: must be a number, got '1e-10' "
+         "(YAML reads '1e-10' as a string; write it as 1.0e-10)"),
+        ("model: {family: commuting, lambdas: [1.0, V], d0: [0.1, 0.2], b: 1.0}\n",
+         ("2e3", "2.0e+03"),
+         "model.lambdas: must be a list of numbers or {start, stop, count}, got "
+         "[1.0, '2e3'] (YAML reads '2e3' as a string; write it as 2.0e+03)"),
+    ], ids=["tol_ref", "lambdas"])
+    def test_a_float_without_a_dot_gets_a_hint(self, document, spelling, message):
+        # YAML 1.1 reads a float only with a dot and, after an e, a sign.
+        written, hinted = spelling
+        with pytest.raises(gf.ConfigError) as excinfo:
+            gf.parse_config(document.replace("V", written))
+        assert excinfo.value.messages == [message]
+        gf.parse_config(document.replace("V", hinted))
+
+    def test_strings_that_are_no_number_get_no_hint(self):
+        with pytest.raises(gf.ConfigError) as excinfo:
+            gf.parse_config(MINIMAL + "\ntol_ref: small\nslack: nan\n")
+        assert excinfo.value.messages == ["tol_ref: must be a number, got 'small'",
+                                          "slack: must be a number, got 'nan'"]
+
 
 class TestBuildModel:
     def test_scalar(self):

@@ -79,6 +79,21 @@ class TestOperatorFunction:
             assert np.array_equal(gf.heat(HermitianOperator(np.diag(lam)), t),
                                   np.diag(np.exp(-t * lam)))
 
+    def test_heat_is_the_eigen_form_of_its_spectrum(self, rng):
+        # The one V diag(w) V^T of the package gives the bits of writing it out.
+        from gibbsflow import linalg
+
+        assert gf.eigen_entries is linalg.eigen_entries
+        for dim in (1, 2, 7, 16):
+            h = HermitianOperator(random_symmetric_psd(rng, dim) + np.eye(dim))
+            w, q = h.spectrum()
+            expected = (q * np.exp(-0.4 * w)) @ q.T
+            assert np.array_equal(gf.heat(h, 0.4), expected)
+            assert np.array_equal(gf.eigen_entries(np.exp(-0.4 * w), q), expected)
+            stack = rng.uniform(0.0, 2.0, (3, dim))
+            assert np.array_equal(gf.eigen_entries(stack, None),
+                                  np.stack([np.diag(row) for row in stack]))
+
     def test_heat_rejects_negative_time(self, rng):
         h = HermitianOperator(np.eye(3))
         with pytest.raises(gf.ValidationError):

@@ -377,3 +377,52 @@ class TestTimeValidation:
     def test_bad_horizon(self):
         with pytest.raises(gf.ModelError):
             gf.scalar_model(1.0, gf.constant_profile(0.0), horizon=0.0)
+
+
+BUILT_IN = {
+    "scalar-number": (lambda: gf.scalar_model(2.0, 0.5),
+                      "scalar(a=2, b=const(0.5), alpha=0, beta=1)", (), (0.0, 1.0)),
+    "scalar-kink": (lambda: gf.scalar_model(1.5, gf.kink_profile(0.3, 0.75, 2.0, 0.25),
+                                            alpha=0.2),
+                    "scalar(a=1.5, b=kink(t0=0.3, beta=0.75, scale=2, offset=0.25), "
+                    "alpha=0.2, beta=0.75)", (0.3,), (0.2, 0.75)),
+    "commuting-kink-at-horizon": (
+        lambda: gf.commuting_model([1.0, 2.0, 3.0], [0.1, 0.2, 0.3],
+                                   gf.kink_profile(2.0, 0.5), beta=0.25, horizon=2.0),
+        "commuting(dim=3, b=kink(t0=2, beta=0.5, scale=1, offset=0), alpha=0, beta=0.25)",
+        (), (0.0, 0.25)),
+    "rotating": (lambda: gf.rotating_model([1.0, 2.0, 3.0], [0.5, 0.3, 0.8], 3.0, 0.5),
+                 "rotating(dim=3, omega=3, t0=0.5, alpha=0, beta=0.5)", (0.5,), (0.0, 0.5)),
+    "rotating-t0-at-zero": (
+        lambda: gf.rotating_model([1.0, 2.0], [0.5, 0.3], 1.0, 1.0, t0=0.0, alpha=0.5),
+        "rotating(dim=2, omega=1, t0=0, alpha=0.5, beta=1)", (), (0.5, 1.0)),
+}
+
+
+class TestSpectralBuilder:
+    """The built-in constructors reach ``Model`` through one builder and keep
+    their descriptors, breakpoints and declared (alpha, beta)."""
+
+    @pytest.mark.parametrize("key", list(BUILT_IN))
+    def test_descriptor_breakpoints_and_exponents(self, key):
+        build, descriptor, breakpoints, exponents = BUILT_IN[key]
+        model = build()
+        family = model.perturbation
+        assert model.descriptor == descriptor
+        assert family.breakpoints == breakpoints
+        assert (family.alpha, family.beta) == exponents
+        assert (model.exact is None) == key.startswith("rotating")
+
+    @pytest.mark.parametrize("key", list(BUILT_IN))
+    def test_every_constructor_goes_through_the_builder(self, key, monkeypatch):
+        from gibbsflow import models
+
+        built = []
+        builder = models._spectral_model
+
+        def recording(*args):
+            built.append(builder(*args))
+            return built[-1]
+
+        monkeypatch.setattr(models, "_spectral_model", recording)
+        assert BUILT_IN[key][0]() is built[0] and len(built) == 1
