@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -172,18 +171,25 @@ def fit_rate(n_list: Sequence[int], errors: Sequence[float]) -> RateFit:
 
 @dataclass(frozen=True)
 class RegimeResult:
-    """Train/test outcome of one rate bound on one error sequence."""
+    """Train/test outcome of one rate bound on one error sequence, with the
+    rate ``epsilon`` at every n of the report's ``n_list``."""
 
-    regime: RateRegime
+    label: str
     prefactor: float
     bound_satisfied: bool
     train_ns: tuple[int, ...]
     test_ns: tuple[int, ...]
+    epsilon: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Errors of one scheme against the oracle, with rate diagnostics."""
+    """Errors of one scheme against the oracle, with rate diagnostics.
+
+    ``regime`` is the headline regime's label, and ``fitted_prefactor`` and
+    ``bound_satisfied`` are its outcome; all three are None when no regime
+    applies.
+    """
 
     model: str
     scheme: Scheme
@@ -195,9 +201,9 @@ class ConvergenceReport:
     fitted_slope: float
     r_squared: float
     fitted_prefactor: Optional[float]
-    regime: Optional[RateRegime]
+    regime: Optional[str]
     bound_satisfied: Optional[bool]
-    regime_results: tuple[RegimeResult, ...]
+    regimes: tuple[RegimeResult, ...]
     exact_reproduction: bool
     oracle: str
     slack: float
@@ -222,13 +228,17 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
     otherwise against the reference oracle at tolerance ``tol_ref``.  The
     prefactor of each applicable regime is fitted on ``fit_ns`` (default:
     the first half of n_list) and the bound is tested on the rest, allowing
-    a relative ``slack``.
+    a relative ``slack``.  At beta = 1, where the log(n)/n rate vanishes at
+    n = 1, ``n_list`` may not hold 1.
     """
     ns = tuple(int(n) for n in n_list)
     if len(ns) < 3 or any(n < 1 for n in ns) or list(ns) != sorted(set(ns)):
         raise ValidationError(
             f"n_list must be >= 3 strictly increasing positive integers, got {list(n_list)!r}"
         )
+    if model.perturbation.beta == 1.0 and 1 in ns:
+        raise ValidationError(f"n_list must not hold 1 at beta = 1 (the log(n)/n rate "
+                              f"is defined for n >= 2), got {list(ns)!r}")
     if not 0.0 <= slack < 1.0:
         raise ValidationError(f"slack must lie in [0, 1), got {slack}")
     oracle_label = "exact" if model.exact is not None else f"reference(tol={tol_ref:g})"
@@ -251,10 +261,8 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
     if oracle_label != "exact":
         smallest = min((e for e in err_tr if e > 0), default=0.0)
         if smallest > 0 and tol_ref > smallest / ORACLE_HEADROOM:
-            msg = (f"reference tolerance {tol_ref:g} is within {ORACLE_HEADROOM:g}x "
-                   f"of the smallest measured error {smallest:g}")
-            warnings.warn(msg)
-            notes.append(msg)
+            notes.append(f"reference tolerance {tol_ref:g} is within {ORACLE_HEADROOM:g}x "
+                         f"of the smallest measured error {smallest:g}")
 
     if fit_ns is None:
         train = ns[: max(1, len(ns) // 2)]
@@ -266,21 +274,18 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
 
     alpha = model.perturbation.alpha
     beta = model.perturbation.beta
-    regime_results = []
+    err_of = dict(zip(ns, err_tr))
+    regimes = []
     for regime in applicable_regimes(alpha, beta):
-        usable_train = [n for n in train if not (regime.kind is RegimeKind.LIPSCHITZ_LOG and n < 2)]
-        usable_test = [n for n in test if not (regime.kind is RegimeKind.LIPSCHITZ_LOG and n < 2)]
-        err_of = dict(zip(ns, err_tr))
-        prefactor = max((err_of[n] / regime.epsilon(n) for n in usable_train), default=0.0)
-        ok = all(err_of[n] <= (1.0 + slack) * prefactor * regime.epsilon(n)
-                 for n in usable_test)
-        regime_results.append(RegimeResult(
-            regime, float(prefactor), bool(ok), tuple(usable_train), tuple(usable_test),
-        ))
-    if not regime_results:
+        eps = {n: regime.epsilon(n) for n in ns}
+        prefactor = max((err_of[n] / eps[n] for n in train), default=0.0)
+        ok = all(err_of[n] <= (1.0 + slack) * prefactor * eps[n] for n in test)
+        regimes.append(RegimeResult(regime.label, float(prefactor), bool(ok), train, test,
+                                    tuple(eps.values())))
+    if not regimes:
         notes.append(f"no known convergence-rate bound for alpha={alpha:g}, beta={beta:g}")
 
-    headline = regime_results[0] if regime_results else None
+    headline = regimes[0] if regimes else None
     return ConvergenceReport(
         model=model.descriptor,
         scheme=scheme,
@@ -291,9 +296,9 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
         fitted_slope=fit.slope,
         r_squared=fit.r_squared,
         fitted_prefactor=None if headline is None else headline.prefactor,
-        regime=None if headline is None else headline.regime,
+        regime=None if headline is None else headline.label,
         bound_satisfied=None if headline is None else headline.bound_satisfied,
-        regime_results=tuple(regime_results),
+        regimes=tuple(regimes),
         exact_reproduction=exact_reproduction,
         oracle=oracle_label,
         slack=float(slack),
@@ -392,11 +397,16 @@ def verify_lemma21(generator: Generator, contractions: Sequence[np.ndarray],
 
 @dataclass(frozen=True)
 class Lemma21Ensemble:
+    """The interleaved-product bound on a seeded ensemble: it ``holds`` when
+    every one of the ``count`` instances does."""
+
     count: int
-    holds: int
-    min_margin: float
-    dim_max: int
     seed: int
+    dim_max: int
+    holds_count: int
+    failures: int
+    min_margin: float
+    holds: bool
 
 
 def _haar(normals: np.ndarray) -> np.ndarray:
@@ -462,7 +472,8 @@ def lemma21_ensemble(count: int = 1000, seed: int = 0, dim_max: int = 16) -> Lem
         margin, ok = _lemma21_holds(lhs, rhs)
         holds += int(np.count_nonzero(ok))
         min_margin = min(min_margin, float(np.min(margin)))
-    return Lemma21Ensemble(count, holds, float(min_margin), dim_max, seed)
+    return Lemma21Ensemble(count, seed, dim_max, holds, count - holds, float(min_margin),
+                           holds == count)
 
 
 @dataclass(frozen=True)

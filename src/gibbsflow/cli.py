@@ -50,9 +50,7 @@ from .models import Model
 from .propagator import Scheme
 from .reports import (
     ReportEnvelope,
-    convergence_record,
     failure_record,
-    lemma21_record,
     meta_record,
     read_jsonl,
     result_record,
@@ -167,7 +165,7 @@ def _constants_jobs(config: ExperimentConfig, model: Model) -> Jobs:
 
 def _convergence_jobs(config: ExperimentConfig, model: Model) -> Jobs:
     return _constants_jobs(config, model) + [
-        (f"run:{name}", lambda name=name: convergence_record(run_convergence(
+        (f"run:{name}", lambda name=name: result_record("convergence", run_convergence(
             model, Scheme(name), config.s, config.t, config.n_list,
             tol_ref=config.tol_ref, slack=config.slack)))
         for name in config.schemes
@@ -176,8 +174,8 @@ def _convergence_jobs(config: ExperimentConfig, model: Model) -> Jobs:
 
 def _verify_jobs(config: ExperimentConfig, model: Model) -> Jobs:
     spec = config.verify
-    jobs: Jobs = [("lemma21", lambda: lemma21_record(
-        lemma21_ensemble(spec.lemma_instances, seed=config.seed, dim_max=spec.dim_max)))]
+    jobs: Jobs = [("lemma21", lambda: result_record("lemma21", lemma21_ensemble(
+        spec.lemma_instances, seed=config.seed, dim_max=spec.dim_max)))]
     for scheme_name in config.schemes:
         for n in spec.lifting_ns:
             jobs.append((f"lifting:{scheme_name}:n={n}",

@@ -234,6 +234,20 @@ def _time_profile(spec: dict) -> TimeProfile:
     return PROFILES[kind][0](*args)
 
 
+def _int_list(data: dict, col: _Collector, path: str, key: str, defaults, *, lo: int,
+              even: bool = False):
+    """``data[key]`` (the field ``key`` of ``defaults`` when absent) as a
+    tuple of integers >= ``lo``, even ones when ``even``; a boolean is no
+    integer.  None once a failure is recorded."""
+    raw = data.get(key, list(getattr(defaults, key)))
+    if (isinstance(raw, list) and raw
+            and all(isinstance(x, int) and not isinstance(x, bool) and x >= lo
+                    and not (even and x % 2) for x in raw)):
+        return tuple(raw)
+    col.error(f"{path}{key}", f"must be {'even ' if even else ''}integers >= {lo}, got {raw!r}")
+    return None
+
+
 def _parse_n_list(raw, col: _Collector):
     if raw is None:
         return DEFAULTS.n_list
@@ -332,19 +346,10 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         dim_max = col.field_number(raw_verify, "verify.", "dim_max", sizes, lo=1, integer=True)
         triples = col.field_number(raw_verify, "verify.", "cocycle_triples", sizes,
                                    lo=1, integer=True)
-        lifting_ns = raw_verify.get("lifting_ns", list(sizes.lifting_ns))
-        if (not isinstance(lifting_ns, list) or not lifting_ns
-                or any(not isinstance(x, int) or x < 4 or x % 2 for x in lifting_ns)):
-            col.error("verify.lifting_ns", f"must be even integers >= 4, got {lifting_ns!r}")
-            lifting_ns = None
-        contraction_ns = raw_verify.get("contraction_ns", list(sizes.contraction_ns))
-        if (not isinstance(contraction_ns, list) or not contraction_ns
-                or any(not isinstance(x, int) or x < 1 for x in contraction_ns)):
-            col.error("verify.contraction_ns", f"must be integers >= 1, got {contraction_ns!r}")
-            contraction_ns = None
+        lifting_ns = _int_list(raw_verify, col, "verify.", "lifting_ns", sizes, lo=4, even=True)
+        contraction_ns = _int_list(raw_verify, col, "verify.", "contraction_ns", sizes, lo=1)
         if None not in (lemma, dim_max, triples, lifting_ns, contraction_ns):
-            verify = VerifySpec(lemma, dim_max, tuple(lifting_ns), triples,
-                                tuple(contraction_ns))
+            verify = VerifySpec(lemma, dim_max, lifting_ns, triples, contraction_ns)
 
     family, params = _parse_model(data.get("model"), col,
                                   DEFAULTS.beta if beta is None else beta,
@@ -356,6 +361,9 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         beta = DEFAULTS.beta if kink_beta is None else kink_beta
     elif None not in (beta, kink_beta) and beta > kink_beta:
         col.error("beta", f"must be <= the kink's beta {kink_beta:g}, got {beta:g}")
+    if beta == 1.0 and n_list is not None and 1 in n_list:
+        col.error("n_list", f"must not hold 1 at beta = 1 (the log(n)/n rate is defined "
+                            f"for n >= 2), got {list(n_list)!r}")
 
     if col.errors:
         raise ConfigError(col.errors)

@@ -151,6 +151,12 @@ def check_exponents(alpha: float, beta: float) -> None:
         raise ModelError(f"beta must lie in (0, 1], got {beta}")
 
 
+def _check_horizon(horizon: float) -> None:
+    """Reject a horizon that is not positive and finite."""
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ModelError(f"horizon must be positive and finite, got {horizon}")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralForm:
     """B(t) = b(t) V(t) diag(mu) V(t)^T: a profile b, fixed eigenvalues ``mu``
@@ -222,8 +228,7 @@ class Model:
     descriptor: str = ""
 
     def __post_init__(self):
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise ModelError(f"horizon must be positive and finite, got {self.horizon}")
+        _check_horizon(self.horizon)
 
     @property
     def dim(self) -> int:
@@ -294,6 +299,7 @@ def _spectral_model(lam, profile: TimeProfile, mu, basis, exact, beta: float | N
     [0, horizon], ``beta=None`` declares the profile's beta, and the
     family's breakpoints are the profile's inside (0, horizon).
     """
+    _check_horizon(horizon)
     ts = np.linspace(0.0, horizon, PROFILE_SAMPLES)
     vals = _profile_values(profile, ts)
     if np.any(vals < -NONNEG_TOL):

@@ -1,11 +1,13 @@
 """Result records and emitters.
 
 Every computation is reduced to a plain record dictionary (``kind`` key plus
-JSON-compatible payload).  The ``constants``, ``lifting``, ``cocycle`` and
-``contraction`` records are ``kind`` plus the fields of ``ConstantsReport``,
-``LiftingCheck``, ``CocycleCheck`` and ``ContractionCheck`` (``result_record``),
-so renaming a field renames its record key.  Emitters consume record dicts
-only, so a stored JSONL stream can be re-emitted in any other format without
+JSON-compatible payload).  All six result kinds, ``constants``,
+``convergence``, ``lemma21``, ``lifting``, ``cocycle`` and ``contraction``,
+are ``kind`` plus the fields of their dataclasses (``ConstantsReport``,
+``ConvergenceReport``, ``Lemma21Ensemble``, ``LiftingCheck``, ``CocycleCheck``
+and ``ContractionCheck``) by ``result_record``, so adding or renaming a field
+adds or renames its record key.  Emitters consume record dicts only, so a
+stored JSONL stream can be re-emitted in any other format without
 recomputing.
 
 The JSONL emitter is byte-deterministic for a fixed (configuration, seed)
@@ -23,15 +25,12 @@ from typing import Any, Iterable, Optional, TextIO
 import numpy as np
 
 from . import __version__
-from .analysis import ConvergenceReport, Lemma21Ensemble
 from .errors import ValidationError
 
 __all__ = [
     "ReportEnvelope",
     "meta_record",
     "result_record",
-    "convergence_record",
-    "lemma21_record",
     "failure_record",
     "write_jsonl",
     "write_csv",
@@ -77,52 +76,6 @@ def meta_record(config_dict: dict, seed: int) -> dict:
 def result_record(kind: str, result: Any) -> dict:
     """A result dataclass as a record: ``kind`` plus its fields, verbatim."""
     return _plain({"kind": kind, **asdict(result)})
-
-
-def convergence_record(report: ConvergenceReport) -> dict:
-    return _plain({
-        "kind": "convergence",
-        "model": report.model,
-        "scheme": report.scheme.value,
-        "s": report.s,
-        "t": report.t,
-        "n_list": list(report.n_list),
-        "err_op": list(report.err_op),
-        "err_tr": list(report.err_tr),
-        "fitted_slope": report.fitted_slope,
-        "r_squared": report.r_squared,
-        "fitted_prefactor": report.fitted_prefactor,
-        "regime": report.regime.label if report.regime is not None else None,
-        "bound_satisfied": report.bound_satisfied,
-        "regimes": [
-            {
-                "label": r.regime.label,
-                "prefactor": r.prefactor,
-                "bound_satisfied": r.bound_satisfied,
-                "train_ns": list(r.train_ns),
-                "test_ns": list(r.test_ns),
-                "epsilon": [r.regime.epsilon(n) for n in report.n_list],
-            }
-            for r in report.regime_results
-        ],
-        "exact_reproduction": report.exact_reproduction,
-        "oracle": report.oracle,
-        "slack": report.slack,
-        "notes": list(report.notes),
-    })
-
-
-def lemma21_record(ensemble: Lemma21Ensemble) -> dict:
-    return _plain({
-        "kind": "lemma21",
-        "count": ensemble.count,
-        "seed": ensemble.seed,
-        "dim_max": ensemble.dim_max,
-        "holds_count": ensemble.holds,
-        "failures": ensemble.count - ensemble.holds,
-        "min_margin": ensemble.min_margin,
-        "holds": ensemble.holds == ensemble.count,
-    })
 
 
 def failure_record(stage: str, exc: Exception) -> dict:

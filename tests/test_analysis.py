@@ -101,7 +101,7 @@ class TestRunConvergence:
     def test_scalar_left_slope_and_regime(self, scalar_linear):
         report = gf.run_convergence(scalar_linear, gf.Scheme.LEFT, 0.0, 1.0,
                                     [8, 16, 32, 64, 128])
-        assert report.regime.kind is gf.RegimeKind.LIPSCHITZ_LOG
+        assert report.regime == "log(n)/n"
         assert -1.1 < report.fitted_slope < -0.9
         assert report.bound_satisfied
         assert not report.exact_reproduction
@@ -135,10 +135,17 @@ class TestRunConvergence:
             diff = gf.product_approximant(gf.Scheme.RIGHT, model, 0.0, 1.0, n).U - u_star
             assert (err_op, err_tr) == (opnorm(diff), trace_norm(diff))
 
+    def test_oracle_headroom_is_a_note_not_a_warning(self):
+        # pytest turns a UserWarning into an error here
+        model = make_rotating(dim=4, seed=3)
+        report = gf.run_convergence(model, gf.Scheme.RIGHT, 0.0, 1.0, [4, 8, 16], tol_ref=1e-3)
+        assert any(note.startswith("reference tolerance 0.001 is within 100x")
+                   for note in report.notes)
+
     def test_explicit_fit_ns(self, scalar_linear):
         report = gf.run_convergence(scalar_linear, gf.Scheme.LEFT, 0.0, 1.0,
                                     [8, 16, 32, 64, 128], fit_ns=[8, 16])
-        headline = report.regime_results[0]
+        headline = report.regimes[0]
         assert headline.train_ns == (8, 16)
         assert headline.test_ns == (32, 64, 128)
 
@@ -154,11 +161,24 @@ class TestRunConvergence:
             gf.run_convergence(scalar_linear, gf.Scheme.LEFT, 0.0, 1.0,
                                [16, 8, 32])
 
+    def test_n_1_is_rejected_at_beta_1(self, scalar_linear):
+        # log(n)/n vanishes at n = 1, so no bound can be fitted or tested there
+        with pytest.raises(gf.ValidationError, match="must not hold 1 at beta = 1"):
+            gf.run_convergence(scalar_linear, gf.Scheme.LEFT, 0.0, 1.0, [1, 2, 4, 8])
+
+    def test_n_1_runs_below_beta_1(self):
+        model = gf.scalar_model(1.0, gf.kink_profile(0.5, 0.5), alpha=0.2)
+        report = gf.run_convergence(model, gf.Scheme.LEFT, 0.0, 1.0, [1, 2, 4, 8])
+        (regime,) = report.regimes
+        assert report.regime == regime.label == "n^-0.3"
+        assert regime.train_ns == (1, 2) and regime.test_ns == (4, 8)
+        assert regime.epsilon == tuple(n ** -0.3 for n in (1, 2, 4, 8))
+
     def test_no_regime_reported_when_none_applies(self):
         model = gf.scalar_model(1.0, gf.kink_profile(0.5, 0.5), beta=0.5, alpha=0.9)
         report = gf.run_convergence(model, gf.Scheme.LEFT, 0.0, 1.0, [8, 16, 32])
         assert report.regime is None
-        assert report.regime_results == ()
+        assert report.regimes == ()
         assert report.bound_satisfied is None
         assert any("no known" in note for note in report.notes)
 
@@ -254,7 +274,8 @@ class TestLemma21:
 
     def test_ensemble_holds(self):
         ensemble = gf.lemma21_ensemble(count=120, seed=7, dim_max=10)
-        assert ensemble.holds == ensemble.count
+        assert ensemble.holds is True
+        assert ensemble.holds_count == ensemble.count and ensemble.failures == 0
         assert ensemble.min_margin >= -1e-10
 
     def test_ensemble_deterministic(self):

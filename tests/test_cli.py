@@ -252,6 +252,23 @@ class TestExitCodes:
         assert captured.err.splitlines() == [f"error: model.{key}: must be finite, got {shown}"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, document, line", [
+        ("run", "model: {family: scalar, a: 1.0, b: {kind: linear, slope: 1.0, offset: 0.5}}\n"
+                "n_list: [1, 2, 4, 8]",
+         "error: n_list: must not hold 1 at beta = 1 (the log(n)/n rate is defined for "
+         "n >= 2), got [1, 2, 4, 8]"),
+        ("verify", "model: {family: scalar, a: 1.0, b: {kind: linear, slope: 1.0}}\n"
+                   "verify: {contraction_ns: [true, 4]}",
+         "error: verify.contraction_ns: must be integers >= 1, got [True, 4]"),
+    ], ids=["n-1-at-beta-1", "boolean-contraction-n"])
+    def test_inputs_rejected_before_any_job(self, command, document, line, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(document + "\n")
+        assert cli.main([command, "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line]
+        assert captured.out == ""
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 3
 
@@ -401,9 +418,10 @@ class TestUnallocatableSizes:
 
 
 class TestRecordSchema:
-    # Four of these key sets are the field names of ConstantsReport,
-    # LiftingCheck, CocycleCheck and ContractionCheck; renaming a field
-    # must show up here, not silently in stored JSONL.
+    # Six of these key sets are the field names of ConstantsReport,
+    # ConvergenceReport, Lemma21Ensemble, LiftingCheck, CocycleCheck and
+    # ContractionCheck; renaming a field must show up here, not silently in
+    # stored JSONL.
     KEYS = {
         "meta": {"config", "kind", "package", "schema", "seed", "version"},
         "constants": {"alpha", "beta", "c_alpha", "grid", "kind", "l_alpha_beta",
@@ -421,6 +439,8 @@ class TestRecordSchema:
         "contraction": {"bound", "holds", "kind", "n", "norm", "s", "scheme", "t"},
         "failure": {"error", "kind", "messages", "stage"},
     }
+    # The fields of RegimeResult.
+    REGIME_KEYS = {"bound_satisfied", "epsilon", "label", "prefactor", "test_ns", "train_ns"}
 
     def test_key_set_of_every_record_kind(self, config_path, monkeypatch, capsys):
         records = []
@@ -437,6 +457,9 @@ class TestRecordSchema:
         assert {r["kind"] for r in records} == set(self.KEYS)
         for record in records:
             assert set(record) == self.KEYS[record["kind"]], record["kind"]
+        regimes = [r for record in records if record["kind"] == "convergence"
+                   for r in record["regimes"]]
+        assert regimes and all(set(r) == self.REGIME_KEYS for r in regimes)
 
 
 class TestVerbose:

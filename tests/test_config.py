@@ -125,10 +125,24 @@ t: 1.0
         assert any("scheme" in m for m in excinfo.value.messages)
 
     def test_bad_n_list(self):
+        # log(n)/n, the rate at the default beta = 1, vanishes at n = 1
         for snippet in ("n_list: [8, 8, 16]", "n_list: [16, 8]", "n_list: [0, 1, 2]",
-                        "n_list: [8, 16]"):
+                        "n_list: [8, 16]", "n_list: [1, 2, 4, 8]"):
             with pytest.raises(gf.ConfigError):
                 gf.parse_config(MINIMAL + "\n" + snippet + "\n")
+
+    def test_n_list_may_hold_1_below_beta_1(self):
+        cfg = gf.parse_config(MINIMAL + "\nbeta: 0.5\nn_list: [1, 2, 4, 8]\n")
+        assert cfg.n_list == (1, 2, 4, 8)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("contraction_ns", "[true, 4]", "must be integers >= 1, got [True, 4]"),
+        ("lifting_ns", "[4, true]", "must be even integers >= 4, got [4, True]"),
+    ])
+    def test_verify_integer_lists_reject_booleans(self, key, value, message):
+        with pytest.raises(gf.ConfigError) as excinfo:
+            gf.parse_config(MINIMAL + f"\nverify: {{{key}: {value}}}\n")
+        assert excinfo.value.messages == [f"verify.{key}: {message}"]
 
     def test_t_beyond_horizon(self):
         with pytest.raises(gf.ConfigError) as excinfo:

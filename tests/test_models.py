@@ -378,6 +378,16 @@ class TestTimeValidation:
         with pytest.raises(gf.ModelError):
             gf.scalar_model(1.0, gf.constant_profile(0.0), horizon=0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda h: gf.scalar_model(1.0, gf.linear_profile(1.0), horizon=h),
+        lambda h: gf.commuting_model([1.0, 2.0], [0.1, 0.2], gf.linear_profile(1.0), horizon=h),
+        lambda h: gf.rotating_model([1.0, 2.0], [0.5, 0.3], 1.0, 1.0, horizon=h),
+    ], ids=["scalar", "commuting", "rotating"])
+    def test_infinite_horizon_is_rejected_before_the_profile_screen(self, build):
+        # Screening the profile on linspace(0, inf) would warn first.
+        with pytest.raises(gf.ModelError, match="horizon must be positive and finite"):
+            build(float("inf"))
+
 
 BUILT_IN = {
     "scalar-number": (lambda: gf.scalar_model(2.0, 0.5),

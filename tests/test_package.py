@@ -1,5 +1,7 @@
 """The package namespace: every public name resolves, submodules load lazily."""
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +47,12 @@ def test_every_export_is_in_its_submodules_all():
     for module, names in gf._EXPORTS.items():
         exported = importlib.import_module(f"gibbsflow.{module}").__all__
         assert set(names) <= set(exported), module
+
+
+def test_the_readme_library_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(tour, "README.md", "exec"), {})
+    slope, regime, bound_satisfied = capsys.readouterr().out.split()
+    assert -1.1 < float(slope) < -0.9
+    assert (regime, bound_satisfied) == ("log(n)/n", "True")

@@ -8,9 +8,7 @@ import gibbsflow as gf
 from gibbsflow import reports
 from gibbsflow.reports import (
     ReportEnvelope,
-    convergence_record,
     failure_record,
-    lemma21_record,
     meta_record,
     read_jsonl,
     result_record,
@@ -28,7 +26,7 @@ def sample_records(scalar_linear):
     return [
         meta_record(cfg.to_dict(), cfg.seed),
         result_record("constants", gf.estimate_constants(scalar_linear, 0.0, 1.0)),
-        convergence_record(report),
+        result_record("convergence", report),
     ]
 
 
@@ -59,7 +57,7 @@ class TestRecords:
         assert len(record["messages"]) >= 2
 
     def test_lemma21_record(self):
-        record = lemma21_record(gf.lemma21_ensemble(count=10, seed=1, dim_max=4))
+        record = result_record("lemma21", gf.lemma21_ensemble(count=10, seed=1, dim_max=4))
         assert record["holds"] is True
         assert record["failures"] == 0
 
