@@ -167,7 +167,7 @@ def dyson_phillips_term(model: Model, s: float, t: float, k: int,
                         quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """The k-th series term S_k(t, s)."""
     _check_window(model, s, t)
-    if not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DEPTH):
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DEPTH):
         raise ValidationError(f"series order must be an integer in [0, {MAX_DEPTH}], got {k!r}")
     if k == 0:
         return model.generator.heat(t - s)

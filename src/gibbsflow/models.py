@@ -382,6 +382,7 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
     if mu[0] < -NONNEG_TOL:
         raise ModelError(f"b0 must be non-negative, got min eigenvalue {mu[0]!r}")
     omega, beta, t0 = float(omega), float(beta), float(t0)
+    _check_horizon(horizon)
     if not 0.0 <= t0 <= horizon:
         raise ModelError(f"t0={t0!r} outside the horizon [0, {horizon!r}]")
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import AccuracyError, DecompositionError, TimeRangeError, ValidationError
+from .errors import DecompositionError, TimeRangeError, ValidationError
 from .linalg import checked_eigh, eigen_entries, heat, opnorm, trace_norm
 from .models import Model, diagonal_form, perturbation_entries
 from .quadrature import (QuadratureSpec, _refine_by_doubling, integrate_matrix, mesh_grading,
@@ -51,7 +51,8 @@ __all__ = [
 # Contractions may exceed unit norm only by rounding noise.
 CONTRACTION_SLACK = 1e-10
 # The reference oracle starts at this many cells per piece and doubles at
-# most this often, so its finest product has 2^19 cells per piece.
+# most this often, so its finest product has 2^19 cells per piece.  A power
+# of two, so a piece's product is a subtree of its window's product tree.
 REFERENCE_CELLS = 8
 REFERENCE_DOUBLINGS = 16
 # CF4 on a cell [t, t + h]: Gauss nodes t + c_i h, c = 1/2 -+ sqrt(3)/6, and
@@ -66,9 +67,9 @@ CF4_ORDER = 4
 # memory without making the work faster.
 BATCH_BYTES = 64 * 1024
 
-# Reference results or failures per model instance, keyed by (s, t, tol).
-# Weak keys make a model's results live no longer than the model.
-_REFERENCE_MEMO: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
+# CF4 products of the oracle's pieces per model instance, keyed by (lo, hi, n).
+# Weak keys make a model's products live no longer than the model.
+_PIECE_PRODUCTS: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
 
 
 def _batch_length(dim: int) -> int:
@@ -104,7 +105,7 @@ class Partition:
 def make_partition(s: float, t: float, n: int) -> Partition:
     if not (np.isfinite(s) and np.isfinite(t) and s < t):
         raise ValidationError(f"partition requires finite s < t, got s={s!r}, t={t!r}")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValidationError(f"partition requires an integer n >= 1, got {n!r}")
     points = s + np.arange(n) * ((t - s) / n)
     points.setflags(write=False)
@@ -245,17 +246,6 @@ def product_approximant(scheme: Scheme, model: Model, s: float, t: float,
     return PropagatorResult(u, part.s, part.t, method=f"{scheme.value}(n={n})")
 
 
-def _reference_edges(model: Model, s: float, t: float, n: int) -> np.ndarray:
-    """Cell edges of the oracle: n cells on each piece of [s, t] between the
-    family's breakpoints, graded toward breakpoints as the family's declared
-    Hoelder order asks (``mesh_grading``)."""
-    breakpoints = model.perturbation.breakpoints
-    grading = mesh_grading(model.perturbation.beta)
-    pieces = panel_edges(s, t, 1, breakpoints)
-    return np.concatenate([*(panel_edges(lo, hi, n, breakpoints, grading)[:-1]
-                             for lo, hi in zip(pieces[:-1], pieces[1:])), pieces[-1:]])
-
-
 def _magnus_product(model: Model, edges: np.ndarray) -> np.ndarray:
     """CF4 product over the cells between ``edges``, later cells on the left.
 
@@ -289,15 +279,18 @@ def _magnus_product(model: Model, edges: np.ndarray) -> np.ndarray:
     return _tree_product(batches())
 
 
-def _magnus_reference(model: Model, s: float, t: float, tol: float) -> PropagatorResult:
-    """The CF4 oracle of ``reference_propagator``, uncached."""
-    u, n, diff = _refine_by_doubling(
-        lambda n: _magnus_product(model, _reference_edges(model, s, t, n)),
-        REFERENCE_CELLS, 0.5 * tol, REFERENCE_DOUBLINGS, order=CF4_ORDER,
-        label="reference propagator")
-    u.setflags(write=False)
-    return PropagatorResult(u, float(s), float(t),
-                            method=f"reference(tol={tol:g}, n={n}, diff={diff:.3e})")
+def _piece_product(model: Model, lo: float, hi: float, n: int) -> np.ndarray:
+    """Read-only CF4 product over n cells on the piece [lo, hi], graded
+    toward its ends that are breakpoints as the family's declared Hoelder
+    order asks (``mesh_grading``); memoized per model and (lo, hi, n)."""
+    memo = _PIECE_PRODUCTS.setdefault(model, {})
+    key = (lo, hi, n)
+    if key not in memo:
+        edges = panel_edges(lo, hi, n, model.perturbation.breakpoints,
+                            mesh_grading(model.perturbation.beta))
+        memo[key] = _magnus_product(model, edges)
+        memo[key].setflags(write=False)
+    return memo[key]
 
 
 def reference_propagator(model: Model, s: float, t: float,
@@ -314,24 +307,27 @@ def reference_propagator(model: Model, s: float, t: float,
     doublings run out; the second difference alone may grow, and the
     estimate after it is the raw difference D.
 
-    Results and failures are memoized per model instance and (s, t, tol),
-    with a read-only ``U``, so every caller asking for the same window shares
-    one computation.
+    The product at n is the ``_tree_product`` of the pieces' products, each
+    memoized per model instance, piece and n (``_piece_product``).  Pieces
+    have 8 * 2^k cells and kernel batches a power of two of factors, so each
+    piece's product is a subtree of the whole window's tree: the result has
+    the same bits whichever windows came before.  Windows that share a piece
+    share its products, and a repeated or failing window reruns only the
+    doubling loop's trace norms, returning an equal result or raising an
+    equal ``AccuracyError``.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive, got {tol}")
     _check_window(model, s, t)
-    memo = _REFERENCE_MEMO.setdefault(model, {})
-    key = (float(s), float(t), float(tol))
-    if key not in memo:
-        try:
-            memo[key] = _magnus_reference(model, s, t, tol)
-        except AccuracyError as error:
-            memo[key] = error
-    result = memo[key]
-    if isinstance(result, AccuracyError):
-        raise result
-    return result
+    cuts = panel_edges(s, t, 1, model.perturbation.breakpoints).tolist()
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    u, n, diff = _refine_by_doubling(
+        lambda n: _tree_product(_piece_product(model, lo, hi, n)[None] for lo, hi in pieces),
+        REFERENCE_CELLS, 0.5 * tol, REFERENCE_DOUBLINGS, order=CF4_ORDER,
+        label="reference propagator")
+    u.setflags(write=False)
+    return PropagatorResult(u, float(s), float(t),
+                            method=f"reference(tol={tol:g}, n={n}, diff={diff:.3e})")
 
 
 def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],

@@ -42,6 +42,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be positive, got {self.tol}")
+        for name in ("nodes_per_panel", "initial_panels", "max_doublings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.nodes_per_panel < 2:
             raise ValidationError(f"nodes_per_panel must be >= 2, got {self.nodes_per_panel}")
         if self.initial_panels < 1:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import settings
 
 import gibbsflow as gf
+from gibbsflow import propagator
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 run is reproducible.
@@ -104,3 +105,18 @@ def make_rotating(dim: int = 6, seed: int = 42, beta: float = 0.5,
 @pytest.fixture
 def rotating_small():
     return make_rotating(dim=4, seed=11)
+
+
+@pytest.fixture
+def cf4_products(monkeypatch):
+    """(lo, hi, n) of every CF4 piece product the reference oracle computes,
+    that is of every miss of its memo."""
+    products = []
+    compute = propagator._magnus_product
+
+    def counted(model, edges):
+        products.append((float(edges[0]), float(edges[-1]), edges.size - 1))
+        return compute(model, edges)
+
+    monkeypatch.setattr(propagator, "_magnus_product", counted)
+    return products

@@ -46,7 +46,7 @@ def test_importing_the_cli_loads_every_hooked_module(tracer):
     assert python_output(code) == ["True"] * len(modules)
 
 
-def test_instrumented_model_matches_the_model(tracer):
+def test_instrumented_model_matches_the_model(tracer, cf4_products):
     # The tracer rebuilds every traced model with ``dataclasses.replace``.
     # The copy keeps the family's declaration, computes what the model
     # computes bit for bit, and serves as a memo key.
@@ -62,10 +62,16 @@ def test_instrumented_model_matches_the_model(tracer):
             assert np.array_equal(gf.product_approximant(scheme, traced, 0.0, 1.0, 4096).U,
                                   gf.product_approximant(scheme, model, 0.0, 1.0, 4096).U)
         first = gf.reference_propagator(traced, 0.0, 0.5, tol=1e-8)
-        assert gf.reference_propagator(traced, 0.0, 0.5, tol=1e-8) is first
-        assert (0.0, 0.5, 1e-8) in propagator._REFERENCE_MEMO[traced]
-        uncached = propagator._magnus_reference(model, 0.0, 0.5, 1e-8)
+        computed = len(cf4_products)
+        assert len(propagator._PIECE_PRODUCTS[traced]) == computed > 0
+        again = gf.reference_propagator(traced, 0.0, 0.5, tol=1e-8)
+        assert len(cf4_products) == computed
+        assert np.array_equal(again.U, first.U) and again.method == first.method
+        del propagator._PIECE_PRODUCTS[traced]
+        uncached = gf.reference_propagator(model, 0.0, 0.5, tol=1e-8)
+        assert len(cf4_products) == 2 * computed
         assert np.array_equal(first.U, uncached.U)
+        cf4_products.clear()
 
 
 def test_collocation_grid_exists():

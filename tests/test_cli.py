@@ -301,15 +301,8 @@ class TestExitCodes:
         assert failures and failures[0]["error"] == "AccuracyError"
 
     def test_oracle_failure_is_one_computation_and_three_records(self, tmp_path,
-                                                                 monkeypatch, capsys):
-        calls = []
-        compute = propagator._magnus_reference
-
-        def counted(*args):
-            calls.append(args[1:])
-            return compute(*args)
-
-        monkeypatch.setattr(propagator, "_magnus_reference", counted)
+                                                                 monkeypatch, capsys,
+                                                                 cf4_products):
         monkeypatch.setattr(propagator, "REFERENCE_DOUBLINGS", 1)
         path = tmp_path / "rotating.yaml"
         path.write_text(ROTATING)
@@ -319,7 +312,8 @@ class TestExitCodes:
         assert [r["stage"] for r in failures] == ["run:left", "run:right", "run:symmetric"]
         assert all(r["error"] == "AccuracyError" for r in failures)
         assert len({tuple(r["messages"]) for r in failures}) == 1
-        assert len(calls) == 1
+        assert sorted(cf4_products) == [(0.0, 0.5, 8), (0.0, 0.5, 16),
+                                        (0.5, 1.0, 8), (0.5, 1.0, 16)]
 
     def test_decomposition_error_in_a_job_returns_two(self, config_path, monkeypatch,
                                                       capsys):

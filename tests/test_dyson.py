@@ -68,6 +68,11 @@ class TestSeriesTerms:
         with pytest.raises(gf.ValidationError):
             gf.dyson_phillips_term(scalar_const, 1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("k", [True, False, 1.0])
+    def test_order_must_be_an_integer(self, scalar_const, k):
+        with pytest.raises(gf.ValidationError, match="series order must be an integer"):
+            gf.dyson_phillips_term(scalar_const, 0.0, 1.0, k)
+
 
 class TestCertifiedSum:
     def test_scalar_constant_matches_exact(self, scalar_const):

@@ -190,7 +190,7 @@ def test_undeclared_diagonal_family_matches_per_cell_loop(scheme, window, n, cel
     assert _rel(kernel, per_cell_product(scheme, HAND_WRITTEN, part.points, part.step)) <= 1e-12
 
 
-def test_declaration_survives_a_copied_family():
+def test_declaration_survives_a_copied_family(cf4_products):
     # A benchmark tracer rebuilds a model around a copy of its family; the
     # copy keeps the spectral form itself, so it takes the closed form, gives
     # the same products bit for bit, and still serves as a memo key.
@@ -202,8 +202,11 @@ def test_declaration_survives_a_copied_family():
         assert np.array_equal(gf.product_approximant(scheme, copied, 0.0, 1.0, 4096).U,
                               gf.product_approximant(scheme, COMMUTING, 0.0, 1.0, 4096).U)
     first = gf.reference_propagator(copied, 0.0, 0.5, tol=1e-8)
-    assert gf.reference_propagator(copied, 0.0, 0.5, tol=1e-8) is first
-    assert (0.0, 0.5, 1e-8) in propagator._REFERENCE_MEMO[copied]
+    computed = len(cf4_products)
+    assert copied in propagator._PIECE_PRODUCTS
+    again = gf.reference_propagator(copied, 0.0, 0.5, tol=1e-8)
+    assert len(cf4_products) == computed
+    assert np.array_equal(again.U, first.U) and again.method == first.method
 
 
 def _reference_err_tr(lambdas, mu, t0, offset, n):

@@ -364,6 +364,15 @@ class TestFamilyContract:
             gf.perturbation_entries(user, np.array([-0.25]))
 
 
+# Each built-in family at a given horizon.
+BUILDERS_BY_HORIZON = [
+    lambda h: gf.scalar_model(1.0, gf.linear_profile(1.0), horizon=h),
+    lambda h: gf.commuting_model([1.0, 2.0], [0.1, 0.2], gf.linear_profile(1.0), horizon=h),
+    lambda h: gf.rotating_model([1.0, 2.0], [0.5, 0.3], 1.0, 1.0, horizon=h),
+]
+BUILDER_IDS = ["scalar", "commuting", "rotating"]
+
+
 class TestTimeValidation:
     def test_outside_horizon(self, scalar_linear):
         with pytest.raises(gf.TimeRangeError):
@@ -378,15 +387,17 @@ class TestTimeValidation:
         with pytest.raises(gf.ModelError):
             gf.scalar_model(1.0, gf.constant_profile(0.0), horizon=0.0)
 
-    @pytest.mark.parametrize("build", [
-        lambda h: gf.scalar_model(1.0, gf.linear_profile(1.0), horizon=h),
-        lambda h: gf.commuting_model([1.0, 2.0], [0.1, 0.2], gf.linear_profile(1.0), horizon=h),
-        lambda h: gf.rotating_model([1.0, 2.0], [0.5, 0.3], 1.0, 1.0, horizon=h),
-    ], ids=["scalar", "commuting", "rotating"])
+    @pytest.mark.parametrize("build", BUILDERS_BY_HORIZON, ids=BUILDER_IDS)
     def test_infinite_horizon_is_rejected_before_the_profile_screen(self, build):
         # Screening the profile on linspace(0, inf) would warn first.
         with pytest.raises(gf.ModelError, match="horizon must be positive and finite"):
             build(float("inf"))
+
+    @pytest.mark.parametrize("build", BUILDERS_BY_HORIZON, ids=BUILDER_IDS)
+    def test_nan_horizon_is_named(self, build):
+        # The rotating t0 = 0.5 is checked against the horizon after it.
+        with pytest.raises(gf.ModelError, match="horizon must be positive and finite, got nan"):
+            build(float("nan"))
 
 
 BUILT_IN = {

@@ -48,6 +48,13 @@ class TestPartition:
         with pytest.raises(gf.ValidationError):
             gf.make_partition(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0])
+    def test_cell_count_must_be_an_integer(self, n, scalar_linear):
+        with pytest.raises(gf.ValidationError, match="integer n"):
+            gf.make_partition(0.0, 1.0, n)
+        with pytest.raises(gf.ValidationError, match="integer n"):
+            gf.product_approximant(gf.Scheme.LEFT, scalar_linear, 0.0, 1.0, n)
+
     def test_points_read_only(self):
         part = gf.make_partition(0.0, 1.0, 4)
         with pytest.raises(ValueError):
@@ -165,45 +172,52 @@ class TestReferencePropagator:
             gf.reference_propagator(scalar_linear, 0.0, 1.0, tol=0.0)
 
 
+def _equal_results(a, b) -> bool:
+    return np.array_equal(a.U, b.U) and a.method == b.method
+
+
 class TestReferenceMemo:
-    @pytest.fixture
-    def computations(self, monkeypatch):
-        """Counts the reference computations that miss the memo."""
-        calls = []
-        compute = propagator._magnus_reference
+    """The oracle memoizes CF4 products per piece between breakpoints and n;
+    ``cf4_products`` lists the products that miss the memo.  rotating_small
+    has its kink at t0 = 0.5."""
 
-        def counted(*args):
-            calls.append(args[1:])
-            return compute(*args)
-
-        monkeypatch.setattr(propagator, "_magnus_reference", counted)
-        return calls
-
-    def test_repeated_call_reuses_result(self, rotating_small, computations):
+    def test_repeated_call_reuses_result(self, rotating_small, cf4_products):
         first = gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
+        computed = len(cf4_products)
         second = gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
-        assert second is first
-        assert len(computations) == 1
+        assert len(cf4_products) == computed
+        assert _equal_results(second, first)
 
     def test_cached_u_is_read_only(self, rotating_small):
         ref = gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
         with pytest.raises(ValueError):
             ref.U[0, 0] = 0.0
 
-    def test_new_tolerance_window_or_model_recomputes(self, rotating_small, computations):
-        gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
-        gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-8)
-        gf.reference_propagator(rotating_small, 0.5, 1.0, 1e-9)
-        gf.reference_propagator(make_rotating(dim=4, seed=11), 0.0, 0.5, 1e-9)
-        assert len(computations) == 4
+    def test_new_tolerance_window_or_model_recomputes(self, rotating_small, cf4_products):
+        def levels(s, t, tol, model=rotating_small):
+            before = len(cf4_products)
+            gf.reference_propagator(model, s, t, tol)
+            return sorted({n for _, _, n in cf4_products[before:]})
 
-    def test_three_scheme_run_computes_oracle_once(self, rotating_small, computations):
-        for scheme in gf.Scheme:
-            gf.run_convergence(rotating_small, scheme, 0.0, 1.0, [4, 8, 16],
-                               tol_ref=1e-9)
-        assert computations == [(0.0, 1.0, 1e-9)]
+        assert levels(0.0, 0.5, 1e-9) == [8, 16, 32, 64, 128]
+        assert levels(0.0, 0.5, 1e-8) == []
+        assert levels(0.0, 0.5, 1e-11) == [256, 512]
+        assert levels(0.5, 1.0, 1e-9) == [8, 16, 32, 64, 128]
+        assert levels(0.0, 0.5, 1e-9, make_rotating(dim=4, seed=11)) == [8, 16, 32, 64, 128]
+        # Only the other model's products repeat a (lo, hi, n).
+        assert len(set(cf4_products)) == len(cf4_products) - 5
 
-    def test_failure_is_computed_once_and_reraised(self, rotating_small, computations,
+    def test_three_scheme_run_computes_oracle_once(self, rotating_small, cf4_products):
+        gf.run_convergence(rotating_small, gf.Scheme.LEFT, 0.0, 1.0, [4, 8, 16],
+                           tol_ref=1e-9)
+        computed = list(cf4_products)
+        for scheme in (gf.Scheme.RIGHT, gf.Scheme.SYMMETRIC):
+            gf.run_convergence(rotating_small, scheme, 0.0, 1.0, [4, 8, 16], tol_ref=1e-9)
+        assert cf4_products == computed
+        assert {(lo, hi) for lo, hi, _ in computed} == {(0.0, 0.5), (0.5, 1.0)}
+        assert len(set(computed)) == len(computed)
+
+    def test_failure_is_computed_once_and_reraised(self, rotating_small, cf4_products,
                                                    monkeypatch):
         monkeypatch.setattr(propagator, "REFERENCE_DOUBLINGS", 1)
         errors = []
@@ -212,9 +226,44 @@ class TestReferenceMemo:
                 gf.run_convergence(rotating_small, scheme, 0.0, 1.0, [4, 8, 16],
                                    tol_ref=1e-12)
             errors.append(caught.value)
-        assert computations == [(0.0, 1.0, 1e-12)]
-        assert errors[0] is errors[1] is errors[2]
+        assert sorted(cf4_products) == [(0.0, 0.5, 8), (0.0, 0.5, 16),
+                                        (0.5, 1.0, 8), (0.5, 1.0, 16)]
+        assert len({(str(e), e.requested, e.achieved) for e in errors}) == 1
         assert "reference propagator" in str(errors[0])
+
+    def test_whole_window_after_its_pieces_computes_no_new_product(self, rotating_small,
+                                                                   cf4_products):
+        gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
+        gf.reference_propagator(rotating_small, 0.5, 1.0, 1e-9)
+        computed = len(cf4_products)
+        whole = gf.reference_propagator(rotating_small, 0.0, 1.0, 1e-9)
+        assert len(cf4_products) == computed
+        fresh = gf.reference_propagator(make_rotating(dim=4, seed=11), 0.0, 1.0, 1e-9)
+        assert len(cf4_products) > computed
+        assert _equal_results(whole, fresh)
+
+    def test_window_past_the_kink_reuses_the_pieces_before_it(self, rotating_small,
+                                                              cf4_products):
+        gf.reference_propagator(rotating_small, 0.0, 0.5, 1e-9)
+        computed = len(cf4_products)
+        longer = gf.reference_propagator(rotating_small, 0.0, 0.5751, 1e-9)
+        assert cf4_products[computed:]
+        assert all((lo, hi) == (0.5, 0.5751) for lo, hi, _ in cf4_products[computed:])
+        fresh = gf.reference_propagator(make_rotating(dim=4, seed=11), 0.0, 0.5751, 1e-9)
+        assert _equal_results(longer, fresh)
+
+    def test_failing_window_reraises_an_equal_error_from_the_memo(self, rotating_small,
+                                                                  cf4_products,
+                                                                  monkeypatch):
+        monkeypatch.setattr(propagator, "REFERENCE_DOUBLINGS", 2)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(gf.AccuracyError) as caught:
+                gf.reference_propagator(rotating_small, 0.0, 1.0, 1e-13)
+            errors.append((str(caught.value), caught.value.requested,
+                           caught.value.achieved, len(cf4_products)))
+        assert errors[0] == errors[1]
+        assert errors[0][3] == 6
 
 
 def _kinked_rotating(dim: int = 16) -> "gf.Model":
@@ -247,19 +296,11 @@ class TestReferenceBreakpoints:
         n = int(re.search(r"n=(\d+)", ref.method).group(1))
         assert n <= 512
 
-    def test_stops_at_the_rounding_floor(self, monkeypatch):
-        products = []
-        compute = propagator._magnus_product
-
-        def counted(model, edges):
-            products.append(edges.size - 1)
-            return compute(model, edges)
-
-        monkeypatch.setattr(propagator, "_magnus_product", counted)
+    def test_stops_at_the_rounding_floor(self, cf4_products):
         with pytest.raises(gf.AccuracyError) as caught:
             gf.reference_propagator(_kinked_rotating(4), 0.0, 1.0, 1e-16)
         assert caught.value.achieved > caught.value.requested
-        assert len(products) - 1 < propagator.REFERENCE_DOUBLINGS
+        assert len({n for _, _, n in cf4_products}) - 1 < propagator.REFERENCE_DOUBLINGS
         assert "stopped converging" in str(caught.value)
 
     @pytest.mark.parametrize("doublings", [0, 1, 2, 3])

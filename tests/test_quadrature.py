@@ -32,6 +32,12 @@ class TestSpec:
         with pytest.raises(gf.ValidationError):
             gf.QuadratureSpec(max_doublings=-1)
 
+    @pytest.mark.parametrize("field", ["nodes_per_panel", "initial_panels", "max_doublings"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(gf.ValidationError, match=f"{field} must be an integer"):
+            gf.QuadratureSpec(**{field: value})
+
 
 class TestPanelEdges:
     def test_plain_split(self):
