@@ -102,7 +102,7 @@ def _horizon_samples(model: Model, grid: int,
     times = np.linspace(0.0, model.horizon, grid)
     form = diagonal_form(model)
     if form is not None:
-        b = form.values(times)[:, None] * form.mu
+        b = form.profile.value(times)[:, None] * form.mu
         lam_neg = np.diagonal(a_neg)
         return times, float(np.max(np.abs(b * lam_neg))), lam_neg * b * lam_neg
     d, chunk = model.dim, _batch_length(model.dim)

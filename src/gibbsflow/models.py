@@ -45,61 +45,64 @@ __all__ = [
 GENERATOR_FLOOR = 1.0 - 1e-12
 # Perturbations must be non-negative up to rounding when validated.
 NONNEG_TOL = 1e-10
-# Uniform sample count used to screen scalar profiles for negativity.
-PROFILE_SAMPLES = 1001
 
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """Scalar coefficient t -> b(t) with a closed-form antiderivative.
+    """Scalar coefficient b(t) = offset + slope t + scale |t - t0|^beta.
 
-    ``value`` accepts a time or an array of times; a constant profile may
-    return a scalar for either.  ``beta`` is the Hoelder exponent the
-    profile declares; models built on it declare it unless told otherwise.
+    ``value`` maps times to an array shaped like them and ``integral(s, t)``
+    is int_s^t b in closed form.  ``beta`` in (0, 1] is the Hoelder exponent
+    the profile declares; models built on it declare it unless told
+    otherwise.  ``breakpoints`` lists the times where b may not be smooth.
+    Between breakpoints b is concave if ``scale`` >= 0 and monotone if
+    ``slope`` is 0, so its minimum on an interval is at an end or a
+    breakpoint; a kink term therefore needs t0 among the breakpoints, and a
+    negative ``scale`` needs ``slope`` 0.
     """
 
     label: str
-    value: Callable[[float], float]
-    integral: Callable[[float, float], float]
-    breakpoints: tuple[float, ...] = ()
+    offset: float = 0.0
+    slope: float = 0.0
+    scale: float = 0.0
+    t0: float = 0.0
     beta: float = 1.0
+    breakpoints: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not 0.0 < self.beta <= 1.0:
+            raise ModelError(f"profile requires beta in (0, 1], got {self.beta}")
+        if (self.scale < 0 and self.slope != 0
+                or self.scale != 0 and self.t0 not in self.breakpoints):
+            raise ModelError(f"profile {self.label}: a kink term needs t0 among the "
+                             f"breakpoints, and a negative scale needs slope 0")
+
+    def value(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return np.asarray(self.offset + self.slope * ts
+                          + self.scale * np.abs(ts - self.t0) ** self.beta)
+
+    def integral(self, s: float, t: float) -> float:
+        u, v, p = s - self.t0, t - self.t0, self.beta + 1.0
+        kink = math.copysign(abs(v) ** p / p, v) - math.copysign(abs(u) ** p / p, u)
+        return self.offset * (t - s) + 0.5 * self.slope * (t * t - s * s) + self.scale * kink
 
 
 def constant_profile(c: float) -> TimeProfile:
     c = float(c)
-    return TimeProfile(
-        label=f"const({c:g})",
-        value=lambda t: c,
-        integral=lambda s, t: c * (t - s),
-    )
+    return TimeProfile(f"const({c:g})", offset=c)
 
 
 def linear_profile(slope: float, offset: float = 0.0) -> TimeProfile:
     slope, offset = float(slope), float(offset)
-    return TimeProfile(
-        label=f"linear(slope={slope:g}, offset={offset:g})",
-        value=lambda t: offset + slope * t,
-        integral=lambda s, t: offset * (t - s) + 0.5 * slope * (t * t - s * s),
-    )
+    return TimeProfile(f"linear(slope={slope:g}, offset={offset:g})", offset=offset, slope=slope)
 
 
 def kink_profile(t0: float, beta: float, scale: float = 1.0, offset: float = 0.0) -> TimeProfile:
     """b(t) = offset + scale * |t - t0|^beta; Hoelder of order beta at t0."""
     t0, beta, scale, offset = float(t0), float(beta), float(scale), float(offset)
-    if not 0.0 < beta <= 1.0:
-        raise ModelError(f"kink profile requires beta in (0, 1], got {beta}")
-
-    def antideriv(x: float) -> float:
-        u = x - t0
-        return math.copysign(abs(u) ** (beta + 1.0) / (beta + 1.0), u)
-
-    return TimeProfile(
-        label=f"kink(t0={t0:g}, beta={beta:g}, scale={scale:g}, offset={offset:g})",
-        value=lambda t: offset + scale * abs(t - t0) ** beta,
-        integral=lambda s, t: offset * (t - s) + scale * (antideriv(t) - antideriv(s)),
-        breakpoints=(t0,),
-        beta=beta,
-    )
+    return TimeProfile(f"kink(t0={t0:g}, beta={beta:g}, scale={scale:g}, offset={offset:g})",
+                       offset=offset, scale=scale, t0=t0, beta=beta, breakpoints=(t0,))
 
 
 class Generator:
@@ -176,10 +179,6 @@ class SpectralForm:
         if mu.ndim != 1 or not np.all(np.isfinite(mu)) or np.any(mu < 0):
             raise ModelError(f"spectral mu must be a finite, non-negative vector, got {mu}")
         object.__setattr__(self, "mu", mu)
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """b(t) for every time in ``ts``, shaped like ``ts``."""
-        return _profile_values(self.profile, ts)
 
     def frame(self, ts: np.ndarray) -> Optional[np.ndarray]:
         """V(t) for every time in ``ts``, or None for the standard basis."""
@@ -264,7 +263,7 @@ def perturbation_entries(model: Model, times) -> np.ndarray:
             f"horizon [0, {model.horizon!r}]"
         )
     form = model.perturbation.spectral
-    b = (eigen_entries(form.values(times)[..., None] * form.mu, form.frame(times))
+    b = (eigen_entries(form.profile.value(times)[..., None] * form.mu, form.frame(times))
          if form is not None else np.asarray(model.perturbation.entries(times), dtype=float))
     if b.shape != shape:
         raise ValidationError(f"perturbation entries have shape {b.shape}, expected {shape}")
@@ -284,28 +283,24 @@ def diagonal_form(model: Model) -> Optional[SpectralForm]:
     return form
 
 
-def _profile_values(profile: TimeProfile, ts: np.ndarray) -> np.ndarray:
-    """b(t) for every time in ``ts``, shaped like ``ts``."""
-    values = np.asarray(profile.value(ts), dtype=float)
-    return values if values.shape == ts.shape else np.full(ts.shape, values)
-
-
 def _spectral_model(lam, profile: TimeProfile, mu, basis, exact, beta: float | None,
                     alpha: float, horizon: float, name: str, details: str) -> Model:
     """The model of a built-in family: A = diag(lam) and the spectral form
     B(t) = b(t) V(t) diag(mu) V(t)^T of ``profile``, ``mu`` and ``basis``.
 
-    The profile is screened for negativity on ``PROFILE_SAMPLES`` times of
-    [0, horizon], ``beta=None`` declares the profile's beta, and the
-    family's breakpoints are the profile's inside (0, horizon).
+    The family's breakpoints are the profile's inside (0, horizon), and
+    ``beta=None`` declares the profile's beta.  The profile is screened for
+    negativity at 0, at the horizon and at those breakpoints, which is exact:
+    between breakpoints a ``TimeProfile`` takes its minimum at an end.
     """
     _check_horizon(horizon)
-    ts = np.linspace(0.0, horizon, PROFILE_SAMPLES)
-    vals = _profile_values(profile, ts)
+    breakpoints = tuple(x for x in profile.breakpoints if 0.0 < x < horizon)
+    ts = np.array([0.0, *breakpoints, horizon])
+    vals = profile.value(ts)
     if np.any(vals < -NONNEG_TOL):
         t_bad = float(ts[np.argmin(vals)])
         raise ModelError(
-            f"profile {profile.label} is negative at sampled t={t_bad:g} "
+            f"profile {profile.label} is negative at t={t_bad:g} "
             f"(value {float(np.min(vals)):g})"
         )
     generator = Generator(np.diag(lam))
@@ -315,7 +310,7 @@ def _spectral_model(lam, profile: TimeProfile, mu, basis, exact, beta: float | N
         spectral=SpectralForm(profile, mu, basis),
         alpha=alpha,
         beta=beta,
-        breakpoints=tuple(x for x in profile.breakpoints if 0.0 < x < horizon),
+        breakpoints=breakpoints,
     )
     return Model(generator, family, horizon, exact,
                  descriptor=f"{name}({details}, alpha={alpha:g}, beta={beta:g})")

@@ -158,7 +158,7 @@ def _heat_of_perturbation(model: Model, times: np.ndarray, tau: float) -> np.nda
     decomposition of ``perturbation_entries``."""
     form = model.perturbation.spectral
     if form is not None:
-        return eigen_entries(np.exp((-tau * form.values(times))[..., None] * form.mu),
+        return eigen_entries(np.exp((-tau * form.profile.value(times))[..., None] * form.mu),
                              form.frame(times))
     w, q = checked_eigh(perturbation_entries(model, times))
     return eigen_entries(np.exp(-tau * w), q)
@@ -217,7 +217,7 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
     n = len(sample_times)
     form = diagonal_form(model)
     if form is not None:
-        b_sum = np.sum(form.values(sample_times))
+        b_sum = np.sum(form.profile.value(sample_times))
         return np.diag(np.exp(-tau * (n * model.generator.diagonal + b_sum * form.mu)))
 
     a = model.generator.operator

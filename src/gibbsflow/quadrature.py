@@ -102,8 +102,9 @@ def panel_edges(a: float, b: float, n_panels: int, breakpoints: Sequence[float] 
     """
     if not a < b:
         raise ValidationError(f"integration interval requires a < b, got [{a}, {b}]")
-    if not (isinstance(grading, (int, np.integer)) and grading >= 1):
-        raise ValidationError(f"grading must be an integer >= 1, got {grading!r}")
+    for name, count in (("n_panels", n_panels), ("grading", grading)):
+        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
     points = {float(x) for x in breakpoints}
     cuts = sorted(x for x in points if a < x < b)
     pieces = list(zip([a, *cuts], [*cuts, b]))

@@ -2,6 +2,7 @@
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -89,6 +90,18 @@ class TestDefaultsAreStatedOnce:
         assert set(data) == set(config.TOP_KEYS)
         assert set(data["verify"]) == {f.name for f in dataclasses.fields(config.VerifySpec)}
         assert gf.config_from_dict(data) == gf.config_from_dict({"model": data["model"]})
+
+    @pytest.mark.parametrize("kind", sorted(config.PROFILES))
+    def test_profile_keys_follow_the_constructor_arguments(self, kind):
+        # _time_profile passes the keys positionally, so a reordered
+        # constructor would swap them.  A single key cannot be swapped, and
+        # the constant's "value" is the constructor's "c".
+        constructor, keys = config.PROFILES[kind]
+        params = [name for name, p in inspect.signature(constructor).parameters.items()
+                  if p.kind is p.POSITIONAL_OR_KEYWORD]
+        assert len(params) == len(keys)
+        if len(keys) > 1:
+            assert list(keys) == params
 
 
 class TestRoundTrip:

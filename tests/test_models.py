@@ -73,6 +73,48 @@ class TestProfiles:
         with pytest.raises(gf.ModelError):
             gf.scalar_model(1.0, gf.linear_profile(-1.0, offset=0.0))
 
+    # The minimum of b is at 0, the horizon or a breakpoint, so the screen
+    # looks only there; t0 = 0.3337 is on no coarse uniform grid, and the
+    # first kink is negative only near it.
+    @pytest.mark.parametrize("profile", [
+        gf.kink_profile(0.3337, 0.5, offset=-1e-4),
+        gf.linear_profile(-1.0, offset=0.5),
+        gf.kink_profile(0.5, 0.5, scale=-1.0, offset=0.5),
+    ], ids=["kink-negative-at-t0", "linear-negative-slope", "kink-negative-scale"])
+    def test_screen_finds_the_minimum(self, profile):
+        with pytest.raises(gf.ModelError, match="is negative at"):
+            gf.scalar_model(1.0, profile, beta=0.5)
+
+    def test_screen_passes_non_negative_profiles(self):
+        assert gf.scalar_model(1.0, gf.kink_profile(0.3337, 0.5, offset=0.0)).dim == 1
+        assert gf.rotating_model([1.0, 2.0, 3.0], [0.5, 0.3, 0.8], 3.0, 0.5).dim == 3
+
+    def test_direct_profile_keeps_the_screen_exact(self):
+        with pytest.raises(gf.ModelError, match="negative scale needs slope 0"):
+            gf.TimeProfile("p", offset=1.0, slope=0.1, scale=-0.5, t0=0.5, breakpoints=(0.5,))
+        with pytest.raises(gf.ModelError, match="needs t0 among the breakpoints"):
+            gf.TimeProfile("p", offset=-0.1, scale=1.0, t0=0.5)
+        with pytest.raises(gf.ModelError, match="beta in"):
+            gf.TimeProfile("p", offset=1.0, beta=1.5)
+
+    @pytest.mark.parametrize("profile", [
+        gf.constant_profile(0.7), gf.linear_profile(2.0, 1.0), gf.kink_profile(0.5, 0.5, 1.3, 0.2),
+    ], ids=["constant", "linear", "kink"])
+    @pytest.mark.parametrize("ts", [np.asarray(0.3), np.linspace(0.0, 1.0, 7),
+                                    np.linspace(0.0, 1.0, 12).reshape(3, 4)],
+                             ids=["0-d", "1-d", "2-d"])
+    def test_value_is_an_array_shaped_like_the_times(self, profile, ts):
+        values = profile.value(ts)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        assert np.array_equal(values.ravel(), [profile.value(float(t)) for t in ts.ravel()])
+
+    def test_labels_and_breakpoints_follow_the_constructor(self):
+        assert gf.linear_profile(0.0, 0.3).label == "linear(slope=0, offset=0.3)"
+        flat_kink = gf.kink_profile(0.4, 1.0, scale=0.0)
+        assert flat_kink.breakpoints == (0.4,)
+        assert flat_kink.label == "kink(t0=0.4, beta=1, scale=0, offset=0)"
+        assert gf.constant_profile(0.4).breakpoints == ()
+
 
 class TestGenerator:
     def test_requires_spectrum_at_least_one(self):
@@ -209,7 +251,7 @@ class TestBatchedHeatFactor:
         ts = np.array([0.0, 0.13, 0.4, 0.5, 0.77, 1.0])
         tau = 0.05
         form = model.perturbation.spectral
-        assert form.values(ts).shape == ts.shape and form.mu.shape == (model.dim,)
+        assert form.profile.value(ts).shape == ts.shape and form.mu.shape == (model.dim,)
         assert (form.frame(ts) is None) == model.descriptor.startswith(("scalar", "commuting"))
         batched = propagator._heat_of_perturbation(model, ts, tau)
         assert batched.shape == (ts.size, model.dim, model.dim)
@@ -236,7 +278,7 @@ class TestBatchedEntries:
     def _formula(model, ts):
         """B from the spectral form's formula, before any check."""
         form = model.perturbation.spectral
-        return gf.eigen_entries(form.values(ts)[..., None] * form.mu, form.frame(ts))
+        return gf.eigen_entries(form.profile.value(ts)[..., None] * form.mu, form.frame(ts))
 
     @pytest.mark.parametrize("build", FAMILIES)
     def test_batch_matches_evaluate(self, build):
@@ -389,7 +431,7 @@ class TestTimeValidation:
 
     @pytest.mark.parametrize("build", BUILDERS_BY_HORIZON, ids=BUILDER_IDS)
     def test_infinite_horizon_is_rejected_before_the_profile_screen(self, build):
-        # Screening the profile on linspace(0, inf) would warn first.
+        # The profile screen would otherwise evaluate b at t = inf.
         with pytest.raises(gf.ModelError, match="horizon must be positive and finite"):
             build(float("inf"))
 

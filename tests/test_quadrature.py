@@ -64,6 +64,13 @@ class TestPanelEdges:
             with pytest.raises(gf.ValidationError):
                 gf.panel_edges(0.0, 1.0, 4, (0.3,), grading)
 
+    @pytest.mark.parametrize("name", ["n_panels", "grading"])
+    @pytest.mark.parametrize("count", [2.5, 0, -1, True, False, 4.0])
+    def test_counts_must_be_integers_at_least_one(self, name, count):
+        counts = {"n_panels": 4, "grading": 1, name: count}
+        with pytest.raises(gf.ValidationError, match=f"{name} must be an integer >= 1"):
+            gf.panel_edges(0.0, 1.0, counts["n_panels"], (0.3,), counts["grading"])
+
 
 class TestGradedEdges:
     WINDOWS = [(0.0, 1.0), (0.0, 0.37), (0.37, 1.0), (0.2, 0.8)]
