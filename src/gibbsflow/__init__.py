@@ -28,7 +28,6 @@ _EXPORTS = {
     "errors": (
         "GibbsflowError", "ValidationError", "ConfigError", "ModelError",
         "TimeRangeError", "DomainError", "DecompositionError", "AccuracyError",
-        "NoKnownRateError",
     ),
     "linalg": (
         "HermitianOperator", "eigh", "operator_function", "heat",
@@ -38,8 +37,8 @@ _EXPORTS = {
     "models": (
         "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
         "Generator", "SpectralForm", "PerturbationFamily", "Model",
-        "evaluate_perturbation", "perturbation_entries", "scalar_model",
-        "commuting_model", "rotating_model",
+        "perturbation_entries", "scalar_model", "commuting_model",
+        "rotating_model",
     ),
     "quadrature": ("QuadratureSpec", "panel_edges", "integrate_matrix"),
     "propagator": (
@@ -53,11 +52,11 @@ _EXPORTS = {
     ),
     "dyson": ("dyson_phillips_term", "dyson_phillips_sum"),
     "analysis": (
-        "RegimeKind", "RateRegime", "applicable_regimes", "select_regime",
-        "RateFit", "fit_rate", "RegimeResult", "ConvergenceReport",
-        "run_convergence", "Lemma21Check", "verify_lemma21", "Lemma21Ensemble",
-        "lemma21_ensemble", "LiftingCheck", "verify_lifting", "CocycleCheck",
-        "verify_cocycle", "ContractionCheck", "verify_contraction",
+        "RegimeKind", "RateRegime", "applicable_regimes", "RateFit",
+        "fit_rate", "RegimeResult", "ConvergenceReport", "run_convergence",
+        "Lemma21Check", "verify_lemma21", "Lemma21Ensemble", "lemma21_ensemble",
+        "LiftingCheck", "verify_lifting", "CocycleCheck", "verify_cocycle",
+        "ContractionCheck", "verify_contraction",
     ),
     "config": (
         "ExperimentConfig", "VerifySpec", "parse_config", "config_from_dict",

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constants import ConstantsReport, estimate_constants
-from .errors import NoKnownRateError, ValidationError
+from .errors import ValidationError
 from .linalg import opnorm, singular_values, trace_norm
 from .models import Generator, Model, check_exponents
 from .propagator import (
@@ -43,7 +43,6 @@ __all__ = [
     "RegimeKind",
     "RateRegime",
     "applicable_regimes",
-    "select_regime",
     "RateFit",
     "fit_rate",
     "RegimeResult",
@@ -127,16 +126,6 @@ def applicable_regimes(alpha: float, beta: float) -> tuple[RateRegime, ...]:
         if beta > alpha:
             regimes.append(RateRegime(RegimeKind.GENERAL_GAP, alpha, beta))
     return tuple(regimes)
-
-
-def select_regime(alpha: float, beta: float) -> RateRegime:
-    """The headline rate regime; raises ``NoKnownRateError`` when none applies."""
-    regimes = applicable_regimes(alpha, beta)
-    if not regimes:
-        raise NoKnownRateError(
-            f"no known convergence-rate bound for alpha={alpha:g}, beta={beta:g}"
-        )
-    return regimes[0]
 
 
 @dataclass(frozen=True)

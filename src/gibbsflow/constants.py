@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import fractional_power, opnorm
+from .linalg import fractional_power, singular_values
 from .models import Model, diagonal_form, perturbation_entries
 from .propagator import _batch_length, _check_window
 
@@ -110,7 +110,7 @@ def _horizon_samples(model: Model, grid: int,
     c_alpha = 0.0
     for start in range(0, grid, chunk):
         b = perturbation_entries(model, times[start:start + chunk])
-        c_alpha = max(c_alpha, *(opnorm(m) for m in b @ a_neg))
+        c_alpha = max(c_alpha, float(np.max(singular_values(b @ a_neg)[:, 0])))
         if keep:
             samples[start:start + len(b)] = a_neg @ b @ a_neg
     return times, c_alpha, samples
@@ -130,19 +130,21 @@ def _row_gaps(times: np.ndarray, i: int, beta: float) -> np.ndarray:
 
 
 def _holder_constant(times: np.ndarray, samples: np.ndarray, beta: float) -> float:
-    """Largest ``opnorm(S_j - S_i) / abs(t_j - t_i) ** beta`` over grid pairs.
+    """Largest ``||S_j - S_i|| / abs(t_j - t_i) ** beta`` over grid pairs.
 
     Bit for bit the maximum of that quotient over all i < j, without an SVD
     per pair.  ``samples`` holds the S(t) of ``_horizon_samples``: either
     their diagonals, shape (grid, d), for a model with a diagonal form, read as
     the largest entry of |diag_j - diag_i|; or the full stack (grid, d, d).
-    LAPACK's singular values of a diagonal matrix, and so ``opnorm``'s, are
-    its sorted |entries|, except on some 2 x 2 matrices, where its closed
-    formula may be an ulp off.  For the full stack the grid - 1 adjacent
-    norms are computed, and the triangle inequality bounds every other pair
-    by (P_j - P_i) / |t_j - t_i|^beta, P being their prefix sums; pairs are
-    evaluated in order of decreasing bound while the bound exceeds the
-    largest quotient so far.
+    LAPACK's singular values of a diagonal matrix are its sorted |entries|,
+    except on some 2 x 2 matrices, where its closed formula may be an ulp
+    off.  For the full stack the grid - 1 adjacent norms are computed, and
+    the triangle inequality bounds every other pair by
+    (P_j - P_i) / |t_j - t_i|^beta, P being their prefix sums; pairs are
+    evaluated a batch at a time in order of decreasing bound, until a batch
+    starts at a bound no larger than the largest quotient so far.  A pair
+    evaluated past that point has quotient <= bound <= that maximum, so it
+    cannot change the result.
     """
     grid = samples.shape[0]
     if samples.ndim == 2:
@@ -152,7 +154,7 @@ def _holder_constant(times: np.ndarray, samples: np.ndarray, beta: float) -> flo
             best = max(best, float(np.max(norms / _row_gaps(times, i, beta))))
         return best
 
-    adjacent = np.array([opnorm(samples[k + 1] - samples[k]) for k in range(grid - 1)])
+    adjacent = singular_values(np.diff(samples, axis=0))[:, 0]
     gaps = [abs(times[k + 1] - times[k]) ** beta for k in range(grid - 1)]
     best = float(np.max(adjacent / gaps))
     prefix = np.concatenate(([0.0], np.cumsum(adjacent)))
@@ -168,12 +170,16 @@ def _holder_constant(times: np.ndarray, samples: np.ndarray, beta: float) -> flo
     if not bounds:
         return best
     bounds, firsts, lasts = (np.concatenate(x) for x in (bounds, firsts, lasts))
-    for k in np.argsort(-bounds, kind="stable"):
-        if bounds[k] <= best:
+    order = np.argsort(-bounds, kind="stable")
+    batch = _batch_length(samples.shape[1])
+    for start in range(0, order.size, batch):
+        ks = order[start:start + batch]
+        if bounds[ks[0]] <= best:
             break
-        i, j = firsts[k], lasts[k]
-        gap = abs(times[j] - times[i]) ** beta
-        best = max(best, opnorm(samples[j] - samples[i]) / gap)
+        i, j = firsts[ks], lasts[ks]
+        gaps = [abs(gap) ** beta for gap in times[j] - times[i]]
+        norms = singular_values(samples[j] - samples[i])[:, 0]
+        best = max(best, float(np.max(norms / gaps)))
     return float(best)
 
 

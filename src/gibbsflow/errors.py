@@ -15,7 +15,6 @@ __all__ = [
     "DomainError",
     "DecompositionError",
     "AccuracyError",
-    "NoKnownRateError",
 ]
 
 
@@ -80,6 +79,3 @@ class AccuracyError(GibbsflowError):
             message = f"{message} ({', '.join(extra)})"
         super().__init__(message)
 
-
-class NoKnownRateError(GibbsflowError):
-    """No convergence-rate bound is known for the given (alpha, beta)."""

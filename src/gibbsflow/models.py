@@ -36,14 +36,13 @@ __all__ = [
     "scalar_model",
     "commuting_model",
     "rotating_model",
-    "evaluate_perturbation",
     "perturbation_entries",
     "diagonal_form",
 ]
 
 # Smallest admissible generator eigenvalue (A >= 1 up to rounding).
 GENERATOR_FLOOR = 1.0 - 1e-12
-# Perturbations must be non-negative up to rounding when validated.
+# Perturbations must be non-negative up to rounding.
 NONNEG_TOL = 1e-10
 
 
@@ -70,6 +69,10 @@ class TimeProfile:
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for name in ("offset", "slope", "scale", "t0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ModelError(f"profile {self.label}: {name} must be finite, got {value!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ModelError(f"profile requires beta in (0, 1], got {self.beta}")
         if (self.scale < 0 and self.slope != 0
@@ -232,16 +235,6 @@ class Model:
     @property
     def dim(self) -> int:
         return self.generator.dim
-
-
-def evaluate_perturbation(model: Model, t: float, validate: bool = False) -> HermitianOperator:
-    """B(t) for t in [0, horizon]; with ``validate`` also check B(t) >= 0."""
-    b = HermitianOperator(perturbation_entries(model, np.array([t]))[0])
-    if validate:
-        w, _ = b.spectrum()
-        if w[0] < -NONNEG_TOL:
-            raise ModelError(f"perturbation not non-negative at t={t!r}: min eig {w[0]!r}")
-    return b
 
 
 def perturbation_entries(model: Model, times) -> np.ndarray:

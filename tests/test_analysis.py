@@ -53,19 +53,20 @@ class TestRegimes:
         assert regimes[0].epsilon(8) == pytest.approx(8.0 ** -0.3, rel=1e-14)
 
     def test_no_known_rate(self):
-        with pytest.raises(gf.NoKnownRateError):
-            gf.select_regime(0.9, 0.5)
         assert gf.applicable_regimes(0.9, 0.5) == ()
+        model = gf.scalar_model(1.0, gf.kink_profile(0.5, 0.5), alpha=0.9)
+        report = gf.run_convergence(model, gf.Scheme.LEFT, 0.0, 1.0, [8, 16, 32])
+        assert "no known convergence-rate bound for alpha=0.9, beta=0.5" in report.notes
 
     def test_log_rate_needs_n_at_least_two(self):
-        regime = gf.select_regime(0.0, 1.0)
+        regime = gf.applicable_regimes(0.0, 1.0)[0]
         with pytest.raises(gf.ValidationError):
             regime.epsilon(1)
 
     def test_log_rate_not_monotone_below_three(self):
         # ln(2)/2 < ln(3)/3: the guarantee is not a strictly decreasing
         # envelope until n >= 3
-        regime = gf.select_regime(0.0, 1.0)
+        regime = gf.applicable_regimes(0.0, 1.0)[0]
         assert regime.epsilon(2) < regime.epsilon(3)
         values = [regime.epsilon(n) for n in range(3, 50)]
         assert all(a > b for a, b in zip(values, values[1:]))

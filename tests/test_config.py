@@ -244,7 +244,7 @@ beta: 0.5
 """
         model = gf.build_model(gf.parse_config(text))
         # at t = 0 the rotation is the identity and the envelope is 1 + 0.5^{1/2}
-        b = gf.evaluate_perturbation(model, 0.0).entries
+        b = gf.perturbation_entries(model, [0.0])[0]
         env = 1.0 + 0.5 ** 0.5
         assert np.allclose(b, env * np.array([[0.5, 0.1], [0.1, 0.3]]), atol=1e-14)
 

@@ -146,7 +146,7 @@ class TestCollocationGrid:
         grid = _CollocationGrid(model, 0.1, 0.9, 16, 16)
         q = grid.q
         assert grid.nodes.size > _batch_length(model.dim)
-        expected = np.array([q.T @ gf.evaluate_perturbation(model, float(x)).entries @ q
+        expected = np.array([q.T @ gf.perturbation_entries(model, [x])[0] @ q
                              for x in grid.nodes.ravel()]).reshape(grid.nodes.shape + (6, 6))
         assert grid.b_nodes.shape == expected.shape
         assert np.max(np.abs(grid.b_nodes - expected)) <= 1e-15 * np.max(np.abs(expected))

@@ -97,6 +97,21 @@ class TestProfiles:
         with pytest.raises(gf.ModelError, match="beta in"):
             gf.TimeProfile("p", offset=1.0, beta=1.5)
 
+    # A non-finite field is caught when the profile is built, not later in
+    # ``product_approximant``.
+    @pytest.mark.parametrize("build, field", [
+        (lambda: gf.scalar_model(1.0, float("nan")), "offset"),
+        (lambda: gf.commuting_model([1, 2], [0.3, 0.2],
+                                    gf.kink_profile(0.4, 0.5, offset=float("inf"))), "offset"),
+        (lambda: gf.linear_profile(float("nan")), "slope"),
+        (lambda: gf.kink_profile(0.4, 0.5, scale=float("-inf")), "scale"),
+        (lambda: gf.kink_profile(float("nan"), 0.5), "t0"),
+    ], ids=["scalar-nan", "commuting-inf-offset", "linear-nan-slope", "kink-inf-scale",
+            "kink-nan-t0"])
+    def test_non_finite_profile_is_rejected_when_built(self, build, field):
+        with pytest.raises(gf.ModelError, match=f": {field} must be finite"):
+            build()
+
     @pytest.mark.parametrize("profile", [
         gf.constant_profile(0.7), gf.linear_profile(2.0, 1.0), gf.kink_profile(0.5, 0.5, 1.3, 0.2),
     ], ids=["constant", "linear", "kink"])
@@ -170,7 +185,7 @@ class TestCommutingModel:
         assert np.allclose(u, np.diag([math.exp(-2.0), math.exp(-3.5)]), atol=1e-15)
 
     def test_perturbation_values(self, commuting_linear):
-        b_half = gf.evaluate_perturbation(commuting_linear, 0.5).entries
+        b_half = gf.perturbation_entries(commuting_linear, [0.5])[0]
         assert np.allclose(b_half, np.diag([1.0, 0.5]), atol=1e-15)
 
     def test_rejects_mismatched_lengths(self):
@@ -209,12 +224,12 @@ class TestRotatingModel:
     def test_perturbation_psd_and_envelope(self, rotating_small):
         m = rotating_small
         for t in (0.0, 0.25, 0.5, 0.77, 1.0):
-            b = gf.evaluate_perturbation(m, t, validate=True)
+            b = gf.HermitianOperator(gf.perturbation_entries(m, [t])[0])
             w, _ = gf.eigh(b)
             assert w[0] >= -1e-10
         # envelope scales the norm: ||B(t)|| = (1 + |t-t0|^beta) ||b0||
-        b0_norm = gf.opnorm(gf.evaluate_perturbation(m, 0.5).entries)
-        bt_norm = gf.opnorm(gf.evaluate_perturbation(m, 1.0).entries)
+        b0_norm = gf.opnorm(gf.perturbation_entries(m, [0.5])[0])
+        bt_norm = gf.opnorm(gf.perturbation_entries(m, [1.0])[0])
         assert bt_norm == pytest.approx((1.0 + 0.5 ** 0.5) * b0_norm, rel=1e-12)
 
     def test_t0_is_breakpoint(self, rotating_small):
@@ -224,7 +239,7 @@ class TestRotatingModel:
         m = rotating_small
         tau = 0.03
         for t in (0.1, 0.5, 0.9):
-            b = gf.evaluate_perturbation(m, t).entries
+            b = gf.perturbation_entries(m, [t])[0]
             fast = propagator._heat_of_perturbation(m, np.array([t]), tau)[0]
             assert np.allclose(fast, scipy.linalg.expm(-tau * b), atol=1e-12)
 
@@ -259,7 +274,7 @@ class TestBatchedHeatFactor:
             single = propagator._heat_of_perturbation(model, np.array([t]), tau)
             assert single.shape == (1, model.dim, model.dim)
             assert np.allclose(factor, single[0], rtol=0, atol=1e-15)
-            spectral = gf.heat(gf.evaluate_perturbation(model, float(t)), tau)
+            spectral = gf.heat(gf.HermitianOperator(gf.perturbation_entries(model, [t])[0]), tau)
             assert np.allclose(factor, spectral, rtol=0, atol=1e-13)
 
 
@@ -292,7 +307,7 @@ class TestBatchedEntries:
             assert np.max(np.abs(raw - single)) <= 1e-15 * scale
             assert np.max(np.abs(b - single)) <= 1e-15 * scale
             assert np.array_equal(b, b.T)
-            assert np.array_equal(gf.evaluate_perturbation(model, float(t)).entries, b)
+            assert np.array_equal(gf.perturbation_entries(model, [t])[0], b)
 
     @staticmethod
     def _with_entries(entries):
@@ -418,12 +433,12 @@ BUILDER_IDS = ["scalar", "commuting", "rotating"]
 class TestTimeValidation:
     def test_outside_horizon(self, scalar_linear):
         with pytest.raises(gf.TimeRangeError):
-            gf.evaluate_perturbation(scalar_linear, 1.5, validate=True)
+            gf.perturbation_entries(scalar_linear, [1.5])
         with pytest.raises(gf.TimeRangeError):
-            gf.evaluate_perturbation(scalar_linear, -0.1, validate=True)
+            gf.perturbation_entries(scalar_linear, [-0.1])
 
     def test_inside_horizon_ok(self, scalar_linear):
-        gf.evaluate_perturbation(scalar_linear, 1.0, validate=True)
+        gf.perturbation_entries(scalar_linear, [1.0])
 
     def test_bad_horizon(self):
         with pytest.raises(gf.ModelError):

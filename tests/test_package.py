@@ -1,4 +1,5 @@
 """The package namespace: every public name resolves, submodules load lazily."""
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -56,3 +57,16 @@ def test_the_readme_library_tour_runs(capsys):
     slope, regime, bound_satisfied = capsys.readouterr().out.split()
     assert -1.1 < float(slope) < -0.9
     assert (regime, bound_satisfied) == ("log(n)/n", "True")
+
+
+def test_every_error_class_is_raised_somewhere():
+    from gibbsflow import errors
+
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert set(errors.__all__) - {"GibbsflowError"} <= raised
