@@ -27,12 +27,11 @@ import importlib
 _EXPORTS = {
     "errors": (
         "GibbsflowError", "ValidationError", "ConfigError", "ModelError",
-        "TimeRangeError", "DomainError", "DecompositionError", "AccuracyError",
+        "TimeRangeError", "DecompositionError", "AccuracyError",
     ),
     "linalg": (
-        "HermitianOperator", "eigh", "operator_function", "heat",
-        "fractional_power", "singular_values", "eigen_entries", "schatten_norm",
-        "trace_norm", "opnorm",
+        "HermitianOperator", "heat", "singular_values", "eigen_entries", "trace_norm",
+        "opnorm",
     ),
     "models": (
         "TimeProfile", "constant_profile", "linear_profile", "kink_profile",
@@ -40,7 +39,7 @@ _EXPORTS = {
         "perturbation_entries", "scalar_model", "commuting_model",
         "rotating_model",
     ),
-    "quadrature": ("QuadratureSpec", "panel_edges", "integrate_matrix"),
+    "quadrature": ("panel_edges", "integrate_matrix"),
     "propagator": (
         "Scheme", "Partition", "make_partition", "PropagatorResult",
         "product_approximant", "reference_propagator",
@@ -52,8 +51,8 @@ _EXPORTS = {
     ),
     "dyson": ("dyson_phillips_term", "dyson_phillips_sum"),
     "analysis": (
-        "RegimeKind", "RateRegime", "applicable_regimes", "RateFit",
-        "fit_rate", "RegimeResult", "ConvergenceReport", "run_convergence",
+        "RateRegime", "applicable_regimes", "RateFit", "fit_rate",
+        "RegimeResult", "ConvergenceReport", "run_convergence",
         "Lemma21Check", "verify_lemma21", "Lemma21Ensemble", "lemma21_ensemble",
         "LiftingCheck", "verify_lifting", "CocycleCheck", "verify_cocycle",
         "ContractionCheck", "verify_contraction",

@@ -19,7 +19,6 @@ required on the remaining n (optionally with a small slack).
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,7 +39,6 @@ from .propagator import (
 )
 
 __all__ = [
-    "RegimeKind",
     "RateRegime",
     "applicable_regimes",
     "RateFit",
@@ -73,43 +71,25 @@ ORACLE_HEADROOM = 100.0
 LEMMA21_BLOCK = 256
 
 
-class RegimeKind(enum.Enum):
-    LIPSCHITZ_LOG = "log(n)/n"
-    LIPSCHITZ_HIGH_ALPHA = "n^-(1-alpha)"
-    HOELDER_DOMINATED = "n^-beta"
-    GENERAL_GAP = "n^-(beta-alpha)"
-
-
 @dataclass(frozen=True)
 class RateRegime:
-    """A convergence-rate guarantee eps(n) for declared (alpha, beta)."""
+    """A convergence-rate guarantee eps(n): n^-power, or log(n)/n when
+    ``power`` is None."""
 
-    kind: RegimeKind
-    alpha: float
-    beta: float
+    power: Optional[float]
 
     @property
     def label(self) -> str:
-        if self.kind is RegimeKind.LIPSCHITZ_LOG:
-            return "log(n)/n"
-        if self.kind is RegimeKind.LIPSCHITZ_HIGH_ALPHA:
-            return f"n^-{1.0 - self.alpha:g}"
-        if self.kind is RegimeKind.HOELDER_DOMINATED:
-            return f"n^-{self.beta:g}"
-        return f"n^-{self.beta - self.alpha:g}"
+        return "log(n)/n" if self.power is None else f"n^-{self.power:g}"
 
     def epsilon(self, n: int) -> float:
         if n < 1:
             raise ValidationError(f"epsilon requires n >= 1, got {n}")
-        if self.kind is RegimeKind.LIPSCHITZ_LOG:
-            if n < 2:
-                raise ValidationError("the log(n)/n rate is defined for n >= 2")
-            return math.log(n) / n
-        if self.kind is RegimeKind.LIPSCHITZ_HIGH_ALPHA:
-            return float(n) ** -(1.0 - self.alpha)
-        if self.kind is RegimeKind.HOELDER_DOMINATED:
-            return float(n) ** -self.beta
-        return float(n) ** -(self.beta - self.alpha)
+        if self.power is not None:
+            return float(n) ** -self.power
+        if n < 2:
+            raise ValidationError("the log(n)/n rate is defined for n >= 2")
+        return math.log(n) / n
 
 
 def applicable_regimes(alpha: float, beta: float) -> tuple[RateRegime, ...]:
@@ -117,14 +97,14 @@ def applicable_regimes(alpha: float, beta: float) -> tuple[RateRegime, ...]:
     check_exponents(alpha, beta)
     regimes = []
     if beta == 1.0:
-        regimes.append(RateRegime(RegimeKind.LIPSCHITZ_LOG, alpha, beta))
+        regimes.append(RateRegime(None))
         if 0.5 < alpha < 1.0:
-            regimes.append(RateRegime(RegimeKind.LIPSCHITZ_HIGH_ALPHA, alpha, beta))
+            regimes.append(RateRegime(1.0 - alpha))
     else:
         if beta > 2.0 * alpha - 1.0 > 0.0:
-            regimes.append(RateRegime(RegimeKind.HOELDER_DOMINATED, alpha, beta))
+            regimes.append(RateRegime(beta))
         if beta > alpha:
-            regimes.append(RateRegime(RegimeKind.GENERAL_GAP, alpha, beta))
+            regimes.append(RateRegime(beta - alpha))
     return tuple(regimes)
 
 
@@ -216,8 +196,9 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
     Errors are measured against the exact propagator when the model has one,
     otherwise against the reference oracle at tolerance ``tol_ref``.  The
     prefactor of each applicable regime is fitted on ``fit_ns`` (default:
-    the first half of n_list) and the bound is tested on the rest, allowing
-    a relative ``slack``.  At beta = 1, where the log(n)/n rate vanishes at
+    the first half of n_list; else distinct values of n_list that leave at
+    least one to test) and the bound is tested on the rest, allowing a
+    relative ``slack``.  At beta = 1, where the log(n)/n rate vanishes at
     n = 1, ``n_list`` may not hold 1.
     """
     ns = tuple(int(n) for n in n_list)
@@ -230,6 +211,16 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
                               f"is defined for n >= 2), got {list(ns)!r}")
     if not 0.0 <= slack < 1.0:
         raise ValidationError(f"slack must lie in [0, 1), got {slack}")
+    if fit_ns is None:
+        train = ns[: max(1, len(ns) // 2)]
+    else:
+        train = tuple(int(n) for n in fit_ns)
+        if (not train or len(set(train)) != len(train) or any(n not in ns for n in train)
+                or len(train) == len(ns)):
+            raise ValidationError(f"fit_ns {list(fit_ns)!r} must be distinct values of "
+                                  f"n_list, at least one, leaving at least one n to test")
+    test = tuple(n for n in ns if n not in train)
+
     oracle_label = "exact" if model.exact is not None else f"reference(tol={tol_ref:g})"
     u_star = _oracle(model, s, t, tol_ref)
 
@@ -253,21 +244,13 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
             notes.append(f"reference tolerance {tol_ref:g} is within {ORACLE_HEADROOM:g}x "
                          f"of the smallest measured error {smallest:g}")
 
-    if fit_ns is None:
-        train = ns[: max(1, len(ns) // 2)]
-    else:
-        train = tuple(int(n) for n in fit_ns)
-        if any(n not in ns for n in train):
-            raise ValidationError(f"fit_ns {list(train)!r} must be a subset of n_list")
-    test = tuple(n for n in ns if n not in train)
-
     alpha = model.perturbation.alpha
     beta = model.perturbation.beta
     err_of = dict(zip(ns, err_tr))
     regimes = []
     for regime in applicable_regimes(alpha, beta):
         eps = {n: regime.epsilon(n) for n in ns}
-        prefactor = max((err_of[n] / eps[n] for n in train), default=0.0)
+        prefactor = max(err_of[n] / eps[n] for n in train)
         ok = all(err_of[n] <= (1.0 + slack) * prefactor * eps[n] for n in test)
         regimes.append(RegimeResult(regime.label, float(prefactor), bool(ok), train, test,
                                     tuple(eps.values())))
@@ -419,9 +402,9 @@ def _lemma21_blocks(count: int, seed: int, dim_max: int):
     instances: every dimension, every factor count, then per dimension in
     ascending order the normals of Q, lam, the normals of O', s and t.
     """
-    for name, value in (("count", count), ("dim_max", dim_max)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, value, least in (("count", count, 1), ("dim_max", dim_max, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     for start in range(0, count, LEMMA21_BLOCK):
         dims = rng.integers(1, dim_max + 1, min(LEMMA21_BLOCK, count - start))

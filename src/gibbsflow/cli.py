@@ -9,10 +9,10 @@ constants  perturbation/smoothing constants for the configured model
 report     re-emit a stored JSONL record stream in another format
 
 Exit codes: 0 success, 1 validation failure (``ValidationError`` and its
-subclasses, ``DomainError``, and ``MemoryError`` for a size no array can
-hold), 2 numerical failure (``AccuracyError``, ``DecompositionError``), 3 I/O
-failure.  JSONL output is byte-identical for a fixed configuration and seed;
-wall-clock timings only ever go to stderr.
+subclasses, and ``MemoryError`` for a size no array can hold), 2 numerical
+failure (``AccuracyError``, ``DecompositionError``), 3 I/O failure.  JSONL
+output is byte-identical for a fixed configuration and seed; wall-clock
+timings only ever go to stderr.
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import fractional_power, singular_values
+from .linalg import eigen_entries, singular_values, symmetrized
 from .models import Model, diagonal_form, perturbation_entries
 from .propagator import _batch_length, _check_window
 
@@ -86,6 +86,7 @@ def _horizon_samples(model: Model, grid: int,
                      keep: bool = True) -> tuple[np.ndarray, float, np.ndarray | None]:
     """Grid times on [0, T], c_alpha, and S(t) = A^{-alpha} B(t) A^{-alpha} per time.
 
+    A^{-alpha} is Q diag(lambda^{-alpha}) Q^T from A's cached spectrum.
     For a model with a diagonal form (``diagonal_form``) no B(t) is sampled:
     c_alpha and the diagonals of the S(t), shape (grid, d), are built in
     closed form, bit for bit what the general route gives, since a matrix
@@ -97,8 +98,11 @@ def _horizon_samples(model: Model, grid: int,
     if not (isinstance(grid, (int, np.integer)) and grid >= 2):
         raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
     alpha = model.perturbation.alpha
-    a = model.generator.operator
-    a_neg = fractional_power(a, -alpha).entries if alpha != 0.0 else np.eye(model.dim)
+    if alpha != 0.0:
+        w, q = model.generator.operator.spectrum()
+        a_neg = symmetrized(eigen_entries(np.power(w, -alpha), q))
+    else:
+        a_neg = np.eye(model.dim)
     times = np.linspace(0.0, model.horizon, grid)
     form = diagonal_form(model)
     if form is not None:

@@ -33,8 +33,9 @@ from .constants import _coefficient, _relative_bound
 from .errors import ConfigError, ValidationError
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
-from .quadrature import (QuadratureSpec, _edge_nodes, _leggauss, _refine_by_doubling,
-                         mesh_grading, panel_edges)
+from .quadrature import (INITIAL_PANELS, MAX_DOUBLINGS, NODES_PER_PANEL, _check_tol,
+                         _edge_nodes, _leggauss, _refine_by_doubling, mesh_grading,
+                         panel_edges)
 
 __all__ = ["dyson_phillips_term", "dyson_phillips_sum"]
 
@@ -43,6 +44,8 @@ BISECTION_THRESHOLD = 0.5
 # Hard caps on series depth and recursive bisection.
 MAX_DEPTH = 40
 MAX_BISECTIONS = 32
+# Horizon grid of the relative bound c_alpha behind each interval's xi.
+C_ALPHA_GRID = 101
 
 
 class _CollocationGrid:
@@ -154,24 +157,26 @@ def _reference_rows(p: int) -> np.ndarray:
     return rows
 
 
-def _refined(model: Model, s: float, t: float, depth: int, quad: QuadratureSpec,
+def _refined(model: Model, s: float, t: float, depth: int, tol: float,
              pick) -> tuple[np.ndarray, int, float]:
-    """``pick`` of the endpoint terms S_0 .. S_depth, refined by panel doubling."""
+    """``pick`` of the endpoint terms S_0 .. S_depth, refined by panel doubling
+    to ``tol`` with the composite rule of ``quadrature``."""
     return _refine_by_doubling(
-        lambda n_panels: pick(_CollocationGrid(model, s, t, n_panels, quad.nodes_per_panel)
+        lambda n_panels: pick(_CollocationGrid(model, s, t, n_panels, NODES_PER_PANEL)
                               .terms_at_endpoint(depth)),
-        quad.initial_panels, quad.tol, quad.max_doublings)
+        INITIAL_PANELS, tol, MAX_DOUBLINGS)
 
 
 def dyson_phillips_term(model: Model, s: float, t: float, k: int,
-                        quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """The k-th series term S_k(t, s)."""
+                        tol: float = 1e-10) -> np.ndarray:
+    """The k-th series term S_k(t, s), its quadrature refined to ``tol``."""
+    _check_tol(tol)
     _check_window(model, s, t)
     if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DEPTH):
         raise ValidationError(f"series order must be an integer in [0, {MAX_DEPTH}], got {k!r}")
     if k == 0:
         return model.generator.heat(t - s)
-    return _refined(model, s, t, int(k), quad, lambda terms: terms[-1])[0]
+    return _refined(model, s, t, int(k), tol, lambda terms: terms[-1])[0]
 
 
 def _truncation_depth(xi: float, eps_tail: float) -> int | None:
@@ -188,25 +193,25 @@ def _truncation_depth(xi: float, eps_tail: float) -> int | None:
 
 
 def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
-                       quad: QuadratureSpec | None = None, grid: int = 101,
-                       _depth: int = 0, _c_alpha: float | None = None) -> PropagatorResult:
+                       _depth: int = 0, _c_alpha: float | None = None,
+                       _tol: float | None = None) -> PropagatorResult:
     """Truncated series propagator with estimated truncation tail <= eps_tail.
 
     Intervals whose contraction coefficient xi reaches 1/2 (or whose depth
     budget is exhausted) are bisected and the halves composed; tail bounds
     add across the composition.  The relative bound c_alpha of xi is sampled
-    on the horizon once and shared by the halves; as a grid maximum it is a
-    lower bound of the sup, so the tail is an estimate.  Quadrature error is
-    controlled separately by ``quad`` (default tolerance: eps_tail / 10,
-    floored at 1e-13).
+    on ``C_ALPHA_GRID`` horizon times once and shared by the halves; as a
+    grid maximum it is a lower bound of the sup, so the tail is an estimate.
+    Quadrature error is controlled separately, to eps_tail / 10 clipped to
+    [1e-13, 1e-8] for the whole interval, halves included.
     """
     if not (np.isfinite(eps_tail) and eps_tail > 0):
         raise ValidationError(f"eps_tail must be positive, got {eps_tail}")
     _check_window(model, s, t)
-    if quad is None:
-        quad = QuadratureSpec(tol=max(min(eps_tail / 10.0, 1e-8), 1e-13))
+    if _tol is None:
+        _tol = max(min(eps_tail / 10.0, 1e-8), 1e-13)
     if _c_alpha is None:
-        _c_alpha = _relative_bound(model, grid)
+        _c_alpha = _relative_bound(model, C_ALPHA_GRID)
     xi = _coefficient(model, _c_alpha, s, t)
     depth = _truncation_depth(xi, eps_tail) if xi < BISECTION_THRESHOLD else None
     if depth is None:
@@ -216,10 +221,8 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
                 f"[{s!r}, {t!r}] (xi={xi:.4g}); the interval cannot be resolved"
             )
         mid = 0.5 * (s + t)
-        left = dyson_phillips_sum(model, s, mid, 0.5 * eps_tail, quad, grid, _depth + 1,
-                                  _c_alpha)
-        right = dyson_phillips_sum(model, mid, t, 0.5 * eps_tail, quad, grid, _depth + 1,
-                                   _c_alpha)
+        left = dyson_phillips_sum(model, s, mid, 0.5 * eps_tail, _depth + 1, _c_alpha, _tol)
+        right = dyson_phillips_sum(model, mid, t, 0.5 * eps_tail, _depth + 1, _c_alpha, _tol)
         tail = (left.tail_bound or 0.0) + (right.tail_bound or 0.0)
         return PropagatorResult(
             right.U @ left.U, float(s), float(t),
@@ -233,7 +236,7 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
             model.generator.heat(t - s), float(s), float(t),
             method=f"dyson(depth=0, xi={xi:.4g})", tail_bound=float(tail),
         )
-    u, n_panels, _ = _refined(model, s, t, depth, quad, sum)
+    u, n_panels, _ = _refined(model, s, t, depth, _tol, sum)
     tail = xi ** (depth + 1) / (1.0 - xi) if xi > 0 else 0.0
     return PropagatorResult(
         u, float(s), float(t),

@@ -12,7 +12,6 @@ __all__ = [
     "ConfigError",
     "ModelError",
     "TimeRangeError",
-    "DomainError",
     "DecompositionError",
     "AccuracyError",
 ]
@@ -42,10 +41,6 @@ class ModelError(ValidationError):
 
 class TimeRangeError(ValidationError):
     """A time argument lies outside the model horizon [0, T]."""
-
-
-class DomainError(GibbsflowError, ValueError):
-    """A scalar function applied to an operator is undefined at an eigenvalue."""
 
 
 class DecompositionError(GibbsflowError):

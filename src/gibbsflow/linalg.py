@@ -1,9 +1,9 @@
 """Spectral linear algebra for finite self-adjoint operators.
 
-Everything the package does with operator functions -- semigroup factors
-e^{-tH}, fractional powers H^p, Schatten norms -- goes through a single
-eigendecomposition path Q f(L) Q^T.  Nothing is exponentiated by series.
-Matrices are real symmetric; the decomposition is cached on the operator.
+A function of a symmetric operator -- a semigroup factor e^{-tH}, a power
+H^p -- is built one way, as Q f(L) Q^T from the operator's checked and
+cached eigendecomposition (``eigen_entries``).  Nothing is exponentiated by
+series.  Norms are read from ``singular_values``.
 """
 from __future__ import annotations
 
@@ -11,19 +11,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DecompositionError, DomainError, ValidationError
+from .errors import DecompositionError, ValidationError
 
 __all__ = [
     "HermitianOperator",
-    "eigh",
-    "operator_function",
     "heat",
-    "fractional_power",
     "singular_values",
     "symmetrized",
     "checked_eigh",
     "eigen_entries",
-    "schatten_norm",
     "trace_norm",
     "opnorm",
 ]
@@ -160,50 +156,12 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in ascending order and the orthonormal eigenvector matrix.
-
-    Accepts a ``HermitianOperator`` or any symmetric matrix.
-    """
-    if not isinstance(h, HermitianOperator):
-        h = HermitianOperator(h)
-    return h.spectrum()
-
-
-def operator_function(h: HermitianOperator, f: Callable[[np.ndarray], np.ndarray]) -> HermitianOperator:
-    """Apply a scalar function to a symmetric operator: Q f(L) Q^T.
-
-    ``f`` receives the eigenvalue vector and must return finite values for
-    every eigenvalue; a non-finite value raises ``DomainError`` naming the
-    offending eigenvalue.
-    """
-    w, q = h.spectrum()
-    with np.errstate(all="ignore"):
-        fw = np.asarray(f(w), dtype=float)
-        if fw.shape != w.shape:
-            fw = np.asarray([f(x) for x in w], dtype=float)
-    bad = ~np.isfinite(fw)
-    if np.any(bad):
-        lam = w[bad][0]
-        raise DomainError(f"operator function is undefined at eigenvalue {lam!r}")
-    return HermitianOperator(eigen_entries(fw, q))
-
-
 def heat(h: HermitianOperator, t: float) -> np.ndarray:
     """Entries of the semigroup factor e^{-tH} for t >= 0."""
     if t < 0:
         raise ValidationError(f"heat kernel requires t >= 0, got {t}")
     w, q = h.spectrum()
     return eigen_entries(np.exp(-t * w), q)
-
-
-def fractional_power(h: HermitianOperator, p: float) -> HermitianOperator:
-    """H^p via the spectrum; negative or fractional powers require positive spectrum."""
-    w, _ = h.spectrum()
-    if (p < 0 or p != round(p)) and np.any(w <= 0):
-        lam = w[w <= 0][0]
-        raise DomainError(f"power {p} is undefined at non-positive eigenvalue {lam!r}")
-    return operator_function(h, lambda lam: np.power(lam, p))
 
 
 def singular_values(m) -> np.ndarray:
@@ -218,23 +176,19 @@ def singular_values(m) -> np.ndarray:
         ) from exc
 
 
-def schatten_norm(m, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}: trace norm, Frobenius, operator norm."""
+def _one_matrix_values(m) -> np.ndarray:
+    """Singular values of one matrix; a stack is rejected."""
     s = singular_values(m)
     if s.ndim != 1:
         raise ValidationError(f"Schatten norms take one matrix, got shape {np.shape(m)}")
-    if p == 1:
-        return float(np.sum(s))
-    if p == 2:
-        return float(np.sqrt(np.sum(s * s)))
-    if p == np.inf:
-        return float(s[0])
-    raise ValidationError(f"unsupported Schatten order {p!r}; expected 1, 2 or inf")
+    return s
 
 
 def trace_norm(m) -> float:
-    return schatten_norm(m, 1)
+    """Trace (Schatten-1) norm of one matrix: the sum of its singular values."""
+    return float(np.sum(_one_matrix_values(m)))
 
 
 def opnorm(m) -> float:
-    return schatten_norm(m, np.inf)
+    """Operator norm of one matrix: its largest singular value."""
+    return float(_one_matrix_values(m)[0])

@@ -15,7 +15,9 @@ scalar and commuting models expose exact propagators.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -276,16 +278,24 @@ def diagonal_form(model: Model) -> Optional[SpectralForm]:
     return form
 
 
-def _spectral_model(lam, profile: TimeProfile, mu, basis, exact, beta: float | None,
+def _spectral_model(lam, profile, mu, basis, exact, beta: float | None,
                     alpha: float, horizon: float, name: str, details: str) -> Model:
     """The model of a built-in family: A = diag(lam) and the spectral form
     B(t) = b(t) V(t) diag(mu) V(t)^T of ``profile``, ``mu`` and ``basis``.
 
-    The family's breakpoints are the profile's inside (0, horizon), and
-    ``beta=None`` declares the profile's beta.  The profile is screened for
-    negativity at 0, at the horizon and at those breakpoints, which is exact:
-    between breakpoints a ``TimeProfile`` takes its minimum at an end.
+    ``profile`` is a ``TimeProfile`` or a real number c, read as
+    ``constant_profile(c)``.  ``exact(profile, s, t)``, if given, is the
+    closed-form propagator, and ``details`` may name the profile's label as
+    ``{b}``.  The family's breakpoints are the profile's inside (0, horizon),
+    and ``beta=None`` declares the profile's beta.  The profile is screened
+    for negativity at 0, at the horizon and at those breakpoints, which is
+    exact: between breakpoints a ``TimeProfile`` takes its minimum at an end.
     """
+    if not isinstance(profile, TimeProfile):
+        if isinstance(profile, bool) or not isinstance(profile, numbers.Real):
+            raise ModelError(f"a profile must be a TimeProfile or a real number, "
+                             f"got {profile!r}")
+        profile = constant_profile(profile)
     _check_horizon(horizon)
     breakpoints = tuple(x for x in profile.breakpoints if 0.0 < x < horizon)
     ts = np.array([0.0, *breakpoints, horizon])
@@ -305,26 +315,26 @@ def _spectral_model(lam, profile: TimeProfile, mu, basis, exact, beta: float | N
         beta=beta,
         breakpoints=breakpoints,
     )
-    return Model(generator, family, horizon, exact,
-                 descriptor=f"{name}({details}, alpha={alpha:g}, beta={beta:g})")
+    return Model(generator, family, horizon,
+                 None if exact is None else functools.partial(exact, profile),
+                 descriptor=f"{name}({details.format(b=profile.label)}, "
+                            f"alpha={alpha:g}, beta={beta:g})")
 
 
-def scalar_model(a: float, b: TimeProfile, beta: float | None = None,
+def scalar_model(a: float, b: TimeProfile | float, beta: float | None = None,
                  alpha: float = 0.0, horizon: float = 1.0) -> Model:
     """Dimension-one model: A = (a), B(t) = (b(t)), with the exact propagator
     exp(-a (t-s) - int_s^t b).  ``beta=None`` declares the profile's beta."""
     a = float(a)
-    if isinstance(b, (int, float)):
-        b = constant_profile(b)
 
-    def exact(s: float, t: float) -> np.ndarray:
+    def exact(b: TimeProfile, s: float, t: float) -> np.ndarray:
         return np.array([[math.exp(-a * (t - s) - b.integral(s, t))]])
 
     return _spectral_model(np.array([a]), b, np.ones(1), None, exact, beta, alpha, horizon,
-                           "scalar", f"a={a:g}, b={b.label}")
+                           "scalar", f"a={a:g}, b={{b}}")
 
 
-def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
+def commuting_model(lambdas, d0, b: TimeProfile | float, beta: float | None = None,
                     alpha: float = 0.0, horizon: float = 1.0) -> Model:
     """Diagonal model: A = diag(lambdas), B(t) = b(t) diag(d0).
 
@@ -340,12 +350,12 @@ def commuting_model(lambdas, d0, b: TimeProfile, beta: float | None = None,
             f"got {lam.shape} and {d0.shape}"
         )
 
-    def exact(s: float, t: float) -> np.ndarray:
+    def exact(b: TimeProfile, s: float, t: float) -> np.ndarray:
         ib = b.integral(s, t)
         return np.diag(np.exp(-lam * (t - s) - d0 * ib))
 
     return _spectral_model(lam, b, d0, None, exact, beta, alpha, horizon,
-                           "commuting", f"dim={lam.size}, b={b.label}")
+                           "commuting", f"dim={lam.size}, b={{b}}")
 
 
 def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,

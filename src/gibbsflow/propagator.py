@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DecompositionError, TimeRangeError, ValidationError
 from .linalg import checked_eigh, eigen_entries, heat, opnorm, trace_norm
 from .models import Model, diagonal_form, perturbation_entries
-from .quadrature import (QuadratureSpec, _refine_by_doubling, integrate_matrix, mesh_grading,
+from .quadrature import (_check_tol, _refine_by_doubling, integrate_matrix, mesh_grading,
                          panel_edges)
 
 __all__ = [
@@ -316,8 +316,7 @@ def reference_propagator(model: Model, s: float, t: float,
     doubling loop's trace norms, returning an equal result or raising an
     equal ``AccuracyError``.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     _check_window(model, s, t)
     cuts = panel_edges(s, t, 1, model.perturbation.breakpoints).tolist()
     pieces = list(zip(cuts[:-1], cuts[1:]))
@@ -332,12 +331,13 @@ def reference_propagator(model: Model, s: float, t: float,
 
 def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],
                                model: Model, s: float, t: float,
-                               quad: QuadratureSpec = QuadratureSpec()) -> float:
+                               tol: float = 1e-10) -> float:
     """Trace-norm defect of the variation-of-constants equation.
 
     For the true solution operator, U(s, t) = e^{-(t-s)A} - int_s^t
     e^{-(t-r)A} B(r) U(s, r) dr; the residual measures how far ``u_fn``
-    is from satisfying it.  ``u_fn(s, r)`` maps data at time s to time r.
+    is from satisfying it.  ``u_fn(s, r)`` maps data at time s to time r,
+    and the integral is taken to ``tol`` (``integrate_matrix``).
     """
     _check_window(model, s, t)
     a = model.generator.operator
@@ -349,7 +349,7 @@ def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],
         u = np.array([np.asarray(u_fn(s, float(x)), dtype=float) for x in r])
         return heats @ b @ u
 
-    integral = integrate_matrix(integrand, s, t, quad,
+    integral = integrate_matrix(integrand, s, t, tol,
                                 breakpoints=model.perturbation.breakpoints,
                                 grading=mesh_grading(model.perturbation.beta))
     defect = np.asarray(u_fn(s, t)) - heat(a, t - s) + integral

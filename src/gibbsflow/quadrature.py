@@ -9,7 +9,6 @@ Equations*, 2004), so refinement keeps a high order through a kink.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import AccuracyError, ValidationError
 from .linalg import trace_norm
 
-__all__ = ["QuadratureSpec", "panel_edges", "integrate_matrix"]
+__all__ = ["panel_edges", "integrate_matrix"]
 
 # Nodes per call of a vectorized integrand.
 CHUNK_NODES = 128
@@ -28,30 +27,17 @@ CHUNK_NODES = 128
 # fourth-order rule keeps order 4 for every beta > 0; x -> x^2 would leave
 # it at 2 (1 + beta) < 4.
 GRADED_EXPONENT = 4
+# The composite rule: Gauss-Legendre nodes per panel, the panel count it
+# starts from, and how often that count may double before it gives up.
+NODES_PER_PANEL = 16
+INITIAL_PANELS = 2
+MAX_DOUBLINGS = 12
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy contract for the adaptive composite rule."""
-
-    tol: float = 1e-10
-    nodes_per_panel: int = 16
-    initial_panels: int = 2
-    max_doublings: int = 12
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        for name in ("nodes_per_panel", "initial_panels", "max_doublings"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.nodes_per_panel < 2:
-            raise ValidationError(f"nodes_per_panel must be >= 2, got {self.nodes_per_panel}")
-        if self.initial_panels < 1:
-            raise ValidationError(f"initial_panels must be >= 1, got {self.initial_panels}")
-        if self.max_doublings < 0:
-            raise ValidationError(f"max_doublings must be >= 0, got {self.max_doublings}")
+def _check_tol(tol: float) -> None:
+    """A quadrature tolerance must be a positive finite number."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be positive, got {tol}")
 
 
 @lru_cache(maxsize=32)
@@ -135,21 +121,23 @@ def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int,
 
 
 def integrate_matrix(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     spec: QuadratureSpec = QuadratureSpec(),
-                     breakpoints: Sequence[float] = (), grading: int = 1) -> np.ndarray:
+                     tol: float = 1e-10, breakpoints: Sequence[float] = (),
+                     grading: int = 1) -> np.ndarray:
     """Integrate a matrix-valued function, doubling panels until two
-    refinements agree in trace norm within ``spec.tol``.  ``breakpoints``
-    and ``grading`` shape the panels as in ``panel_edges``.
+    refinements agree in trace norm within ``tol``.  ``breakpoints`` and
+    ``grading`` shape the panels as in ``panel_edges``; the rule has
+    ``NODES_PER_PANEL`` nodes per panel, starts from ``INITIAL_PANELS``
+    panels and doubles them at most ``MAX_DOUBLINGS`` times.
 
     ``f`` is vectorized: it takes a 1-D array of n nodes and returns the n
     values stacked, shape (n, d, d).  It is called on at most
     ``CHUNK_NODES`` nodes at a time, so memory does not grow with the panel
     count.
     """
+    _check_tol(tol)
 
     def estimate(n_panels: int) -> np.ndarray:
-        nodes, weights = panel_nodes(a, b, n_panels, spec.nodes_per_panel, breakpoints,
-                                     grading)
+        nodes, weights = panel_nodes(a, b, n_panels, NODES_PER_PANEL, breakpoints, grading)
         total = 0.0
         for start in range(0, nodes.size, CHUNK_NODES):
             chunk = nodes[start:start + CHUNK_NODES]
@@ -162,8 +150,7 @@ def integrate_matrix(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             total = total + np.tensordot(weights[start:start + CHUNK_NODES], values, axes=1)
         return total
 
-    return _refine_by_doubling(estimate, spec.initial_panels, spec.tol,
-                               spec.max_doublings)[0]
+    return _refine_by_doubling(estimate, INITIAL_PANELS, tol, MAX_DOUBLINGS)[0]
 
 
 def _refine_by_doubling(estimate: Callable[[int], np.ndarray], n: int, tol: float,

@@ -175,22 +175,22 @@ def test_criterion_7_lifting_decomposition():
 
 def test_criterion_8_integral_equation_residual():
     start = time.perf_counter()
-    quad = gf.QuadratureSpec()  # tol 1e-10
+    tol = 1e-10  # the residual's quadrature tolerance
     tol_ref = 1e-10
-    budget_exact = 10.0 * quad.tol
-    budget_ref = 10.0 * (quad.tol + tol_ref)
+    budget_exact = 10.0 * tol
+    budget_ref = 10.0 * (tol + tol_ref)
     scalar = gf.scalar_model(1.0, gf.linear_profile(1.0))
     commuting = gf.commuting_model([1.0, 3.0], [2.0, 1.0], gf.linear_profile(1.0))
     results, ok = [], True
     for label, model in (("scalar", scalar), ("commuting", commuting)):
-        res_exact = gf.integral_equation_residual(model.exact, model, 0.0, 1.0, quad)
+        res_exact = gf.integral_equation_residual(model.exact, model, 0.0, 1.0, tol)
         ok &= res_exact <= budget_exact
         results.append(f"{label}/exact={res_exact:.1e}")
 
         def via_reference(s, t, _model=model):
             return gf.reference_propagator(_model, s, t, tol_ref).U
 
-        res_ref = gf.integral_equation_residual(via_reference, model, 0.0, 1.0, quad)
+        res_ref = gf.integral_equation_residual(via_reference, model, 0.0, 1.0, tol)
         ok &= res_ref <= budget_ref
         results.append(f"{label}/reference={res_ref:.1e}")
     elapsed = time.perf_counter() - start

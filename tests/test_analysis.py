@@ -30,26 +30,25 @@ from conftest import make_rotating, python_output
 class TestRegimes:
     def test_lipschitz_headline(self):
         regimes = gf.applicable_regimes(0.0, 1.0)
-        assert regimes[0].kind is gf.RegimeKind.LIPSCHITZ_LOG
+        assert regimes[0].label == "log(n)/n" and regimes[0].power is None
         assert regimes[0].epsilon(10) == pytest.approx(0.23025850929940458, abs=1e-16)
 
     def test_lipschitz_high_alpha_added(self):
         regimes = gf.applicable_regimes(0.6, 1.0)
-        kinds = [r.kind for r in regimes]
-        assert kinds == [gf.RegimeKind.LIPSCHITZ_LOG,
-                         gf.RegimeKind.LIPSCHITZ_HIGH_ALPHA]
+        assert [r.label for r in regimes] == ["log(n)/n", "n^-0.4"]
+        assert [r.power for r in regimes] == [None, 1.0 - 0.6]
         assert regimes[1].epsilon(16) == pytest.approx(16.0 ** -0.4, rel=1e-14)
 
     def test_hoelder_dominated(self):
         # beta > 2 alpha - 1 > 0
         regimes = gf.applicable_regimes(0.6, 0.5)
-        assert regimes[0].kind is gf.RegimeKind.HOELDER_DOMINATED
+        assert regimes[0].label == "n^-0.5" and regimes[0].power == 0.5
         assert regimes[0].epsilon(9) == pytest.approx(9.0 ** -0.5, rel=1e-14)
-        assert [r.kind for r in regimes] == [gf.RegimeKind.HOELDER_DOMINATED]
+        assert [r.label for r in regimes] == ["n^-0.5"]
 
     def test_general_gap(self):
         regimes = gf.applicable_regimes(0.2, 0.5)
-        assert regimes[0].kind is gf.RegimeKind.GENERAL_GAP
+        assert regimes[0].label == "n^-0.3" and regimes[0].power == 0.5 - 0.2
         assert regimes[0].epsilon(8) == pytest.approx(8.0 ** -0.3, rel=1e-14)
 
     def test_no_known_rate(self):
@@ -154,6 +153,14 @@ class TestRunConvergence:
         with pytest.raises(gf.ValidationError):
             gf.run_convergence(scalar_linear, gf.Scheme.LEFT, 0.0, 1.0,
                                [8, 16, 32], fit_ns=[12])
+
+    @pytest.mark.parametrize("fit_ns", [[8, 16, 32], [], [8, 8], [8, 8, 16]],
+                             ids=["all", "empty", "repeated", "repeated-plus-one"])
+    def test_fit_ns_must_leave_something_to_test(self, fit_ns):
+        # fitting on every n tests nothing, and fitting on none fits nothing
+        model = gf.scalar_model(1.0, gf.linear_profile(1.0))
+        with pytest.raises(gf.ValidationError, match="fit_ns"):
+            gf.run_convergence(model, gf.Scheme.LEFT, 0, 1, [8, 16, 32], fit_ns=fit_ns)
 
     def test_n_list_validation(self, scalar_linear):
         with pytest.raises(gf.ValidationError):
@@ -359,6 +366,7 @@ class TestLemma21:
     @pytest.mark.parametrize("kwargs", [
         {"count": 0}, {"count": -3}, {"count": 2.5}, {"count": True},
         {"dim_max": 0}, {"dim_max": 1.0},
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "1"},
     ])
     def test_ensemble_validation(self, kwargs):
         with pytest.raises(gf.ValidationError):

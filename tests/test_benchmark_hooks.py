@@ -94,7 +94,7 @@ def test_panel_tally_counts_every_grid(tracer, monkeypatch):
     monkeypatch.setattr(dyson, "_CollocationGrid", Recorded)
     model = gf.commuting_model([1.0, 2.0], [0.3, 0.2], gf.linear_profile(0.5, 0.2))
     assert model.perturbation.breakpoints == ()
-    gf.dyson_phillips_term(model, 0.0, 1.0, 2, gf.QuadratureSpec(initial_panels=2))
+    gf.dyson_phillips_term(model, 0.0, 1.0, 2)
     assert counting.missing == [] and len(built) >= 2
     assert built == [2 ** (k + 1) for k in range(len(built))]
     assert counting.tallies["dyson.panels"] == sum(built) == 2 * built[-1] - 2

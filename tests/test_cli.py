@@ -10,7 +10,7 @@ import pytest
 import gibbsflow as gf
 from gibbsflow import cli, propagator
 from gibbsflow.config import config_from_dict, parse_config
-from gibbsflow.errors import AccuracyError, DecompositionError, DomainError
+from gibbsflow.errors import AccuracyError, DecompositionError, ModelError
 
 from conftest import python_output
 
@@ -331,7 +331,7 @@ class TestExitCodes:
 
     def test_domain_error_outside_jobs_returns_one(self, config_path, monkeypatch, capsys):
         def breaks(*args, **kwargs):
-            raise DomainError("power -0.5 is undefined at non-positive eigenvalue 0.0")
+            raise ModelError("power -0.5 is undefined at non-positive eigenvalue 0.0")
 
         monkeypatch.setattr(cli, "build_model", breaks)
         assert cli.main(["constants", "--config", config_path]) == 1

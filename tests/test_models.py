@@ -112,6 +112,25 @@ class TestProfiles:
         with pytest.raises(gf.ModelError, match=f": {field} must be finite"):
             build()
 
+    @pytest.mark.parametrize("b", [0.5, 2, np.float64(0.5), np.int64(2)],
+                             ids=["float", "int", "numpy-float", "numpy-int"])
+    def test_both_closed_form_families_take_a_number(self, b):
+        as_profile = gf.constant_profile(b)
+        for build in (lambda p: gf.scalar_model(1.0, p),
+                      lambda p: gf.commuting_model([1, 2], [0.3, 0.2], p)):
+            model, expected = build(b), build(as_profile)
+            assert model.descriptor == expected.descriptor
+            assert model.perturbation.spectral.profile == as_profile
+            assert np.array_equal(model.exact(0.2, 0.9), expected.exact(0.2, 0.9))
+
+    @pytest.mark.parametrize("b", [True, None, "0.5", [0.5], 1 + 0j],
+                             ids=["bool", "none", "str", "list", "complex"])
+    def test_anything_else_is_a_model_error(self, b):
+        for build in (lambda: gf.scalar_model(1.0, b),
+                      lambda: gf.commuting_model([1, 2], [0.3, 0.2], b)):
+            with pytest.raises(gf.ModelError, match="TimeProfile or a real number"):
+                build()
+
     @pytest.mark.parametrize("profile", [
         gf.constant_profile(0.7), gf.linear_profile(2.0, 1.0), gf.kink_profile(0.5, 0.5, 1.3, 0.2),
     ], ids=["constant", "linear", "kink"])
@@ -225,7 +244,7 @@ class TestRotatingModel:
         m = rotating_small
         for t in (0.0, 0.25, 0.5, 0.77, 1.0):
             b = gf.HermitianOperator(gf.perturbation_entries(m, [t])[0])
-            w, _ = gf.eigh(b)
+            w, _ = b.spectrum()
             assert w[0] >= -1e-10
         # envelope scales the norm: ||B(t)|| = (1 + |t-t0|^beta) ||b0||
         b0_norm = gf.opnorm(gf.perturbation_entries(m, [0.5])[0])

@@ -70,3 +70,14 @@ def test_every_error_class_is_raised_somewhere():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert set(errors.__all__) - {"GibbsflowError"} <= raised
+
+
+def test_sources_parse_as_python_3_10():
+    # The package and the benchmark support Python 3.10 (pyproject), so
+    # syntax that needs 3.11, such as ``except*``, must fail here as well.
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted([*(root / "src" / "gibbsflow").rglob("*.py"),
+                    *(root / "perfbench").rglob("*.py")])
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

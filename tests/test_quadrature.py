@@ -1,8 +1,11 @@
 """Adaptive panel quadrature for matrix-valued integrands."""
+import inspect
+
 import numpy as np
 import pytest
 
 import gibbsflow as gf
+from gibbsflow import quadrature
 from gibbsflow.quadrature import (CHUNK_NODES, GRADED_EXPONENT, _refine_by_doubling,
                                   mesh_grading, panel_nodes)
 
@@ -20,23 +23,14 @@ def _uniform_edges(a, b, n_panels, breakpoints):
 
 class TestSpec:
     def test_defaults(self):
-        spec = gf.QuadratureSpec()
-        assert spec.tol == 1e-10
-        assert spec.nodes_per_panel == 16
+        tol = inspect.signature(gf.integrate_matrix).parameters["tol"].default
+        assert tol == 1e-10
+        assert quadrature.NODES_PER_PANEL == 16
 
     def test_validation(self):
-        with pytest.raises(gf.ValidationError):
-            gf.QuadratureSpec(tol=0.0)
-        with pytest.raises(gf.ValidationError):
-            gf.QuadratureSpec(nodes_per_panel=1)
-        with pytest.raises(gf.ValidationError):
-            gf.QuadratureSpec(max_doublings=-1)
-
-    @pytest.mark.parametrize("field", ["nodes_per_panel", "initial_panels", "max_doublings"])
-    @pytest.mark.parametrize("value", [2.5, 4.0, True])
-    def test_counts_must_be_integers(self, field, value):
-        with pytest.raises(gf.ValidationError, match=f"{field} must be an integer"):
-            gf.QuadratureSpec(**{field: value})
+        for tol in (0.0, -1e-10, float("nan"), float("inf")):
+            with pytest.raises(gf.ValidationError, match="tol must be positive"):
+                gf.integrate_matrix(lambda x: x[:, None, None], 0.0, 1.0, tol)
 
 
 class TestPanelEdges:
@@ -204,13 +198,13 @@ class TestIntegrateMatrix:
     def test_polynomial_exact(self):
         # degree-7 polynomial is exact under 16-node panels
         result = gf.integrate_matrix(
-            lambda x: (x ** 7)[:, None, None], 0.0, 1.0, gf.QuadratureSpec())
+            lambda x: (x ** 7)[:, None, None], 0.0, 1.0)
         assert result[0, 0] == pytest.approx(1.0 / 8.0, abs=1e-14)
 
     def test_matrix_valued(self):
         result = gf.integrate_matrix(
             lambda x: np.stack([np.sin(x), x, x, np.cos(x)], axis=-1).reshape(-1, 2, 2),
-            0.0, np.pi / 2, gf.QuadratureSpec())
+            0.0, np.pi / 2)
         quarter = (np.pi / 2) ** 2 / 2
         expected = np.array([[1.0, quarter], [quarter, 1.0]])
         assert np.allclose(result, expected, atol=1e-13)
@@ -219,7 +213,7 @@ class TestIntegrateMatrix:
         # |x - 1/2|^{1/2} integrates to (4/3)(1/2)^{3/2} with a panel edge at the kink
         result = gf.integrate_matrix(
             lambda x: np.sqrt(abs(x - 0.5))[:, None, None], 0.0, 1.0,
-            gf.QuadratureSpec(tol=1e-9), breakpoints=(0.5,))
+            tol=1e-9, breakpoints=(0.5,))
         assert result[0, 0] == pytest.approx((4.0 / 3.0) * 0.5 ** 1.5, abs=1e-9)
 
     def test_graded_kink_converges_where_uniform_panels_cannot(self):
@@ -231,23 +225,23 @@ class TestIntegrateMatrix:
             sizes.append(x.size)
             return (abs(x - 0.37) ** 0.25)[:, None, None]
 
-        spec = gf.QuadratureSpec(tol=1e-12)
         exact = 0.8 * (0.37 ** 1.25 + 0.63 ** 1.25)
-        result = gf.integrate_matrix(f, 0.0, 1.0, spec, breakpoints=(0.37,),
+        result = gf.integrate_matrix(f, 0.0, 1.0, 1e-12, breakpoints=(0.37,),
                                      grading=GRADED_EXPONENT)
         assert result[0, 0] == pytest.approx(exact, abs=1e-12)
         assert sum(sizes) <= 16 * (2 + 4 + 8 + 16 + 32 + 64 + 128 + 256)
         with pytest.raises(gf.AccuracyError):
-            gf.integrate_matrix(f, 0.0, 1.0, spec, breakpoints=(0.37,))
+            gf.integrate_matrix(f, 0.0, 1.0, 1e-12, breakpoints=(0.37,))
 
-    def test_accuracy_error_when_budget_exhausted(self):
-        spec = gf.QuadratureSpec(tol=1e-15, initial_panels=1, max_doublings=1,
-                                 nodes_per_panel=2)
+    def test_accuracy_error_when_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "INITIAL_PANELS", 1)
+        monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 1)
+        monkeypatch.setattr(quadrature, "NODES_PER_PANEL", 2)
         with pytest.raises(gf.AccuracyError):
             gf.integrate_matrix(
-                lambda x: np.sqrt(abs(x - 0.37))[:, None, None], 0.0, 1.0, spec)
+                lambda x: np.sqrt(abs(x - 0.37))[:, None, None], 0.0, 1.0, 1e-15)
 
-    def test_nodes_span_several_chunks(self):
+    def test_nodes_span_several_chunks(self, monkeypatch):
         # 64 panels of 16 nodes: each refinement takes several integrand calls
         sizes = []
 
@@ -255,7 +249,8 @@ class TestIntegrateMatrix:
             sizes.append(x.size)
             return np.stack([np.exp(x), np.cos(3.0 * x)], axis=-1)[..., None] * np.eye(2)
 
-        result = gf.integrate_matrix(f, 0.0, 2.0, gf.QuadratureSpec(initial_panels=64))
+        monkeypatch.setattr(quadrature, "INITIAL_PANELS", 64)
+        result = gf.integrate_matrix(f, 0.0, 2.0)
         expected = np.diag([np.exp(2.0) - 1.0, np.sin(6.0) / 3.0])
         assert np.allclose(result, expected, rtol=0, atol=1e-13)
         # two refinements (64 and 128 panels) in full chunks
