@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import ConstantsReport, estimate_constants
 from .errors import ValidationError
 from .linalg import opnorm, singular_values, trace_norm
 from .models import Generator, Model, check_exponents
@@ -56,8 +55,6 @@ __all__ = [
     "verify_cocycle",
     "ContractionCheck",
     "verify_contraction",
-    "ConstantsReport",
-    "estimate_constants",
 ]
 
 # Errors below this are treated as exact reproduction rather than fitted.
@@ -187,6 +184,12 @@ def _oracle(model: Model, s: float, t: float, tol_ref: float) -> np.ndarray:
     return reference_propagator(model, s, t, tol_ref).U
 
 
+def _integers(values: Sequence) -> bool:
+    """Whether every entry is an ``int`` or a numpy integer, and none a bool:
+    the integer rule of ``make_partition``."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
 def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
                     n_list: Sequence[int], tol_ref: float = 1e-10,
                     slack: float = 0.0,
@@ -198,14 +201,16 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
     prefactor of each applicable regime is fitted on ``fit_ns`` (default:
     the first half of n_list; else distinct values of n_list that leave at
     least one to test) and the bound is tested on the rest, allowing a
-    relative ``slack``.  At beta = 1, where the log(n)/n rate vanishes at
-    n = 1, ``n_list`` may not hold 1.
+    relative ``slack``.  Every entry of ``n_list`` and ``fit_ns`` is an
+    integer by ``make_partition``'s rule; at beta = 1, where the log(n)/n
+    rate vanishes at n = 1, ``n_list`` may not hold 1.
     """
-    ns = tuple(int(n) for n in n_list)
-    if len(ns) < 3 or any(n < 1 for n in ns) or list(ns) != sorted(set(ns)):
+    ns = tuple(n_list)
+    if len(ns) < 3 or not _integers(ns) or any(n < 1 for n in ns) or list(ns) != sorted(set(ns)):
         raise ValidationError(
             f"n_list must be >= 3 strictly increasing positive integers, got {list(n_list)!r}"
         )
+    ns = tuple(int(n) for n in ns)
     if model.perturbation.beta == 1.0 and 1 in ns:
         raise ValidationError(f"n_list must not hold 1 at beta = 1 (the log(n)/n rate "
                               f"is defined for n >= 2), got {list(ns)!r}")
@@ -214,11 +219,12 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
     if fit_ns is None:
         train = ns[: max(1, len(ns) // 2)]
     else:
-        train = tuple(int(n) for n in fit_ns)
-        if (not train or len(set(train)) != len(train) or any(n not in ns for n in train)
-                or len(train) == len(ns)):
+        train = tuple(fit_ns)
+        if (not train or not _integers(train) or len(set(train)) != len(train)
+                or any(n not in ns for n in train) or len(train) == len(ns)):
             raise ValidationError(f"fit_ns {list(fit_ns)!r} must be distinct values of "
                                   f"n_list, at least one, leaving at least one n to test")
+        train = tuple(int(n) for n in train)
     test = tuple(n for n in ns if n not in train)
 
     oracle_label = "exact" if model.exact is not None else f"reference(tol={tol_ref:g})"

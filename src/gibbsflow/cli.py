@@ -8,6 +8,14 @@ verify     structural checks: ordered-product bound ensemble, split-product
 constants  perturbation/smoothing constants for the configured model
 report     re-emit a stored JSONL record stream in another format
 
+The output is opened (stdout for ``-``) as soon as the configuration parses
+and before the model is built, so an output that cannot be opened fails
+before any computation; a file is truncated at that point.  The ``meta``
+record, then each job's record, is written and flushed as that job ends, so
+an interrupted command keeps every record it finished.  ``report`` reads and
+checks its whole input before it opens its output, so it may rewrite its
+own input.
+
 Exit codes: 0 success, 1 validation failure (``ValidationError`` and its
 subclasses, and ``MemoryError`` for a size no array can hold), 2 numerical
 failure (``AccuracyError``, ``DecompositionError``), 3 I/O failure.  JSONL
@@ -17,8 +25,8 @@ timings only ever go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
-import os
 import sys
 import time
 from typing import Callable, Optional, Sequence
@@ -48,6 +56,7 @@ from .errors import (
 from .models import Model
 from .propagator import Scheme
 from .reports import (
+    FORMATS,
     ReportEnvelope,
     failure_record,
     meta_record,
@@ -94,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the configured seed")
         p.add_argument("--output", default=None, metavar="PATH",
                        help="output path ('-' for stdout; default from config)")
-        p.add_argument("--format", default=None, choices=("csv", "jsonl", "plot"),
+        p.add_argument("--format", default=None, choices=FORMATS,
                        help="output format (default from config)")
         p.add_argument("--verbose", action="store_true",
                        help="progress and timings on stderr")
@@ -131,26 +140,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         config = config_from_dict({**config.to_dict(), "seed": args.seed})
     return config
-
-
-def _check_output_path(path: str) -> None:
-    """Fail before any computation when ``path`` cannot be written."""
-    if path == "-":
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"output path {path!r} is a directory")
-    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        raise PermissionError(f"output directory {directory!r} is missing or not writable")
-
-
-def _emit(envelope: ReportEnvelope, path: str, fmt: str, verbose: bool) -> None:
-    if path == "-":
-        envelope.write(sys.stdout, fmt)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        envelope.write(handle, fmt)
-    _info(verbose, f"wrote {len(envelope.records)} records to {path} ({fmt})")
 
 
 # A command is a list of (stage, job) pairs; each job returns one record.
@@ -195,15 +184,15 @@ def _verify_jobs(config: ExperimentConfig, model: Model) -> Jobs:
     return jobs
 
 
-def _run_jobs(config: ExperimentConfig, jobs: Jobs,
-              verbose: bool) -> tuple[ReportEnvelope, int]:
-    """The ``meta`` record, then one record per ``(stage, job)`` in order.
+def _run_jobs(envelope: ReportEnvelope, config: ExperimentConfig, jobs: Jobs,
+              verbose: bool) -> int:
+    """Write the ``meta`` record, then each job's record as that job ends;
+    return the exit code.
 
     A failing job degrades to a failure record, logged on stderr, and the
     remaining jobs still run; with ``verbose`` each job's time is logged too.
     """
-    envelope = ReportEnvelope()
-    envelope.add(meta_record(config.to_dict(), config.seed))
+    envelope.write(meta_record(config.to_dict(), config.seed))
     exit_code = EXIT_OK
     for stage, job in jobs:
         start = time.perf_counter()
@@ -216,38 +205,38 @@ def _run_jobs(config: ExperimentConfig, jobs: Jobs,
                   file=sys.stderr)
         else:
             _info(verbose, f"{stage} finished in {time.perf_counter() - start:.3f}s")
-        envelope.add(record)
-    return envelope, exit_code
-
-
-def _cmd_report(args: argparse.Namespace) -> tuple[ReportEnvelope, int]:
-    records = read_jsonl(io.StringIO(_read_text(args.input, ValidationError), newline=None))
-    envelope = ReportEnvelope()
-    for record in records:
-        envelope.add(record)
-    return envelope, EXIT_OK
+        envelope.write(record)
+    return exit_code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            envelope, exit_code = _cmd_report(args)
-            fmt = args.format or "jsonl"
-            path = args.output or "-"
+            records = read_jsonl(io.StringIO(_read_text(args.input, ValidationError),
+                                             newline=None))
+            fmt, path = args.format or "jsonl", args.output or "-"
         else:
             config = _load_config(args)
-            fmt = args.format or config.output_format
-            path = args.output or config.output_path
-            _check_output_path(path)
-            jobs = {"run": _convergence_jobs, "verify": _verify_jobs,
-                    "constants": _constants_jobs}[args.command]
-            start = time.perf_counter()
-            envelope, exit_code = _run_jobs(config, jobs(config, build_model(config)),
-                                            args.verbose)
-            _info(args.verbose,
-                  f"{args.command} completed in {time.perf_counter() - start:.3f}s")
-        _emit(envelope, path, fmt, args.verbose)
+            fmt, path = args.format or config.output_format, args.output or config.output_path
+        # Opening the output is its check, before any computation.
+        with (contextlib.nullcontext(sys.stdout) if path == "-"
+              else open(path, "w", encoding="utf-8", newline="")) as stream:
+            envelope = ReportEnvelope(stream, fmt)
+            if args.command == "report":
+                for record in records:
+                    envelope.write(record)
+                count, exit_code = len(records), EXIT_OK
+            else:
+                start = time.perf_counter()
+                jobs = {"run": _convergence_jobs, "verify": _verify_jobs,
+                        "constants": _constants_jobs}[args.command](config, build_model(config))
+                exit_code = _run_jobs(envelope, config, jobs, args.verbose)
+                count = 1 + len(jobs)
+                _info(args.verbose,
+                      f"{args.command} completed in {time.perf_counter() - start:.3f}s")
+        if path != "-":
+            _info(args.verbose, f"wrote {count} records to {path} ({fmt})")
         return exit_code
     except ConfigError as exc:
         for message in exc.messages:

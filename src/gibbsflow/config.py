@@ -28,11 +28,11 @@ from .models import (
     rotating_model,
     scalar_model,
 )
+from .reports import FORMATS
 
 __all__ = ["ExperimentConfig", "VerifySpec", "parse_config", "config_from_dict", "build_model"]
 
 SCHEME_NAMES = ("left", "right", "symmetric")
-OUTPUT_FORMATS = ("csv", "jsonl", "plot")
 MODEL_FAMILIES = ("scalar", "commuting", "rotating")
 
 # ``model.b`` of a scalar or commuting model when absent: no coupling.
@@ -330,9 +330,9 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         if not isinstance(output_path, str) or not output_path:
             col.error("output.path", f"must be a non-empty string, got {output_path!r}")
         output_format = raw_output.get("format", DEFAULTS.output_format)
-        if output_format not in OUTPUT_FORMATS:
+        if output_format not in FORMATS:
             col.error("output.format",
-                      f"must be one of {', '.join(OUTPUT_FORMATS)}, got {output_format!r}")
+                      f"must be one of {', '.join(FORMATS)}, got {output_format!r}")
 
     raw_verify = data.get("verify", {})
     verify = None

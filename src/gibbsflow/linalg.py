@@ -7,6 +7,7 @@ series.  Norms are read from ``singular_values``.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -157,9 +158,9 @@ class HermitianOperator:
 
 
 def heat(h: HermitianOperator, t: float) -> np.ndarray:
-    """Entries of the semigroup factor e^{-tH} for t >= 0."""
-    if t < 0:
-        raise ValidationError(f"heat kernel requires t >= 0, got {t}")
+    """Entries of the semigroup factor e^{-tH} for a finite t >= 0."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"heat kernel requires a finite time t >= 0, got t={t}")
     w, q = h.spectrum()
     return eigen_entries(np.exp(-t * w), q)
 

@@ -1,4 +1,4 @@
-"""Result records and emitters.
+"""Result records and their one writer.
 
 Every computation is reduced to a plain record dictionary (``kind`` key plus
 JSON-compatible payload).  All six result kinds, ``constants``,
@@ -6,11 +6,14 @@ JSON-compatible payload).  All six result kinds, ``constants``,
 are ``kind`` plus the fields of their dataclasses (``ConstantsReport``,
 ``ConvergenceReport``, ``Lemma21Ensemble``, ``LiftingCheck``, ``CocycleCheck``
 and ``ContractionCheck``) by ``result_record``, so adding or renaming a field
-adds or renames its record key.  Emitters consume record dicts only, so a
-stored JSONL stream can be re-emitted in any other format without
-recomputing.
+adds or renames its record key.
 
-The JSONL emitter is byte-deterministic for a fixed (configuration, seed)
+``ReportEnvelope`` writes records one at a time, in any of ``FORMATS``, and
+flushes each, so a caller streams every record as it is made and a run cut
+short keeps what it finished.  It consumes record dicts only, so a stored
+JSONL stream can be re-written in any other format without recomputing.
+
+The JSONL format is byte-deterministic for a fixed (configuration, seed)
 pair: keys are sorted, floats are serialized at full precision, and no
 record carries a wall-clock measurement.
 """
@@ -19,8 +22,8 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Optional, TextIO
+from dataclasses import asdict
+from typing import Any, Optional, TextIO
 
 import numpy as np
 
@@ -32,14 +35,13 @@ __all__ = [
     "meta_record",
     "result_record",
     "failure_record",
-    "write_jsonl",
-    "write_csv",
-    "write_plot",
     "read_jsonl",
 ]
 
 RECORD_KINDS = ("meta", "constants", "convergence", "lifting", "lemma21",
                 "cocycle", "contraction", "failure")
+FORMATS = ("csv", "jsonl", "plot")
+CSV_COLUMNS = ("scheme", "n", "err_op", "err_tr", "epsilon_theory", "ratio")
 
 
 def _plain(value: Any) -> Any:
@@ -94,44 +96,14 @@ def failure_record(stage: str, exc: Exception) -> dict:
     })
 
 
-@dataclass
-class ReportEnvelope:
-    """Ordered collection of record dicts bound for one output stream."""
-
-    records: list = field(default_factory=list)
-
-    def add(self, record: dict) -> None:
-        kind = record.get("kind")
-        if kind not in RECORD_KINDS:
-            raise ValidationError(f"unknown record kind: {kind!r}")
-        self.records.append(record)
-
-    def write(self, stream: TextIO, fmt: str) -> None:
-        if fmt == "jsonl":
-            write_jsonl(self.records, stream)
-        elif fmt == "csv":
-            write_csv(self.records, stream)
-        elif fmt == "plot":
-            write_plot(self.records, stream)
-        else:
-            raise ValidationError(f"unknown output format: {fmt!r}")
-
-
-def write_jsonl(records: Iterable[dict], stream: TextIO) -> None:
-    """One sorted-key JSON object per line."""
-    for record in records:
-        stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        stream.write("\n")
-
-
-# Keys of a convergence record that ``write_csv`` or ``write_plot`` read;
+# Keys of a convergence record that the csv or plot writer reads;
 # ``regimes`` is optional.
 EMITTED_KEYS = ("model", "scheme", "s", "t", "n_list", "err_op", "err_tr",
                 "fitted_slope", "regime")
 
 
 def _unemittable(record: dict) -> Optional[str]:
-    """Why the emitters could not write a convergence record, or None."""
+    """Why the csv or plot writer could not write a convergence record, or None."""
     missing = [key for key in EMITTED_KEYS if key not in record]
     if missing:
         return f"convergence record lacks {', '.join(missing)}"
@@ -152,7 +124,7 @@ def _unemittable(record: dict) -> Optional[str]:
 
 def read_jsonl(stream: TextIO) -> list:
     """Parse a stored JSONL stream back into record dicts, rejecting a
-    convergence record that the CSV or plot emitter could not write."""
+    convergence record that the csv or plot writer could not write."""
     records = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -171,52 +143,66 @@ def read_jsonl(stream: TextIO) -> list:
     return records
 
 
-CSV_COLUMNS = ("scheme", "n", "err_op", "err_tr", "epsilon_theory", "ratio")
+class ReportEnvelope:
+    """The one record writer: each record goes to ``stream`` in ``fmt`` and
+    is flushed at once, so a stream cut short keeps every record before the cut.
 
-
-def write_csv(records: Iterable[dict], stream: TextIO) -> None:
-    """Flat per-(scheme, n) table of the convergence records.
-
-    ``epsilon_theory`` is the headline-regime rate evaluated at n; ``ratio``
-    is err_tr / epsilon_theory (empty when no regime applies).
+    * ``jsonl`` -- one sorted-key JSON object per line, for every kind.
+    * ``csv`` -- a flat per-(scheme, n) table of the convergence records,
+      headed by ``CSV_COLUMNS`` as soon as the envelope exists.
+      ``epsilon_theory`` is the headline-regime rate evaluated at n;
+      ``ratio`` is err_tr / epsilon_theory (empty when no regime applies).
+    * ``plot`` -- gnuplot-ready blocks, one per convergence record: comment
+      lines naming the model/scheme and the columns, then whitespace-separated
+      full-precision rows; blocks are separated by two blank lines so
+      gnuplot's ``index`` selects them.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for record in records:
-        if record.get("kind") != "convergence":
-            continue
+
+    def __init__(self, stream: TextIO, fmt: str):
+        if fmt not in FORMATS:
+            raise ValidationError(f"unknown output format: {fmt!r}")
+        self.stream, self.fmt = stream, fmt
+        self._blocks = 0
+        if fmt == "csv":
+            self._csv = csv.writer(stream, lineterminator="\n")
+            self._csv.writerow(CSV_COLUMNS)
+            stream.flush()
+
+    def write(self, record: dict) -> None:
+        kind = record.get("kind")
+        if kind not in RECORD_KINDS:
+            raise ValidationError(f"unknown record kind: {kind!r}")
+        if self.fmt == "jsonl":
+            self.stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        elif kind == "convergence" and self.fmt == "csv":
+            self._csv_rows(record)
+        elif kind == "convergence":
+            self._plot_block(record)
+        self.stream.flush()
+
+    def _csv_rows(self, record: dict) -> None:
         headline = record["regimes"][0] if record.get("regimes") else None
         for i, n in enumerate(record["n_list"]):
             eps = headline["epsilon"][i] if headline is not None else None
             ratio = (record["err_tr"][i] / eps) if eps else None
-            writer.writerow([
+            self._csv.writerow([
                 record["scheme"], n,
                 repr(record["err_op"][i]), repr(record["err_tr"][i]),
                 "" if eps is None else repr(eps),
                 "" if ratio is None else repr(ratio),
             ])
 
-
-def write_plot(records: Iterable[dict], stream: TextIO) -> None:
-    """Gnuplot-ready blocks: one indexed block per convergence record.
-
-    Each block is headed by comment lines naming the model/scheme and the
-    columns, followed by whitespace-separated full-precision rows; blocks
-    are separated by two blank lines so gnuplot's ``index`` selects them.
-    """
-    first = True
-    for record in records:
-        if record.get("kind") != "convergence":
-            continue
-        if not first:
-            stream.write("\n\n")
-        first = False
-        stream.write(f"# convergence model={record['model']} scheme={record['scheme']}\n")
-        stream.write(f"# s={record['s']!r} t={record['t']!r}"
-                     f" slope={record['fitted_slope']!r}"
-                     f" regime={record['regime']}\n")
+    def _plot_block(self, record: dict) -> None:
+        write = self.stream.write
+        if self._blocks:
+            write("\n\n")
+        self._blocks += 1
+        write(f"# convergence model={record['model']} scheme={record['scheme']}\n")
+        write(f"# s={record['s']!r} t={record['t']!r}"
+              f" slope={record['fitted_slope']!r}"
+              f" regime={record['regime']}\n")
         headline = record["regimes"][0] if record.get("regimes") else None
-        stream.write("# n err_op err_tr epsilon_theory\n")
+        write("# n err_op err_tr epsilon_theory\n")
         for i, n in enumerate(record["n_list"]):
             eps = headline["epsilon"][i] if headline is not None else float("nan")
-            stream.write(f"{n} {record['err_op'][i]!r} {record['err_tr'][i]!r} {eps!r}\n")
+            write(f"{n} {record['err_op'][i]!r} {record['err_tr'][i]!r} {eps!r}\n")

@@ -162,6 +162,28 @@ class TestRunConvergence:
         with pytest.raises(gf.ValidationError, match="fit_ns"):
             gf.run_convergence(model, gf.Scheme.LEFT, 0, 1, [8, 16, 32], fit_ns=fit_ns)
 
+    @pytest.mark.parametrize("n_list", [[8.9, 16, 32.5], [8, 16, 32.0], [True, 8, 16],
+                                        np.array([8.0, 16.0, 32.0])],
+                             ids=["fractional", "integral-float", "bool", "float-array"])
+    def test_n_list_entries_must_be_integers(self, n_list):
+        # int() used to truncate 8.9 to 8 and read True as 1
+        model = gf.scalar_model(1.0, gf.kink_profile(0.5, 0.5))
+        with pytest.raises(gf.ValidationError, match="n_list must be"):
+            gf.run_convergence(model, gf.Scheme.LEFT, 0, 1, n_list)
+
+    @pytest.mark.parametrize("fit_ns", [[8.7], [16.0], [np.float64(8.0)]],
+                             ids=["fractional", "integral-float", "numpy-float"])
+    def test_fit_ns_entries_must_be_integers(self, fit_ns):
+        model = gf.scalar_model(1.0, gf.linear_profile(1.0))
+        with pytest.raises(gf.ValidationError, match="fit_ns"):
+            gf.run_convergence(model, gf.Scheme.LEFT, 0, 1, [8, 16, 32], fit_ns=fit_ns)
+
+    def test_numpy_integers_are_integers(self, scalar_linear):
+        report = gf.run_convergence(scalar_linear, gf.Scheme.LEFT, 0, 1,
+                                    np.array([8, 16, 32]), fit_ns=[np.int64(8)])
+        assert report.n_list == (8, 16, 32) and report.regimes[0].train_ns == (8,)
+        assert all(type(n) is int for n in report.n_list + report.regimes[0].train_ns)
+
     def test_n_list_validation(self, scalar_linear):
         with pytest.raises(gf.ValidationError):
             gf.run_convergence(scalar_linear, gf.Scheme.LEFT, 0.0, 1.0, [8, 16])

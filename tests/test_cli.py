@@ -3,7 +3,10 @@ import dataclasses
 import io
 import json
 import logging
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ import gibbsflow as gf
 from gibbsflow import cli, propagator
 from gibbsflow.config import config_from_dict, parse_config
 from gibbsflow.errors import AccuracyError, DecompositionError, ModelError
+from gibbsflow.reports import ReportEnvelope, read_jsonl
 
 from conftest import python_output
 
@@ -170,6 +174,34 @@ class TestReport:
         direct = capsys.readouterr().out
         assert reemitted == direct
 
+    def test_rewrites_its_own_input(self, config_path, tmp_path):
+        # the whole input is read before the output is opened, and truncated
+        stored = tmp_path / "stored.jsonl"
+        assert cli.main(["verify", "--config", config_path, "--output", str(stored)]) == 0
+        before = stored.read_bytes()
+        assert cli.main(["report", str(stored), "--output", str(stored)]) == 0
+        assert stored.read_bytes() == before
+
+    def test_run_pipes_into_report(self, config_path, capsys):
+        # run | report - --format csv across two processes, against the csv
+        # that ReportEnvelope writes in process from the same records
+        env = dict(os.environ, PYTHONPATH=str(Path(gf.__file__).resolve().parents[1]))
+        command = [sys.executable, "-m", "gibbsflow.cli"]
+        producer = subprocess.Popen([*command, "run", "--config", config_path],
+                                    stdout=subprocess.PIPE, env=env)
+        consumer = subprocess.run([*command, "report", "-", "--format", "csv"],
+                                  stdin=producer.stdout, capture_output=True, env=env)
+        producer.stdout.close()
+        assert producer.wait() == 0 and consumer.returncode == 0
+        assert cli.main(["run", "--config", config_path]) == 0
+        records = read_jsonl(io.StringIO(capsys.readouterr().out))
+        direct = io.StringIO()
+        envelope = ReportEnvelope(direct, "csv")
+        for record in records:
+            envelope.write(record)
+        assert consumer.stdout.decode() == direct.getvalue()
+        assert len(direct.getvalue().splitlines()) == 1 + 2 * 3  # 2 schemes x 3 n
+
     def test_rejects_garbage_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -285,9 +317,39 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "build_model", must_not_build)
         missing = str(tmp_path / "no_dir" / "out.jsonl")
         assert cli.main([command, "--config", config_path, "--output", missing]) == 3
-        assert "error: output directory" in capsys.readouterr().err
+        assert "No such file or directory" in capsys.readouterr().err
         assert cli.main([command, "--config", config_path, "--output", str(tmp_path)]) == 3
-        assert "is a directory" in capsys.readouterr().err
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_interrupted_verify_keeps_every_finished_record(self, config_path, tmp_path,
+                                                            monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "verify_cocycle", interrupted)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["verify", "--config", config_path, "--output", str(out)])
+        text = out.read_text()
+        assert text.endswith("\n")
+        records = [json.loads(line) for line in text.splitlines()]
+        # 1 lemma + 2 schemes x 2 lifting ns finished before the first cocycle
+        assert [r["kind"] for r in records] == ["meta", "lemma21"] + ["lifting"] * 4
+        assert [(r["scheme"], r["n"]) for r in records[2:]] == [
+            ("left", 4), ("left", 8), ("symmetric", 4), ("symmetric", 8)]
+
+    def test_output_opened_before_the_model_is_built(self, config_path, tmp_path,
+                                                     monkeypatch, capsys):
+        # opening truncates: a model that cannot be built leaves an empty file
+        def breaks(*args, **kwargs):
+            raise ModelError("no model")
+
+        monkeypatch.setattr(cli, "build_model", breaks)
+        out = tmp_path / "out.jsonl"
+        out.write_text("old records\n")
+        assert cli.main(["run", "--config", config_path, "--output", str(out)]) == 1
+        assert out.read_text() == ""
+        assert capsys.readouterr().err == "error: no model\n"
 
     def test_accuracy_failure_returns_two(self, config_path, monkeypatch, capsys):
         def always_fails(*args, **kwargs):
@@ -478,6 +540,18 @@ class TestVerbose:
         assert lines[0].startswith("INFO gibbsflow: constants finished in ")
         assert lines[1] == failure
         assert lines[-1].startswith("INFO gibbsflow: run completed in ")
+
+    def test_a_file_gets_a_wrote_line_last(self, config_path, tmp_path, capsys):
+        stored, plot = tmp_path / "out.jsonl", tmp_path / "out.plot"
+        assert cli.main(["run", "--config", config_path, "--verbose",
+                         "--output", str(stored)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-2].startswith("INFO gibbsflow: run completed in ")
+        assert lines[-1] == f"INFO gibbsflow: wrote 4 records to {stored} (jsonl)"
+        assert cli.main(["report", str(stored), "--verbose", "--format", "plot",
+                         "--output", str(plot)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"INFO gibbsflow: wrote 4 records to {plot} (plot)"]
 
     def test_root_logging_handlers_are_left_alone(self, config_path, capsys):
         root = logging.getLogger()

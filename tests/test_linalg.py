@@ -100,6 +100,12 @@ class TestOperatorFunction:
         with pytest.raises(gf.ValidationError):
             gf.heat(h, -0.1)
 
+    @pytest.mark.parametrize("t, shown", [(float("nan"), "t=nan"), (float("inf"), "t=inf")])
+    def test_heat_rejects_a_non_finite_time(self, t, shown):
+        # nan gave an all-nan factor and inf an all-zero one
+        with pytest.raises(gf.ValidationError, match=f"finite time t >= 0, got {shown}"):
+            gf.heat(HermitianOperator(np.eye(2)), t)
+
     def test_fractional_power(self):
         # H^p as the constants layer builds A^{-alpha}: Q diag(w^p) Q^T.
         w, q = HermitianOperator(np.diag([1.0, 4.0, 9.0])).spectrum()

@@ -1,4 +1,4 @@
-"""Record construction and the jsonl/csv/plot emitters."""
+"""Record construction and the jsonl/csv/plot writer."""
 import io
 import json
 
@@ -12,10 +12,16 @@ from gibbsflow.reports import (
     meta_record,
     read_jsonl,
     result_record,
-    write_csv,
-    write_jsonl,
-    write_plot,
 )
+
+
+def written(records, fmt):
+    """Everything a ``ReportEnvelope`` writes for ``records`` in ``fmt``."""
+    buf = io.StringIO()
+    envelope = ReportEnvelope(buf, fmt)
+    for record in records:
+        envelope.write(record)
+    return buf.getvalue()
 
 
 @pytest.fixture
@@ -69,25 +75,15 @@ class TestRecords:
 
 class TestJsonl:
     def test_roundtrip(self, sample_records):
-        buf = io.StringIO()
-        write_jsonl(sample_records, buf)
-        buf.seek(0)
-        loaded = read_jsonl(buf)
+        loaded = read_jsonl(io.StringIO(written(sample_records, "jsonl")))
         assert len(loaded) == len(sample_records)
         assert loaded[0] == sample_records[0]
 
     def test_byte_deterministic(self, sample_records):
-        bufs = []
-        for _ in range(2):
-            buf = io.StringIO()
-            write_jsonl(sample_records, buf)
-            bufs.append(buf.getvalue())
-        assert bufs[0] == bufs[1]
+        assert written(sample_records, "jsonl") == written(sample_records, "jsonl")
 
     def test_keys_sorted(self, sample_records):
-        buf = io.StringIO()
-        write_jsonl(sample_records, buf)
-        first = json.loads(buf.getvalue().splitlines()[0])
+        first = json.loads(written(sample_records, "jsonl").splitlines()[0])
         assert list(first) == sorted(first)
 
     def test_read_rejects_garbage(self):
@@ -99,25 +95,23 @@ class TestJsonl:
 
 class TestCsv:
     def test_header_and_rows(self, sample_records):
-        buf = io.StringIO()
-        write_csv(sample_records, buf)
-        lines = buf.getvalue().splitlines()
+        lines = written(sample_records, "csv").splitlines()
         assert lines[0] == "scheme,n,err_op,err_tr,epsilon_theory,ratio"
         assert len(lines) == 1 + 4  # one row per n, non-convergence records skipped
 
+    def test_header_without_convergence_records(self, sample_records):
+        assert written(sample_records[:2], "csv") == written([], "csv") == (
+            "scheme,n,err_op,err_tr,epsilon_theory,ratio\n")
+
     def test_ratio_column(self, sample_records):
-        buf = io.StringIO()
-        write_csv(sample_records, buf)
-        row = buf.getvalue().splitlines()[1].split(",")
+        row = written(sample_records, "csv").splitlines()[1].split(",")
         err_tr, eps, ratio = float(row[3]), float(row[4]), float(row[5])
         assert ratio == pytest.approx(err_tr / eps, rel=1e-12)
 
 
 class TestPlot:
     def test_block_structure(self, sample_records):
-        buf = io.StringIO()
-        write_plot(sample_records, buf)
-        text = buf.getvalue()
+        text = written(sample_records, "plot")
         assert text.startswith("# convergence model=")
         assert "# n err_op err_tr epsilon_theory" in text
         data_rows = [l for l in text.splitlines()
@@ -125,37 +119,52 @@ class TestPlot:
         assert len(data_rows) == 4
         assert data_rows[0].split()[0] == "8"
 
+    def test_blocks_separated_by_two_blank_lines(self, sample_records):
+        one = written(sample_records, "plot")
+        assert written(sample_records + sample_records[1:], "plot") == one + "\n\n" + one
+        assert written(sample_records[:2], "plot") == ""
+
     def test_full_precision(self, sample_records):
-        buf = io.StringIO()
-        write_plot(sample_records, buf)
         err = sample_records[2]["err_tr"][0]
-        assert repr(err) in buf.getvalue()
+        assert repr(err) in written(sample_records, "plot")
+
+
+class FlushCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.flushed = []
+
+    def flush(self):
+        self.flushed.append(self.getvalue())
+        super().flush()
 
 
 class TestEnvelope:
     def test_rejects_unknown_kind(self):
-        env = ReportEnvelope()
+        env = ReportEnvelope(io.StringIO(), "jsonl")
         with pytest.raises(gf.ValidationError):
-            env.add({"kind": "mystery"})
+            env.write({"kind": "mystery"})
 
     def test_write_dispatch(self, sample_records):
-        env = ReportEnvelope()
-        for record in sample_records:
-            env.add(record)
-        for fmt in ("jsonl", "csv", "plot"):
-            buf = io.StringIO()
-            env.write(buf, fmt)
-            assert buf.getvalue()
+        assert reports.FORMATS == ("csv", "jsonl", "plot")
+        for fmt in reports.FORMATS:
+            assert written(sample_records, fmt)
         with pytest.raises(gf.ValidationError):
-            env.write(io.StringIO(), "xml")
+            ReportEnvelope(io.StringIO(), "xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "plot"])
+    def test_each_record_is_flushed_as_written(self, fmt, sample_records):
+        # what is flushed after each record is what the whole stream would
+        # hold had it ended there
+        stream = FlushCounter()
+        envelope = ReportEnvelope(stream, fmt)
+        for record in sample_records:
+            envelope.write(record)
+        prefixes = [written(sample_records[:k], fmt)
+                    for k in range(0 if fmt == "csv" else 1, len(sample_records) + 1)]
+        assert stream.flushed == prefixes
 
     def test_reemission_matches_direct(self, sample_records):
         # jsonl -> read -> csv must equal direct csv emission
-        jsonl_buf = io.StringIO()
-        write_jsonl(sample_records, jsonl_buf)
-        jsonl_buf.seek(0)
-        loaded = read_jsonl(jsonl_buf)
-        direct, reemitted = io.StringIO(), io.StringIO()
-        write_csv(sample_records, direct)
-        write_csv(loaded, reemitted)
-        assert direct.getvalue() == reemitted.getvalue()
+        loaded = read_jsonl(io.StringIO(written(sample_records, "jsonl")))
+        assert written(sample_records, "csv") == written(loaded, "csv")
