@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_number
 from .linalg import opnorm, singular_values, trace_norm
 from .models import Generator, Model, check_exponents
 from .propagator import (
@@ -80,13 +80,9 @@ class RateRegime:
         return "log(n)/n" if self.power is None else f"n^-{self.power:g}"
 
     def epsilon(self, n: int) -> float:
-        if n < 1:
-            raise ValidationError(f"epsilon requires n >= 1, got {n}")
-        if self.power is not None:
-            return float(n) ** -self.power
-        if n < 2:
-            raise ValidationError("the log(n)/n rate is defined for n >= 2")
-        return math.log(n) / n
+        """eps(n) for n >= 1, or n >= 2 for log(n)/n."""
+        n = _require_number("n", n, lo=1.0 if self.power is not None else 2.0)
+        return n ** -self.power if self.power is not None else math.log(n) / n
 
 
 def applicable_regimes(alpha: float, beta: float) -> tuple[RateRegime, ...]:
@@ -184,12 +180,6 @@ def _oracle(model: Model, s: float, t: float, tol_ref: float) -> np.ndarray:
     return reference_propagator(model, s, t, tol_ref).U
 
 
-def _integers(values: Sequence) -> bool:
-    """Whether every entry is an ``int`` or a numpy integer, and none a bool:
-    the integer rule of ``make_partition``."""
-    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
-
-
 def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
                     n_list: Sequence[int], tol_ref: float = 1e-10,
                     slack: float = 0.0,
@@ -202,29 +192,27 @@ def run_convergence(model: Model, scheme: Scheme, s: float, t: float,
     the first half of n_list; else distinct values of n_list that leave at
     least one to test) and the bound is tested on the rest, allowing a
     relative ``slack``.  Every entry of ``n_list`` and ``fit_ns`` is an
-    integer by ``make_partition``'s rule; at beta = 1, where the log(n)/n
-    rate vanishes at n = 1, ``n_list`` may not hold 1.
+    integer; at beta = 1, where the log(n)/n rate vanishes at n = 1,
+    ``n_list`` may not hold 1.
     """
-    ns = tuple(n_list)
-    if len(ns) < 3 or not _integers(ns) or any(n < 1 for n in ns) or list(ns) != sorted(set(ns)):
+    ns = tuple(_require_number("n_list", n, lo=1, integer=True) for n in n_list)
+    if len(ns) < 3 or list(ns) != sorted(set(ns)):
         raise ValidationError(
             f"n_list must be >= 3 strictly increasing positive integers, got {list(n_list)!r}"
         )
-    ns = tuple(int(n) for n in ns)
     if model.perturbation.beta == 1.0 and 1 in ns:
         raise ValidationError(f"n_list must not hold 1 at beta = 1 (the log(n)/n rate "
                               f"is defined for n >= 2), got {list(ns)!r}")
-    if not 0.0 <= slack < 1.0:
-        raise ValidationError(f"slack must lie in [0, 1), got {slack}")
+    _require_number("tol_ref", tol_ref, lo=0.0, lo_open=True)
+    _require_number("slack", slack, lo=0.0, hi=1.0, hi_open=True)
     if fit_ns is None:
         train = ns[: max(1, len(ns) // 2)]
     else:
-        train = tuple(fit_ns)
-        if (not train or not _integers(train) or len(set(train)) != len(train)
+        train = tuple(_require_number("fit_ns", n, integer=True) for n in fit_ns)
+        if (not train or len(set(train)) != len(train)
                 or any(n not in ns for n in train) or len(train) == len(ns)):
             raise ValidationError(f"fit_ns {list(fit_ns)!r} must be distinct values of "
                                   f"n_list, at least one, leaving at least one n to test")
-        train = tuple(int(n) for n in train)
     test = tuple(n for n in ns if n not in train)
 
     oracle_label = "exact" if model.exact is not None else f"reference(tol={tol_ref:g})"
@@ -408,9 +396,9 @@ def _lemma21_blocks(count: int, seed: int, dim_max: int):
     instances: every dimension, every factor count, then per dimension in
     ascending order the normals of Q, lam, the normals of O', s and t.
     """
-    for name, value, least in (("count", count, 1), ("dim_max", dim_max, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    _require_number("count", count, lo=1, integer=True)
+    _require_number("dim_max", dim_max, lo=1, integer=True)
+    _require_number("seed", seed, lo=0, integer=True)
     rng = np.random.default_rng(seed)
     for start in range(0, count, LEMMA21_BLOCK):
         dims = rng.integers(1, dim_max + 1, min(LEMMA21_BLOCK, count - start))
@@ -479,8 +467,10 @@ class LiftingCheck:
 def verify_lifting(model: Model, scheme: Scheme, s: float, t: float, n: int,
                    tol_ref: float = 1e-10) -> LiftingCheck:
     """Check the split-product error bound for one even n."""
-    if n < 4 or n % 2 != 0:
-        raise ValidationError(f"lifting check requires even n >= 4, got {n}")
+    n = _require_number("n", n, lo=4, integer=True)
+    if n % 2 != 0:
+        raise ValidationError(f"lifting check requires an even n, got {n}")
+    _require_number("tol_ref", tol_ref, lo=0.0, lo_open=True)
     part = make_partition(s, t, n)
     _check_window(model, part.s, part.t)
     tau = part.step
@@ -534,6 +524,7 @@ def verify_cocycle(model: Model, s: float, r: float, t: float,
                    tol_ref: float = 1e-10) -> CocycleCheck:
     if not s < r < t:
         raise ValidationError(f"cocycle check requires s < r < t, got {(s, r, t)!r}")
+    _require_number("tol_ref", tol_ref, lo=0.0, lo_open=True)
     u_sr = reference_propagator(model, s, r, tol_ref)
     u_rt = reference_propagator(model, r, t, tol_ref)
     u_st = reference_propagator(model, s, t, tol_ref)

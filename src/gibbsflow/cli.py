@@ -16,9 +16,10 @@ an interrupted command keeps every record it finished.  ``report`` reads and
 checks its whole input before it opens its output, so it may rewrite its
 own input.
 
-Exit codes: 0 success, 1 validation failure (``ValidationError`` and its
-subclasses, and ``MemoryError`` for a size no array can hold), 2 numerical
-failure (``AccuracyError``, ``DecompositionError``), 3 I/O failure.  JSONL
+Exit codes: 0 success, also when the reader of an output pipe has gone;
+1 validation failure (``ValidationError`` and its subclasses, and
+``MemoryError`` for a size no array can hold); 2 numerical failure
+(``AccuracyError``, ``DecompositionError``); 3 any other I/O failure.  JSONL
 output is byte-identical for a fixed configuration and seed; wall-clock
 timings only ever go to stderr.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import sys
 import time
 from typing import Callable, Optional, Sequence
@@ -248,6 +250,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # The reader of the output has gone (``| head``): end quietly, with
+        # stdout on devnull so that its flush at shutdown cannot fail again.
+        with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,7 +17,7 @@ from typing import Any, Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, _number_problem
 from .models import (
     Model,
     TimeProfile,
@@ -144,23 +144,11 @@ class _Collector:
         if value is None:
             self.error(where, "is required")
             return None
-        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            self.error(where, f"must be an integer, got {value!r}" if integer
-                       else f"must be a number, got {value!r}{_float_hint([value])}")
+        problem = _number_problem(value, lo, hi, lo_open, hi_open, integer)
+        if problem is not None:
+            self.error(where, problem + ("" if integer else _float_hint([value])))
             return None
-        show = str if integer else "{:g}".format
-        if not integer:
-            value = float(value)
-            if not np.isfinite(value):
-                self.error(where, f"must be finite, got {value!r}")
-                return None
-        if lo is not None and (value <= lo if lo_open else value < lo):
-            self.error(where, f"must be {'>' if lo_open else '>='} {show(lo)}, got {show(value)}")
-            return None
-        if hi is not None and (value >= hi if hi_open else value > hi):
-            self.error(where, f"must be {'<' if hi_open else '<='} {show(hi)}, got {show(value)}")
-            return None
-        return value
+        return value if integer else float(value)
 
     def field_number(self, data: dict, path: str, key: str, defaults, **bounds):
         """``require_number`` defaulting to the field ``key`` of ``defaults``."""
@@ -237,12 +225,11 @@ def _time_profile(spec: dict) -> TimeProfile:
 def _int_list(data: dict, col: _Collector, path: str, key: str, defaults, *, lo: int,
               even: bool = False):
     """``data[key]`` (the field ``key`` of ``defaults`` when absent) as a
-    tuple of integers >= ``lo``, even ones when ``even``; a boolean is no
-    integer.  None once a failure is recorded."""
+    tuple of integers >= ``lo``, even ones when ``even``.  None once a
+    failure is recorded."""
     raw = data.get(key, list(getattr(defaults, key)))
-    if (isinstance(raw, list) and raw
-            and all(isinstance(x, int) and not isinstance(x, bool) and x >= lo
-                    and not (even and x % 2) for x in raw)):
+    if isinstance(raw, list) and raw and all(_number_problem(x, lo, integer=True) is None
+                                             and not (even and x % 2) for x in raw):
         return tuple(raw)
     col.error(f"{path}{key}", f"must be {'even ' if even else ''}integers >= {lo}, got {raw!r}")
     return None
@@ -266,8 +253,7 @@ def _parse_n_list(raw, col: _Collector):
             values.append(n)
             n *= factor
         return tuple(values)
-    if isinstance(raw, list) and all(isinstance(x, int) and not isinstance(x, bool)
-                                     for x in raw):
+    if isinstance(raw, list) and all(_number_problem(x, integer=True) is None for x in raw):
         if any(x < 1 for x in raw) or list(raw) != sorted(set(raw)):
             col.error("n_list", f"must be strictly increasing positive integers, got {raw!r}")
             return None

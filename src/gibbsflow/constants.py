@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_number
 from .linalg import eigen_entries, singular_values, symmetrized
 from .models import Model, diagonal_form, perturbation_entries
 from .propagator import _batch_length, _check_window
@@ -95,8 +95,7 @@ def _horizon_samples(model: Model, grid: int,
     (grid, d, d) is returned only with ``keep`` (None without).  ``grid`` is
     checked before anything is sampled.
     """
-    if not (isinstance(grid, (int, np.integer)) and grid >= 2):
-        raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
+    _require_number("grid", grid, lo=2, integer=True)
     alpha = model.perturbation.alpha
     if alpha != 0.0:
         w, q = model.generator.operator.spectrum()

@@ -30,12 +30,11 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import _coefficient, _relative_bound
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, _require_number
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
-from .quadrature import (INITIAL_PANELS, MAX_DOUBLINGS, NODES_PER_PANEL, _check_tol,
-                         _edge_nodes, _leggauss, _refine_by_doubling, mesh_grading,
-                         panel_edges)
+from .quadrature import (INITIAL_PANELS, MAX_DOUBLINGS, NODES_PER_PANEL, _edge_nodes, _leggauss,
+                         _refine_by_doubling, mesh_grading, panel_edges)
 
 __all__ = ["dyson_phillips_term", "dyson_phillips_sum"]
 
@@ -170,13 +169,12 @@ def _refined(model: Model, s: float, t: float, depth: int, tol: float,
 def dyson_phillips_term(model: Model, s: float, t: float, k: int,
                         tol: float = 1e-10) -> np.ndarray:
     """The k-th series term S_k(t, s), its quadrature refined to ``tol``."""
-    _check_tol(tol)
+    _require_number("tol", tol, lo=0.0, lo_open=True)
     _check_window(model, s, t)
-    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DEPTH):
-        raise ValidationError(f"series order must be an integer in [0, {MAX_DEPTH}], got {k!r}")
+    k = _require_number("k", k, lo=0, hi=MAX_DEPTH, integer=True)
     if k == 0:
         return model.generator.heat(t - s)
-    return _refined(model, s, t, int(k), tol, lambda terms: terms[-1])[0]
+    return _refined(model, s, t, k, tol, lambda terms: terms[-1])[0]
 
 
 def _truncation_depth(xi: float, eps_tail: float) -> int | None:
@@ -205,8 +203,7 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
     Quadrature error is controlled separately, to eps_tail / 10 clipped to
     [1e-13, 1e-8] for the whole interval, halves included.
     """
-    if not (np.isfinite(eps_tail) and eps_tail > 0):
-        raise ValidationError(f"eps_tail must be positive, got {eps_tail}")
+    _require_number("eps_tail", eps_tail, lo=0.0, lo_open=True)
     _check_window(model, s, t)
     if _tol is None:
         _tol = max(min(eps_tail / 10.0, 1e-8), 1e-13)

@@ -7,12 +7,11 @@ series.  Norms are read from ``singular_values``.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DecompositionError, ValidationError
+from .errors import DecompositionError, ValidationError, _require_number
 
 __all__ = [
     "HermitianOperator",
@@ -159,8 +158,7 @@ class HermitianOperator:
 
 def heat(h: HermitianOperator, t: float) -> np.ndarray:
     """Entries of the semigroup factor e^{-tH} for a finite t >= 0."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError(f"heat kernel requires a finite time t >= 0, got t={t}")
+    _require_number("t", t, lo=0.0)
     w, q = h.spectrum()
     return eigen_entries(np.exp(-t * w), q)
 

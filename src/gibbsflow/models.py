@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ModelError, TimeRangeError, ValidationError
+from .errors import ModelError, TimeRangeError, ValidationError, _require_number
 from .linalg import HermitianOperator, eigen_entries, heat, symmetrized
 
 __all__ = [
@@ -72,11 +72,9 @@ class TimeProfile:
 
     def __post_init__(self):
         for name in ("offset", "slope", "scale", "t0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ModelError(f"profile {self.label}: {name} must be finite, got {value!r}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ModelError(f"profile requires beta in (0, 1], got {self.beta}")
+            _require_number(f"profile {self.label}: {name}", getattr(self, name), ModelError)
+        _require_number(f"profile {self.label}: beta", self.beta, ModelError,
+                        lo=0.0, lo_open=True, hi=1.0)
         if (self.scale < 0 and self.slope != 0
                 or self.scale != 0 and self.t0 not in self.breakpoints):
             raise ModelError(f"profile {self.label}: a kink term needs t0 among the "
@@ -93,19 +91,25 @@ class TimeProfile:
         return self.offset * (t - s) + 0.5 * self.slope * (t * t - s * s) + self.scale * kink
 
 
+def _profile_arguments(kind: str, **fields) -> list[float]:
+    """A profile constructor's arguments as floats, named by the field each becomes."""
+    return [_require_number(f"profile {kind}: {k}", v, ModelError) for k, v in fields.items()]
+
+
 def constant_profile(c: float) -> TimeProfile:
-    c = float(c)
+    c, = _profile_arguments("const", offset=c)
     return TimeProfile(f"const({c:g})", offset=c)
 
 
 def linear_profile(slope: float, offset: float = 0.0) -> TimeProfile:
-    slope, offset = float(slope), float(offset)
+    slope, offset = _profile_arguments("linear", slope=slope, offset=offset)
     return TimeProfile(f"linear(slope={slope:g}, offset={offset:g})", offset=offset, slope=slope)
 
 
 def kink_profile(t0: float, beta: float, scale: float = 1.0, offset: float = 0.0) -> TimeProfile:
     """b(t) = offset + scale * |t - t0|^beta; Hoelder of order beta at t0."""
-    t0, beta, scale, offset = float(t0), float(beta), float(scale), float(offset)
+    t0, beta, scale, offset = _profile_arguments("kink", t0=t0, beta=beta, scale=scale,
+                                                 offset=offset)
     return TimeProfile(f"kink(t0={t0:g}, beta={beta:g}, scale={scale:g}, offset={offset:g})",
                        offset=offset, scale=scale, t0=t0, beta=beta, breakpoints=(t0,))
 
@@ -153,16 +157,8 @@ class Generator:
 
 def check_exponents(alpha: float, beta: float) -> None:
     """Reject a declared (alpha, beta) outside [0, 1) x (0, 1]."""
-    if not 0.0 <= alpha < 1.0:
-        raise ModelError(f"alpha must lie in [0, 1), got {alpha}")
-    if not 0.0 < beta <= 1.0:
-        raise ModelError(f"beta must lie in (0, 1], got {beta}")
-
-
-def _check_horizon(horizon: float) -> None:
-    """Reject a horizon that is not positive and finite."""
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ModelError(f"horizon must be positive and finite, got {horizon}")
+    _require_number("alpha", alpha, ModelError, lo=0.0, hi=1.0, hi_open=True)
+    _require_number("beta", beta, ModelError, lo=0.0, lo_open=True, hi=1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +228,7 @@ class Model:
     descriptor: str = ""
 
     def __post_init__(self):
-        _check_horizon(self.horizon)
+        _require_number("horizon", self.horizon, ModelError, lo=0.0, lo_open=True)
 
     @property
     def dim(self) -> int:
@@ -296,7 +292,7 @@ def _spectral_model(lam, profile, mu, basis, exact, beta: float | None,
             raise ModelError(f"a profile must be a TimeProfile or a real number, "
                              f"got {profile!r}")
         profile = constant_profile(profile)
-    _check_horizon(horizon)
+    _require_number("horizon", horizon, ModelError, lo=0.0, lo_open=True)
     breakpoints = tuple(x for x in profile.breakpoints if 0.0 < x < horizon)
     ts = np.array([0.0, *breakpoints, horizon])
     vals = profile.value(ts)
@@ -325,7 +321,7 @@ def scalar_model(a: float, b: TimeProfile | float, beta: float | None = None,
                  alpha: float = 0.0, horizon: float = 1.0) -> Model:
     """Dimension-one model: A = (a), B(t) = (b(t)), with the exact propagator
     exp(-a (t-s) - int_s^t b).  ``beta=None`` declares the profile's beta."""
-    a = float(a)
+    a = _require_number("a", a, ModelError)
 
     def exact(b: TimeProfile, s: float, t: float) -> np.ndarray:
         return np.array([[math.exp(-a * (t - s) - b.integral(s, t))]])
@@ -379,10 +375,9 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
     mu, q0 = b0.spectrum()
     if mu[0] < -NONNEG_TOL:
         raise ModelError(f"b0 must be non-negative, got min eigenvalue {mu[0]!r}")
-    omega, beta, t0 = float(omega), float(beta), float(t0)
-    _check_horizon(horizon)
-    if not 0.0 <= t0 <= horizon:
-        raise ModelError(f"t0={t0!r} outside the horizon [0, {horizon!r}]")
+    omega = _require_number("omega", omega, ModelError)
+    _require_number("horizon", horizon, ModelError, lo=0.0, lo_open=True)
+    t0 = _require_number("t0", t0, ModelError, lo=0.0, hi=horizon)
 
     def rotated_basis(ts: np.ndarray) -> np.ndarray:
         # R(omega t) @ q0 for every time; it touches only the first two rows.
@@ -393,5 +388,5 @@ def rotating_model(lambdas, b0, omega: float, beta: float, t0: float = 0.5,
         return v
 
     return _spectral_model(lam, kink_profile(t0, beta, scale=1.0, offset=1.0),
-                           np.maximum(mu, 0.0), rotated_basis, None, beta, alpha, horizon,
+                           np.maximum(mu, 0.0), rotated_basis, None, None, alpha, horizon,
                            "rotating", f"dim={lam.size}, omega={omega:g}, t0={t0:g}")

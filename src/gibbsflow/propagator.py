@@ -32,11 +32,10 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DecompositionError, TimeRangeError, ValidationError
+from .errors import DecompositionError, TimeRangeError, ValidationError, _require_number
 from .linalg import checked_eigh, eigen_entries, heat, opnorm, trace_norm
 from .models import Model, diagonal_form, perturbation_entries
-from .quadrature import (_check_tol, _refine_by_doubling, integrate_matrix, mesh_grading,
-                         panel_edges)
+from .quadrature import _refine_by_doubling, integrate_matrix, mesh_grading, panel_edges
 
 __all__ = [
     "Scheme",
@@ -103,13 +102,13 @@ class Partition:
 
 
 def make_partition(s: float, t: float, n: int) -> Partition:
-    if not (np.isfinite(s) and np.isfinite(t) and s < t):
-        raise ValidationError(f"partition requires finite s < t, got s={s!r}, t={t!r}")
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValidationError(f"partition requires an integer n >= 1, got {n!r}")
+    s, t = _require_number("s", s), _require_number("t", t)
+    if not s < t:
+        raise ValidationError(f"partition requires s < t, got s={s!r}, t={t!r}")
+    n = _require_number("n", n, lo=1, integer=True)
     points = s + np.arange(n) * ((t - s) / n)
     points.setflags(write=False)
-    return Partition(float(s), float(t), int(n), points)
+    return Partition(s, t, n, points)
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,7 @@ class PropagatorResult:
 def _check_window(model: Model, s: float, t: float) -> None:
     """Reject a window [s, t] unless its ends are finite with s < t, and
     reject one reaching outside the model horizon [0, T]."""
-    if not (np.isfinite(s) and np.isfinite(t)):
-        raise ValidationError(f"window ends must be finite, got s={s!r}, t={t!r}")
+    s, t = _require_number("s", s), _require_number("t", t)
     if not s < t:
         raise ValidationError(f"window requires s < t, got s={s!r}, t={t!r}")
     if not (0.0 <= s and t <= model.horizon):
@@ -316,7 +314,7 @@ def reference_propagator(model: Model, s: float, t: float,
     doubling loop's trace norms, returning an equal result or raising an
     equal ``AccuracyError``.
     """
-    _check_tol(tol)
+    _require_number("tol", tol, lo=0.0, lo_open=True)
     _check_window(model, s, t)
     cuts = panel_edges(s, t, 1, model.perturbation.breakpoints).tolist()
     pieces = list(zip(cuts[:-1], cuts[1:]))

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, ValidationError
+from .errors import AccuracyError, ValidationError, _require_number
 from .linalg import trace_norm
 
 __all__ = ["panel_edges", "integrate_matrix"]
@@ -32,12 +32,6 @@ GRADED_EXPONENT = 4
 NODES_PER_PANEL = 16
 INITIAL_PANELS = 2
 MAX_DOUBLINGS = 12
-
-
-def _check_tol(tol: float) -> None:
-    """A quadrature tolerance must be a positive finite number."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol}")
 
 
 @lru_cache(maxsize=32)
@@ -88,9 +82,8 @@ def panel_edges(a: float, b: float, n_panels: int, breakpoints: Sequence[float] 
     """
     if not a < b:
         raise ValidationError(f"integration interval requires a < b, got [{a}, {b}]")
-    for name, count in (("n_panels", n_panels), ("grading", grading)):
-        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
-            raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
+    _require_number("n_panels", n_panels, lo=1, integer=True)
+    _require_number("grading", grading, lo=1, integer=True)
     points = {float(x) for x in breakpoints}
     cuts = sorted(x for x in points if a < x < b)
     pieces = list(zip([a, *cuts], [*cuts, b]))
@@ -134,7 +127,7 @@ def integrate_matrix(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     ``CHUNK_NODES`` nodes at a time, so memory does not grow with the panel
     count.
     """
-    _check_tol(tol)
+    _require_number("tol", tol, lo=0.0, lo_open=True)
 
     def estimate(n_panels: int) -> np.ndarray:
         nodes, weights = panel_nodes(a, b, n_panels, NODES_PER_PANEL, breakpoints, grading)

@@ -309,6 +309,38 @@ class TestExitCodes:
         assert cli.main(["run", "--config", config_path, "--output", target]) == 3
 
     @pytest.mark.parametrize("command", ["run", "verify", "constants"])
+    @pytest.mark.parametrize("error, code, err", [
+        (BrokenPipeError(32, "Broken pipe"), 0, ""),
+        (OSError(28, "No space left on device"), 3, "error: [Errno 28] No space left on device\n"),
+    ], ids=["broken-pipe", "disk-full"])
+    def test_a_failing_stdout(self, command, error, code, err, config_path, monkeypatch,
+                              capsys):
+        # a reader that has gone ends the command quietly; any other write
+        # failure is still an I/O error
+        class FailingStdout(io.StringIO):
+            def flush(self):
+                raise error
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        assert cli.main([command, "--config", config_path, "--format", "csv"]) == code
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command, fmt", [("run", "csv"), ("verify", "jsonl")])
+    def test_a_closed_stdout_pipe_exits_zero_in_silence(self, command, fmt, config_path):
+        # ``gibbsflow ... | head -n 1``: no error line, no "Exception ignored"
+        # at shutdown, exit 0
+        env = dict(os.environ, PYTHONPATH=str(Path(gf.__file__).resolve().parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "gibbsflow.cli", command, "--config",
+                                 config_path, "--format", fmt],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b"")
+        assert first.startswith(b"scheme,n," if fmt == "csv" else b'{"config":')
+
+    @pytest.mark.parametrize("command", ["run", "verify", "constants"])
     def test_output_checked_before_computing(self, command, config_path, tmp_path,
                                              monkeypatch, capsys):
         def must_not_build(*args, **kwargs):

@@ -70,7 +70,7 @@ class TestSeriesTerms:
 
     @pytest.mark.parametrize("k", [True, False, 1.0])
     def test_order_must_be_an_integer(self, scalar_const, k):
-        with pytest.raises(gf.ValidationError, match="series order must be an integer"):
+        with pytest.raises(gf.ValidationError, match="k must be an integer"):
             gf.dyson_phillips_term(scalar_const, 0.0, 1.0, k)
 
 

@@ -50,9 +50,9 @@ class TestPartition:
 
     @pytest.mark.parametrize("n", [True, False, 2.0])
     def test_cell_count_must_be_an_integer(self, n, scalar_linear):
-        with pytest.raises(gf.ValidationError, match="integer n"):
+        with pytest.raises(gf.ValidationError, match="n must be an integer"):
             gf.make_partition(0.0, 1.0, n)
-        with pytest.raises(gf.ValidationError, match="integer n"):
+        with pytest.raises(gf.ValidationError, match="n must be an integer"):
             gf.product_approximant(gf.Scheme.LEFT, scalar_linear, 0.0, 1.0, n)
 
     def test_points_read_only(self):

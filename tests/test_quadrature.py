@@ -29,7 +29,7 @@ class TestSpec:
 
     def test_validation(self):
         for tol in (0.0, -1e-10, float("nan"), float("inf")):
-            with pytest.raises(gf.ValidationError, match="tol must be positive"):
+            with pytest.raises(gf.ValidationError, match="tol must be (> 0|finite), got"):
                 gf.integrate_matrix(lambda x: x[:, None, None], 0.0, 1.0, tol)
 
 
@@ -62,7 +62,7 @@ class TestPanelEdges:
     @pytest.mark.parametrize("count", [2.5, 0, -1, True, False, 4.0])
     def test_counts_must_be_integers_at_least_one(self, name, count):
         counts = {"n_panels": 4, "grading": 1, name: count}
-        with pytest.raises(gf.ValidationError, match=f"{name} must be an integer >= 1"):
+        with pytest.raises(gf.ValidationError, match=f"{name} must be (an integer|>= 1), got"):
             gf.panel_edges(0.0, 1.0, counts["n_panels"], (0.3,), counts["grading"])
 
 
