@@ -33,7 +33,6 @@ from .reports import FORMATS
 __all__ = ["ExperimentConfig", "VerifySpec", "parse_config", "config_from_dict", "build_model"]
 
 SCHEME_NAMES = ("left", "right", "symmetric")
-MODEL_FAMILIES = ("scalar", "commuting", "rotating")
 
 # ``model.b`` of a scalar or commuting model when absent: no coupling.
 DEFAULT_COUPLING = 0.0
@@ -150,33 +149,23 @@ class _Collector:
             return None
         return value if integer else float(value)
 
-    def field_number(self, data: dict, path: str, key: str, defaults, **bounds):
-        """``require_number`` defaulting to the field ``key`` of ``defaults``."""
-        return self.require_number(data, path, key, getattr(defaults, key), **bounds)
-
     def check_known_keys(self, data: dict, path: str, known: tuple[str, ...]) -> None:
         for key in data:
             if key not in known:
                 self.error(f"{path}{key}", f"unknown key (expected one of {', '.join(known)})")
 
 
-def _finite_floats(values, col: _Collector, path: str):
-    """``values`` as floats, or None once a non-finite one is recorded."""
-    floats = [float(x) for x in values]
-    bad = next((x for x in floats if not np.isfinite(x)), None)
-    if bad is not None:
-        col.error(path, f"must be finite, got {bad!r}")
-        return None
-    return floats
-
-
-def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
-    """A list of floats, or a {start, stop, count} linspace shorthand."""
+def _float_list(col: _Collector, model: dict, key: str, seen: dict):
+    """``model[key]`` as a list of floats, or a {start, stop, count} linspace
+    shorthand whose count defaults to the number of eigenvalues read before."""
+    raw, path = model.get(key), f"model.{key}"
     if isinstance(raw, dict):
         col.check_known_keys(raw, f"{path}.", ("start", "stop", "count"))
         start = col.require_number(raw, f"{path}.", "start")
         stop = col.require_number(raw, f"{path}.", "stop")
-        n = col.require_number(raw, f"{path}.", "count", default=count, lo=1, integer=True)
+        lambdas = seen.get("lambdas")
+        n = col.require_number(raw, f"{path}.", "count", default=lambdas and len(lambdas),
+                               lo=1, integer=True)
         if None in (start, stop, n):
             return None
         try:
@@ -186,20 +175,37 @@ def _float_list(raw, col: _Collector, path: str, *, count: int | None = None):
             return None
     if isinstance(raw, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                                      for x in raw):
-        if not raw:
-            col.error(path, "must not be empty")
+        problem = next(filter(None, map(_number_problem, raw)), None)
+        if not raw or problem is not None:
+            col.error(path, problem or "must not be empty")
             return None
-        return _finite_floats(raw, col, path)
+        return [float(x) for x in raw]
     hint = _float_hint(raw) if isinstance(raw, list) else ""
     col.error(path, f"must be a list of numbers or {{start, stop, count}}, got {raw!r}{hint}")
     return None
 
 
-def _parse_profile(raw, col: _Collector, path: str, default_beta: float):
-    """The canonical dict of a profile, defaults filled in; a kink's beta
-    defaults to the model's."""
+def _square_or_diagonal(col: _Collector, model: dict, key: str, seen: dict):
+    """``model[key]`` as nested lists forming a square matrix, or else as a
+    list of floats (a diagonal) without a default count."""
+    raw, path = model.get(key), f"model.{key}"
+    if not (isinstance(raw, list) and raw and all(isinstance(r, list) for r in raw)):
+        return _float_list(col, model, key, {})
+    flat = [x for r in raw for x in r]
+    if {len(r) for r in raw} != {len(raw)} or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in flat):
+        col.error(path, "nested lists must form a square numeric matrix" + _float_hint(flat))
+        return None
+    flat = _float_list(col, {key: flat}, key, {})
+    return flat and [flat[i:i + len(raw)] for i in range(0, len(flat), len(raw))]
+
+
+def _parse_profile(col: _Collector, model: dict, key: str, seen: dict):
+    """The canonical dict of the profile ``model[key]`` (``DEFAULT_COUPLING``
+    when absent), defaults filled in; a kink's beta defaults to the model's."""
+    raw, path = model.get(key, DEFAULT_COUPLING), f"model.{key}"
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        raw = {"kind": "constant", "value": float(raw)}
+        raw = {"kind": "constant", "value": raw}
     if not isinstance(raw, dict):
         col.error(path, f"must be a number or a mapping with 'kind', got {raw!r}")
         return None
@@ -209,7 +215,7 @@ def _parse_profile(raw, col: _Collector, path: str, default_beta: float):
         return None
     constructor, keys = PROFILES[kind]
     col.check_known_keys(raw, f"{path}.", ("kind", *keys))
-    defaults = {"beta": default_beta, **_keyword_defaults(constructor)}
+    defaults = {"beta": seen["beta"], **_keyword_defaults(constructor)}
     spec = {"kind": kind}
     for key, bounds in keys.items():
         spec[key] = col.require_number(raw, f"{path}.", key, default=defaults.get(key), **bounds)
@@ -220,6 +226,67 @@ def _time_profile(spec: dict) -> TimeProfile:
     """The profile of a canonical profile dict."""
     kind, *args = spec.values()
     return PROFILES[kind][0](*args)
+
+
+def _eigenvalues_at_least_1(col: _Collector, params: dict) -> None:
+    if min(params["lambdas"]) < 1.0:
+        col.error("model.lambdas", f"must all be >= 1, got min {min(params['lambdas']):g}")
+
+
+def _d0_fits_lambdas(col: _Collector, params: dict) -> None:
+    lambdas, d0 = params["lambdas"], params["d0"]
+    if min(d0) < 0.0:
+        col.error("model.d0", f"must be non-negative, got min {min(d0):g}")
+    if len(d0) != len(lambdas):
+        col.error("model.d0", f"length {len(d0)} must match lambdas ({len(lambdas)})")
+
+
+def _two_eigenvalues(col: _Collector, params: dict) -> None:
+    if len(params["lambdas"]) < 2:
+        col.error("model.lambdas",
+                  f"rotating model needs >= 2 eigenvalues, got {len(params['lambdas'])}")
+
+
+# Each family's builder, a reader per key in canonical order, and the rules checked once
+# every key is read.  ``read(col, model, key, seen)`` returns the builder's argument, None
+# once it records a failure; ``seen`` holds beta, horizon and the keys read before ``key``.
+FAMILIES = {
+    "scalar": (scalar_model, {
+        "a": lambda col, model, key, seen: col.require_number(model, "model.", key, lo=1.0),
+        "b": _parse_profile,
+    }, ()),
+    "commuting": (commuting_model, {"lambdas": _float_list, "d0": _float_list,
+                                    "b": _parse_profile},
+                  (_eigenvalues_at_least_1, _d0_fits_lambdas)),
+    "rotating": (rotating_model, {
+        "lambdas": _float_list, "b0": _square_or_diagonal,
+        "omega": lambda col, model, key, seen: col.require_number(model, "model.", key),
+        "t0": lambda col, model, key, seen: col.require_number(
+            model, "model.", key, _keyword_defaults(rotating_model)[key], lo=0.0,
+            hi=seen["horizon"]),
+    }, (_eigenvalues_at_least_1, _two_eigenvalues)),
+}
+
+
+def _parse_model(raw, col: _Collector, beta: float, horizon: float):
+    """The family and canonical parameters of ``model``, each None once it fails."""
+    if not isinstance(raw, dict):
+        col.error("model", f"is required and must be a mapping, got {raw!r}")
+        return None, None
+    family = raw.get("family")
+    if not isinstance(family, str) or family not in FAMILIES:
+        col.error("model.family", f"must be one of {', '.join(FAMILIES)}, got {family!r}")
+        return None, None
+    _, readers, rules = FAMILIES[family]
+    col.check_known_keys(raw, "model.", ("family", *readers))
+    params = {}
+    for key, read in readers.items():
+        params[key] = read(col, raw, key, {"beta": beta, "horizon": horizon, **params})
+    if None in params.values():
+        return family, None
+    for rule in rules:
+        rule(col, params)
+    return family, params
 
 
 def _int_list(data: dict, col: _Collector, path: str, key: str, defaults, *, lo: int,
@@ -243,15 +310,13 @@ def _parse_n_list(raw, col: _Collector):
         start = col.require_number(raw, "n_list.", "start", lo=1, integer=True)
         stop = col.require_number(raw, "n_list.", "stop", lo=1, integer=True)
         factor = col.require_number(raw, "n_list.", "factor", default=2, lo=2, integer=True)
+        if None not in (start, stop) and stop < start:
+            col.error("n_list.stop", f"must be >= start, got {stop} < {start}")
         if None in (start, stop, factor) or stop < start:
-            if stop is not None and start is not None and stop < start:
-                col.error("n_list.stop", f"must be >= start, got {stop} < {start}")
             return None
-        values = []
-        n = start
-        while n <= stop:
-            values.append(n)
-            n *= factor
+        values = [start]
+        while values[-1] * factor <= stop:
+            values.append(values[-1] * factor)
         return tuple(values)
     if isinstance(raw, list) and all(_number_problem(x, integer=True) is None for x in raw):
         if any(x < 1 for x in raw) or list(raw) != sorted(set(raw)):
@@ -262,8 +327,7 @@ def _parse_n_list(raw, col: _Collector):
     return None
 
 
-TOP_KEYS = ("model", "alpha", "beta", "horizon", "s", "t", "scheme", "n_list",
-            "tol_ref", "slack", "grid", "seed", "output", "verify")
+TOP_KEYS = tuple(DEFAULTS.to_dict())
 
 
 def config_from_dict(data: Any) -> ExperimentConfig:
@@ -273,38 +337,35 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         raise ConfigError([f"configuration must be a mapping, got {type(data).__name__}"])
     col.check_known_keys(data, "", TOP_KEYS)
 
-    alpha = col.field_number(data, "", "alpha", DEFAULTS, lo=0.0, hi=1.0, hi_open=True)
+    alpha = col.require_number(data, "", "alpha", DEFAULTS.alpha, lo=0.0, hi=1.0, hi_open=True)
     beta = (col.require_number(data, "", "beta", lo=0.0, lo_open=True, hi=1.0)
             if "beta" in data else None)
-    horizon = col.field_number(data, "", "horizon", DEFAULTS, lo=0.0, lo_open=True)
-    s = col.field_number(data, "", "s", DEFAULTS, lo=0.0)
-    t = col.field_number(data, "", "t", DEFAULTS, lo=0.0, lo_open=True)
+    horizon = col.require_number(data, "", "horizon", DEFAULTS.horizon, lo=0.0, lo_open=True)
+    s = col.require_number(data, "", "s", DEFAULTS.s, lo=0.0)
+    t = col.require_number(data, "", "t", DEFAULTS.t, lo=0.0, lo_open=True)
     if s is not None and t is not None and not s < t:
         col.error("s", f"must satisfy s < t, got s={s:g}, t={t:g}")
     if t is not None and horizon is not None and t > horizon:
         col.error("t", f"must satisfy t <= horizon, got t={t:g}, horizon={horizon:g}")
 
     raw_scheme = data.get("scheme", list(DEFAULTS.schemes))
-    if raw_scheme == "all":
-        schemes: Optional[tuple[str, ...]] = SCHEME_NAMES
-    elif isinstance(raw_scheme, str) and raw_scheme in SCHEME_NAMES:
-        schemes = (raw_scheme,)
-    elif (isinstance(raw_scheme, list) and raw_scheme
-          and all(x in SCHEME_NAMES for x in raw_scheme)
-          and len(set(raw_scheme)) == len(raw_scheme)):
-        schemes = tuple(raw_scheme)
+    names = (list(SCHEME_NAMES) if raw_scheme == "all" else
+             [raw_scheme] if isinstance(raw_scheme, str) else raw_scheme)
+    schemes: Optional[tuple[str, ...]] = None
+    if (isinstance(names, list) and names and all(x in SCHEME_NAMES for x in names)
+            and len(set(names)) == len(names)):
+        schemes = tuple(names)
     else:
         col.error("scheme", f"must be 'all', one of {', '.join(SCHEME_NAMES)}, "
                             f"or a list of distinct scheme names, got {raw_scheme!r}")
-        schemes = None
 
     n_list = _parse_n_list(data.get("n_list"), col)
     if n_list is not None and len(n_list) < 3:
         col.error("n_list", f"needs at least 3 values for rate fitting, got {list(n_list)!r}")
-    tol_ref = col.field_number(data, "", "tol_ref", DEFAULTS, lo=0.0, lo_open=True)
-    slack = col.field_number(data, "", "slack", DEFAULTS, lo=0.0, hi=1.0, hi_open=True)
-    grid = col.field_number(data, "", "grid", DEFAULTS, lo=2, integer=True)
-    seed = col.field_number(data, "", "seed", DEFAULTS, lo=0, hi=2 ** 64 - 1, integer=True)
+    tol_ref = col.require_number(data, "", "tol_ref", DEFAULTS.tol_ref, lo=0.0, lo_open=True)
+    slack = col.require_number(data, "", "slack", DEFAULTS.slack, lo=0.0, hi=1.0, hi_open=True)
+    grid = col.require_number(data, "", "grid", DEFAULTS.grid, lo=2, integer=True)
+    seed = col.require_number(data, "", "seed", DEFAULTS.seed, lo=0, hi=2 ** 64 - 1, integer=True)
 
     raw_output = data.get("output", {})
     output_path = output_format = None
@@ -327,11 +388,12 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     else:
         col.check_known_keys(raw_verify, "verify.", tuple(f.name for f in fields(VerifySpec)))
         sizes = DEFAULTS.verify
-        lemma = col.field_number(raw_verify, "verify.", "lemma_instances", sizes,
-                                 lo=1, integer=True)
-        dim_max = col.field_number(raw_verify, "verify.", "dim_max", sizes, lo=1, integer=True)
-        triples = col.field_number(raw_verify, "verify.", "cocycle_triples", sizes,
-                                   lo=1, integer=True)
+        lemma = col.require_number(raw_verify, "verify.", "lemma_instances",
+                                   sizes.lemma_instances, lo=1, integer=True)
+        dim_max = col.require_number(raw_verify, "verify.", "dim_max", sizes.dim_max, lo=1,
+                                     integer=True)
+        triples = col.require_number(raw_verify, "verify.", "cocycle_triples",
+                                     sizes.cocycle_triples, lo=1, integer=True)
         lifting_ns = _int_list(raw_verify, col, "verify.", "lifting_ns", sizes, lo=4, even=True)
         contraction_ns = _int_list(raw_verify, col, "verify.", "contraction_ns", sizes, lo=1)
         if None not in (lemma, dim_max, triples, lifting_ns, contraction_ns):
@@ -362,65 +424,6 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     )
 
 
-def _parse_model(raw, col: _Collector, beta: float, horizon: float):
-    if not isinstance(raw, dict):
-        col.error("model", f"is required and must be a mapping, got {raw!r}")
-        return None, None
-    family = raw.get("family")
-    if family not in MODEL_FAMILIES:
-        col.error("model.family",
-                  f"must be one of {', '.join(MODEL_FAMILIES)}, got {family!r}")
-        return None, None
-    if family == "scalar":
-        col.check_known_keys(raw, "model.", ("family", "a", "b"))
-        a = col.require_number(raw, "model.", "a", lo=1.0)
-        profile = _parse_profile(raw.get("b", DEFAULT_COUPLING), col, "model.b", beta)
-        if None in (a, profile):
-            return family, None
-        return family, {"a": a, "b": profile}
-    if family == "commuting":
-        col.check_known_keys(raw, "model.", ("family", "lambdas", "d0", "b"))
-        lambdas = _float_list(raw.get("lambdas"), col, "model.lambdas")
-        d0 = _float_list(raw.get("d0"), col, "model.d0",
-                         count=None if lambdas is None else len(lambdas))
-        profile = _parse_profile(raw.get("b", DEFAULT_COUPLING), col, "model.b", beta)
-        if None in (lambdas, d0, profile):
-            return family, None
-        if min(lambdas) < 1.0:
-            col.error("model.lambdas", f"must all be >= 1, got min {min(lambdas):g}")
-        if min(d0) < 0.0:
-            col.error("model.d0", f"must be non-negative, got min {min(d0):g}")
-        if len(d0) != len(lambdas):
-            col.error("model.d0", f"length {len(d0)} must match lambdas ({len(lambdas)})")
-        return family, {"lambdas": lambdas, "d0": d0, "b": profile}
-    col.check_known_keys(raw, "model.", ("family", "lambdas", "b0", "omega", "t0"))
-    lambdas = _float_list(raw.get("lambdas"), col, "model.lambdas")
-    omega = col.require_number(raw, "model.", "omega")
-    t0 = col.require_number(raw, "model.", "t0", _keyword_defaults(rotating_model)["t0"],
-                            lo=0.0, hi=horizon)
-    b0_raw = raw.get("b0")
-    b0 = None
-    if isinstance(b0_raw, list) and b0_raw and all(isinstance(r, list) for r in b0_raw):
-        if (len({len(r) for r in b0_raw}) == 1 and len(b0_raw[0]) == len(b0_raw)
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for r in b0_raw for x in r)):
-            rows = _finite_floats([x for r in b0_raw for x in r], col, "model.b0")
-            if rows is not None:
-                b0 = np.reshape(rows, (len(b0_raw), len(b0_raw))).tolist()
-        else:
-            col.error("model.b0", "nested lists must form a square numeric matrix"
-                                  + _float_hint(x for r in b0_raw for x in r))
-    else:
-        b0 = _float_list(b0_raw, col, "model.b0")
-    if None in (lambdas, omega, t0) or b0 is None:
-        return family, None
-    if min(lambdas) < 1.0:
-        col.error("model.lambdas", f"must all be >= 1, got min {min(lambdas):g}")
-    if len(lambdas) < 2:
-        col.error("model.lambdas", f"rotating model needs >= 2 eigenvalues, got {len(lambdas)}")
-    return family, {"lambdas": lambdas, "b0": b0, "omega": omega, "t0": t0}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML configuration document, with libyaml's safe
     loader when PyYAML was built with it."""
@@ -432,13 +435,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def build_model(config: ExperimentConfig) -> Model:
-    """Construct the configured model instance."""
-    params = config.model_params
-    declared = {"beta": config.beta, "alpha": config.alpha, "horizon": config.horizon}
-    if config.model_family == "scalar":
-        return scalar_model(params["a"], _time_profile(params["b"]), **declared)
-    if config.model_family == "commuting":
-        return commuting_model(params["lambdas"], params["d0"], _time_profile(params["b"]),
-                               **declared)
-    return rotating_model(params["lambdas"], np.asarray(params["b0"], dtype=float),
-                          params["omega"], t0=params["t0"], **declared)
+    """The family's builder called with the parameters, a profile dict as its profile."""
+    params = {key: _time_profile(value) if isinstance(value, dict) else value
+              for key, value in config.model_params.items()}
+    return FAMILIES[config.model_family][0](**params, beta=config.beta, alpha=config.alpha,
+                                             horizon=config.horizon)

@@ -84,14 +84,18 @@ def _number_problem(value, lo=None, hi=None, lo_open=False, hi_open=False, integ
     """What is wrong with ``value`` as a number within the bounds, or None.
 
     An integer is an ``int`` or a numpy integer, a number may also be a
-    ``float`` or a numpy float, and a boolean is neither.  A number is finite;
-    ``lo`` and ``hi`` are exclusive with ``lo_open`` and ``hi_open``."""
+    ``float`` or a numpy float, and a boolean is neither.  A number is finite,
+    as a float too: an ``int`` beyond the float range is infinite; ``lo`` and
+    ``hi`` are exclusive with ``lo_open`` and ``hi_open``."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds):
         return f"must be {'an integer' if integer else 'a number'}, got {value!r}"
     show = str if integer else "{:g}".format
     if not integer:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = np.inf if value > 0 else -np.inf
         if not np.isfinite(value):
             return f"must be finite, got {value!r}"
     if lo is not None and (value <= lo if lo_open else value < lo):

@@ -80,6 +80,7 @@ def panel_edges(a: float, b: float, n_panels: int, breakpoints: Sequence[float] 
     toward each of its ends that is a breakpoint, the window's ends
     included; q = 1 gives uniform edges on every piece.
     """
+    a, b = _require_number("a", a), _require_number("b", b)
     if not a < b:
         raise ValidationError(f"integration interval requires a < b, got [{a}, {b}]")
     _require_number("n_panels", n_panels, lo=1, integer=True)

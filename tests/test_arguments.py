@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gibbsflow as gf
+from gibbsflow import cli
 
 MODEL = gf.scalar_model(1.0, gf.linear_profile(1.0))
 LEFT = gf.Scheme.LEFT
@@ -107,6 +108,14 @@ SINGLE = [
     ("constant_profile", "offset", lambda x: gf.constant_profile(x), True, gf.ModelError),
     ("RateRegime.epsilon", "n", lambda x: gf.RateRegime(1.0).epsilon(x), True,
      gf.ValidationError),
+    # An int too large for a float is infinite, not an OverflowError.
+    ("reference_propagator", "tol", lambda x: gf.reference_propagator(MODEL, 0.0, 1.0, tol=x),
+     10 ** 400, gf.ValidationError),
+    # An infinite interval end, not numpy's "cannot convert float NaN to integer".
+    ("panel_edges", "b", lambda x: gf.panel_edges(0.0, x, 4), math.inf, gf.ValidationError),
+    ("panel_edges", "a", lambda x: gf.panel_edges(x, 1.0, 4), -math.inf, gf.ValidationError),
+    ("integrate_matrix", "b", lambda x: gf.integrate_matrix(_integrand, 0.0, x), math.inf,
+     gf.ValidationError),
 ]
 
 ROWS = (
@@ -119,7 +128,8 @@ ROWS = (
 
 
 @pytest.mark.parametrize("entry, name, call, value, error", ROWS,
-                         ids=[f"{entry}-{name}={value!r}" for entry, name, _, value, _ in ROWS])
+                         ids=[f"{entry}-{name}={value!r:.12}"
+                              for entry, name, _, value, _ in ROWS])
 def test_a_bad_scalar_argument_is_rejected_by_name(entry, name, call, value, error):
     with pytest.raises(error) as info:
         call(value)
@@ -130,3 +140,22 @@ def test_numpy_scalars_are_numbers_and_numpy_booleans_are_not():
     assert gf.make_partition(np.float64(0.0), np.float64(1.0), np.int64(8)).n == 8
     with pytest.raises(gf.ValidationError, match="n must be an integer"):
         gf.make_partition(0.0, 1.0, np.bool_(True))
+
+
+BIG = "1" + "0" * 400
+SCALAR = "model: {family: scalar, a: 1.0, b: 0.5}\n"
+
+
+@pytest.mark.parametrize("document, line", [
+    (SCALAR + f"t: {BIG}", "error: t: must be finite, got inf"),
+    (f"model: {{family: scalar, a: {BIG}}}", "error: model.a: must be finite, got inf"),
+    (f"model: {{family: commuting, lambdas: [1.0, {BIG}], d0: [0.1, 0.2]}}",
+     "error: model.lambdas: must be finite, got inf"),
+], ids=["t", "model.a", "lambdas-entry"])
+def test_a_config_integer_too_large_for_a_float_is_a_config_error(document, line, tmp_path,
+                                                                  capsys):
+    path = tmp_path / "big.yaml"
+    path.write_text(document + "\n")
+    assert cli.main(["constants", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line] and captured.out == ""

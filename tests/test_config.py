@@ -104,6 +104,16 @@ class TestDefaultsAreStatedOnce:
             assert list(keys) == params
 
 
+class TestReadmeFamilies:
+    def test_the_readme_family_table_lists_each_familys_keys_in_order(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = {}
+        for family, key in re.findall(r"^\| `(\w+)` +\| `(\w+)` +\|", readme, re.M):
+            table.setdefault(family, []).append(key)
+        assert list(table.items()) == [(family, list(readers))
+                                       for family, (_, readers, _) in config.FAMILIES.items()]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [MINIMAL, FULL])
     def test_to_dict_reparses_equal(self, text):
@@ -287,6 +297,77 @@ beta: 0.75
         with pytest.raises(gf.ConfigError) as excinfo:
             gf.parse_config(text)
         assert excinfo.value.messages == ["beta: must be <= the kink's beta 0.5, got 0.75"]
+
+
+SCALAR_SWEEP = """
+model:
+  family: scalar
+  a: 1.5
+  b: {kind: kink, t0: 0.4, beta: 0.5, scale: 2.0, offset: 0.1}
+s: 0.1
+n_list: [8, 16, 32]
+scheme: left
+"""
+
+COMMUTING_SWEEP = """
+model:
+  family: commuting
+  lambdas: {start: 1.0, stop: 3.0, count: 4}
+  d0: [0.4, 0.3, 0.2, 0.1]
+  b: {kind: linear, slope: 1.0, offset: 0.5}
+horizon: 2.0
+t: 1.5
+tol_ref: 1.0e-8
+grid: 11
+"""
+
+# YAML spellings of a wrong value: a boolean, a string, NaN, a fraction where
+# an integer may be needed, a negative number, a float YAML reads as the string
+# '1e400', and an integer too large for a float.
+SWEEP_VALUES = ["true", '"x"', ".nan", "2.5", "-1", "1e400", "9" * 400]
+
+
+def _escape(text):
+    """None when ``text`` parses and builds, raises ``ConfigError`` from
+    ``parse_config`` or ``ValidationError`` from ``build_model``; else the
+    exception that escaped."""
+    try:
+        cfg = gf.parse_config(text)
+    except gf.ConfigError:
+        return None
+    except Exception as exc:  # any other class is what the sweep looks for
+        return exc
+    try:
+        gf.build_model(cfg)
+    except gf.ValidationError:
+        return None
+    except Exception as exc:
+        return exc
+    return None
+
+
+class TestMutatedDocuments:
+    @pytest.mark.parametrize("name", ["readme", "scalar", "commuting"])
+    def test_every_mutation_parses_and_builds_or_is_a_validation_error(self, name):
+        # Each top-level and model key, deleted or set to each wrong value.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        text = {"readme": re.search(r"defaults\s+shown\):\n\n```yaml\n(.*?)```", readme,
+                                    re.S).group(1),
+                "scalar": SCALAR_SWEEP, "commuting": COMMUTING_SWEEP}[name]
+        base = yaml.safe_load(text)
+        escaped = []
+        for path in [(key,) for key in base] + [("model", key) for key in base["model"]]:
+            for value in ["deleted", *SWEEP_VALUES]:
+                data = yaml.safe_load(text)
+                node = data if len(path) == 1 else data["model"]
+                if value == "deleted":
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = yaml.safe_load(value)
+                exc = _escape(yaml.safe_dump(data))
+                if exc is not None:
+                    escaped.append(f"{'.'.join(path)} = {value[:12]}: {exc!r:.200}")
+        assert not escaped, "\n".join(escaped)
 
 
 def _config_documents() -> list:
