@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _require_number
-from .linalg import opnorm, singular_values, trace_norm
+from .errors import MAX_DIM, ValidationError, _require_number
+from .linalg import heat, opnorm, singular_values, trace_norm
 from .models import Generator, Model, check_exponents
 from .propagator import (
     Scheme,
@@ -352,7 +352,7 @@ def verify_lemma21(generator: Generator, contractions: Sequence[np.ndarray],
             f"factors must have the generator's shape {(dim, dim)}, got "
             f"{[v.shape for v in factors]!r}"
         )
-    w, q = generator.operator.spectrum()
+    w, q = generator.spectrum()
     n = len(factors)
     lhs, rhs = _framed_sides(w[None], q[None], np.stack(factors),
                              np.array([float(x) for x in times]),
@@ -397,7 +397,7 @@ def _lemma21_blocks(count: int, seed: int, dim_max: int):
     ascending order the normals of Q, lam, the normals of O', s and t.
     """
     _require_number("count", count, lo=1, integer=True)
-    _require_number("dim_max", dim_max, lo=1, integer=True)
+    _require_number("dim_max", dim_max, lo=1, hi=MAX_DIM, integer=True)
     _require_number("seed", seed, lo=0, integer=True)
     rng = np.random.default_rng(seed)
     for start in range(0, count, LEMMA21_BLOCK):
@@ -491,7 +491,7 @@ def verify_lifting(model: Model, scheme: Scheme, s: float, t: float, n: int,
     tr_u_late = trace_norm(u_late)
     lhs = trace_norm(u_n - u_full)
     rhs = e_late * tr_early + tr_u_late * e_early
-    c_ts = trace_norm(model.generator.heat(0.5 * (t - s)))
+    c_ts = trace_norm(heat(model.generator, 0.5 * (t - s)))
     holds = lhs <= rhs + INEQUALITY_SLACK * max(1.0, rhs)
     return LiftingCheck(
         scheme=scheme, n=int(n), k_n=int(k_n),
@@ -552,7 +552,7 @@ def verify_contraction(model: Model, scheme: Scheme, s: float, t: float,
                        n: int) -> ContractionCheck:
     result = product_approximant(scheme, model, s, t, n)
     norm = opnorm(result.U)
-    bound = math.exp(-(t - s) * float(model.generator.eigenvalues[0]))
+    bound = math.exp(-(t - s) * float(model.generator.spectrum()[0][0]))
     holds = norm <= bound + INEQUALITY_SLACK
     return ContractionCheck(scheme, int(n), float(s), float(t),
                             float(norm), float(bound), bool(holds))

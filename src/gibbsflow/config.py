@@ -17,7 +17,7 @@ from typing import Any, Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError, _number_problem
+from .errors import MAX_COUNT, MAX_DIM, ConfigError, _number_problem
 from .models import (
     Model,
     TimeProfile,
@@ -165,12 +165,12 @@ def _float_list(col: _Collector, model: dict, key: str, seen: dict):
         stop = col.require_number(raw, f"{path}.", "stop")
         lambdas = seen.get("lambdas")
         n = col.require_number(raw, f"{path}.", "count", default=lambdas and len(lambdas),
-                               lo=1, integer=True)
+                               lo=1, hi=MAX_COUNT, integer=True)
         if None in (start, stop, n):
             return None
         try:
             return [float(x) for x in np.linspace(start, stop, n)]
-        except (ValueError, MemoryError) as exc:  # a count numpy cannot allocate
+        except MemoryError as exc:  # a count numpy cannot allocate
             col.error(f"{path}.count", f"is too large ({exc}), got {n}")
             return None
     if isinstance(raw, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -292,13 +292,15 @@ def _parse_model(raw, col: _Collector, beta: float, horizon: float):
 def _int_list(data: dict, col: _Collector, path: str, key: str, defaults, *, lo: int,
               even: bool = False):
     """``data[key]`` (the field ``key`` of ``defaults`` when absent) as a
-    tuple of integers >= ``lo``, even ones when ``even``.  None once a
-    failure is recorded."""
+    tuple of integers from ``lo`` to ``MAX_COUNT``, even ones when ``even``.
+    None once a failure is recorded."""
     raw = data.get(key, list(getattr(defaults, key)))
-    if isinstance(raw, list) and raw and all(_number_problem(x, lo, integer=True) is None
-                                             and not (even and x % 2) for x in raw):
+    if isinstance(raw, list) and raw and all(
+            _number_problem(x, lo, MAX_COUNT, integer=True) is None and not (even and x % 2)
+            for x in raw):
         return tuple(raw)
-    col.error(f"{path}{key}", f"must be {'even ' if even else ''}integers >= {lo}, got {raw!r}")
+    col.error(f"{path}{key}", f"must be {'even ' if even else ''}integers >= {lo} and "
+                              f"<= {MAX_COUNT}, got {raw!r}")
     return None
 
 
@@ -307,8 +309,8 @@ def _parse_n_list(raw, col: _Collector):
         return DEFAULTS.n_list
     if isinstance(raw, dict):
         col.check_known_keys(raw, "n_list.", ("start", "stop", "factor"))
-        start = col.require_number(raw, "n_list.", "start", lo=1, integer=True)
-        stop = col.require_number(raw, "n_list.", "stop", lo=1, integer=True)
+        start = col.require_number(raw, "n_list.", "start", lo=1, hi=MAX_COUNT, integer=True)
+        stop = col.require_number(raw, "n_list.", "stop", lo=1, hi=MAX_COUNT, integer=True)
         factor = col.require_number(raw, "n_list.", "factor", default=2, lo=2, integer=True)
         if None not in (start, stop) and stop < start:
             col.error("n_list.stop", f"must be >= start, got {stop} < {start}")
@@ -319,8 +321,9 @@ def _parse_n_list(raw, col: _Collector):
             values.append(values[-1] * factor)
         return tuple(values)
     if isinstance(raw, list) and all(_number_problem(x, integer=True) is None for x in raw):
-        if any(x < 1 for x in raw) or list(raw) != sorted(set(raw)):
-            col.error("n_list", f"must be strictly increasing positive integers, got {raw!r}")
+        if any(not 1 <= x <= MAX_COUNT for x in raw) or list(raw) != sorted(set(raw)):
+            col.error("n_list", f"must be strictly increasing integers >= 1 and "
+                                f"<= {MAX_COUNT}, got {raw!r}")
             return None
         return tuple(raw)
     col.error("n_list", f"must be a list of integers or {{start, stop, factor}}, got {raw!r}")
@@ -364,7 +367,8 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         col.error("n_list", f"needs at least 3 values for rate fitting, got {list(n_list)!r}")
     tol_ref = col.require_number(data, "", "tol_ref", DEFAULTS.tol_ref, lo=0.0, lo_open=True)
     slack = col.require_number(data, "", "slack", DEFAULTS.slack, lo=0.0, hi=1.0, hi_open=True)
-    grid = col.require_number(data, "", "grid", DEFAULTS.grid, lo=2, integer=True)
+    grid = col.require_number(data, "", "grid", DEFAULTS.grid, lo=2, hi=MAX_COUNT,
+                              integer=True)
     seed = col.require_number(data, "", "seed", DEFAULTS.seed, lo=0, hi=2 ** 64 - 1, integer=True)
 
     raw_output = data.get("output", {})
@@ -391,7 +395,7 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         lemma = col.require_number(raw_verify, "verify.", "lemma_instances",
                                    sizes.lemma_instances, lo=1, integer=True)
         dim_max = col.require_number(raw_verify, "verify.", "dim_max", sizes.dim_max, lo=1,
-                                     integer=True)
+                                     hi=MAX_DIM, integer=True)
         triples = col.require_number(raw_verify, "verify.", "cocycle_triples",
                                      sizes.cocycle_triples, lo=1, integer=True)
         lifting_ns = _int_list(raw_verify, col, "verify.", "lifting_ns", sizes, lo=4, even=True)
@@ -426,10 +430,12 @@ def config_from_dict(data: Any) -> ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML configuration document, with libyaml's safe
-    loader when PyYAML was built with it."""
+    loader when PyYAML was built with it.  A scalar the loader cannot
+    construct, such as an integer past Python's 4300-digit string limit,
+    raises ``ValueError`` and is a config error like a syntax error."""
     try:
         data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError([f"invalid YAML: {exc}"]) from exc
     return config_from_dict(data)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _require_number
+from .errors import MAX_COUNT, ValidationError, _require_number
 from .linalg import eigen_entries, singular_values, symmetrized
 from .models import Model, diagonal_form, perturbation_entries
 from .propagator import _batch_length, _check_window
@@ -95,10 +95,10 @@ def _horizon_samples(model: Model, grid: int,
     (grid, d, d) is returned only with ``keep`` (None without).  ``grid`` is
     checked before anything is sampled.
     """
-    _require_number("grid", grid, lo=2, integer=True)
+    _require_number("grid", grid, lo=2, hi=MAX_COUNT, integer=True)
     alpha = model.perturbation.alpha
     if alpha != 0.0:
-        w, q = model.generator.operator.spectrum()
+        w, q = model.generator.spectrum()
         a_neg = symmetrized(eigen_entries(np.power(w, -alpha), q))
     else:
         a_neg = np.eye(model.dim)
@@ -189,7 +189,7 @@ def _holder_constant(times: np.ndarray, samples: np.ndarray, beta: float) -> flo
 def _coefficient(model: Model, c_alpha: float, s: float, t: float) -> float:
     """xi over [s, t] from the horizon's relative bound ``c_alpha``."""
     alpha = model.perturbation.alpha
-    m_alpha = smoothing_constant(model.generator.eigenvalues, t - s, alpha)
+    m_alpha = smoothing_constant(model.generator.spectrum()[0], t - s, alpha)
     return c_alpha * m_alpha * (t - s) ** (1.0 - alpha) / (1.0 - alpha)
 
 
@@ -214,7 +214,7 @@ def estimate_constants(model: Model, s: float, t: float, grid: int = 101) -> Con
     beta = model.perturbation.beta
     times, c_alpha, samples = _horizon_samples(model, grid)
     l_alpha_beta = _holder_constant(times, samples, beta)
-    m_alpha = smoothing_constant(model.generator.eigenvalues, t - s, alpha)
+    m_alpha = smoothing_constant(model.generator.spectrum()[0], t - s, alpha)
     xi = _coefficient(model, c_alpha, s, t)
     return ConstantsReport(
         c_alpha=float(c_alpha), m_alpha=float(m_alpha),

@@ -6,9 +6,13 @@ U(t, s) = sum_k S_k(t, s) with
     S_0(t, s) = G(t - s),
     S_k(t, s) = - int_s^t G(t - r) B(r) S_{k-1}(r, s) dr,
 
-and, when the contraction coefficient xi of the interval is < 1, the terms
-satisfy ||S_k||_1 <= xi^k, so truncating after N terms leaves a tail of at
-most xi^{N+1} / (1 - xi).
+and, when the contraction coefficient xi of the interval is < 1, the tail
+left by truncating after N terms is estimated as xi^{N+1} / (1 - xi), as if
+||S_k||_1 <= xi^k.  That is not a bound: xi^k sizes S_k in operator norm,
+and the trace norm carries a further factor of the size of
+||e^{-(t-s)A}||_1, which the estimate omits and which grows with the
+dimension.  Already ||S_0||_1 = ||e^{-(t-s)A}||_1 exceeds xi^0 = 1, and on
+a d = 64 commuting model the error is ten times the reported tail.
 
 The nested integrals are evaluated by collocation on a fixed composite
 Gauss-Legendre grid (graded toward breakpoints below Hoelder order 1, as in
@@ -21,7 +25,7 @@ the panel nodes).  Panel counts double until two refinements of the
 requested quantity agree in trace norm within the quadrature tolerance.
 
 Intervals with xi >= 1/2 are bisected and the halves composed through the
-propagator composition law; truncation tails add across the composition.
+propagator composition law; tail estimates add across the composition.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ import numpy as np
 
 from .constants import _coefficient, _relative_bound
 from .errors import ConfigError, _require_number
+from .linalg import heat
 from .models import Model, perturbation_entries
 from .propagator import PropagatorResult, _batch_length, _check_window
 from .quadrature import (INITIAL_PANELS, MAX_DOUBLINGS, NODES_PER_PANEL, _edge_nodes, _leggauss,
@@ -56,7 +61,7 @@ class _CollocationGrid:
 
     def __init__(self, model: Model, s: float, t: float, n_panels: int,
                  nodes_per_panel: int):
-        lam, q = model.generator.operator.spectrum()
+        lam, q = model.generator.spectrum()
         self.lam, self.q = lam, q
         self.s, self.t = s, t
         d = lam.size
@@ -173,7 +178,7 @@ def dyson_phillips_term(model: Model, s: float, t: float, k: int,
     _check_window(model, s, t)
     k = _require_number("k", k, lo=0, hi=MAX_DEPTH, integer=True)
     if k == 0:
-        return model.generator.heat(t - s)
+        return heat(model.generator, t - s)
     return _refined(model, s, t, k, tol, lambda terms: terms[-1])[0]
 
 
@@ -196,10 +201,12 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
     """Truncated series propagator with estimated truncation tail <= eps_tail.
 
     Intervals whose contraction coefficient xi reaches 1/2 (or whose depth
-    budget is exhausted) are bisected and the halves composed; tail bounds
-    add across the composition.  The relative bound c_alpha of xi is sampled
-    on ``C_ALPHA_GRID`` horizon times once and shared by the halves; as a
-    grid maximum it is a lower bound of the sup, so the tail is an estimate.
+    budget is exhausted) are bisected and the halves composed; tail
+    estimates add across the composition.  The tail is an estimate, not a
+    bound: it omits the factor ||e^{-(t-s)A}||_1 of the trace norm (see the
+    module docstring), and the relative bound c_alpha of xi, sampled on
+    ``C_ALPHA_GRID`` horizon times once and shared by the halves, is a grid
+    maximum and so a lower bound of the sup.
     Quadrature error is controlled separately, to eps_tail / 10 clipped to
     [1e-13, 1e-8] for the whole interval, halves included.
     """
@@ -230,7 +237,7 @@ def dyson_phillips_sum(model: Model, s: float, t: float, eps_tail: float,
         # The partial sum is S_0 = e^{-(t-s)A} alone; no quadrature needed.
         tail = xi / (1.0 - xi) if xi > 0 else 0.0
         return PropagatorResult(
-            model.generator.heat(t - s), float(s), float(t),
+            heat(model.generator, t - s), float(s), float(t),
             method=f"dyson(depth=0, xi={xi:.4g})", tail_bound=float(tail),
         )
     u, n_panels, _ = _refined(model, s, t, depth, _tol, sum)

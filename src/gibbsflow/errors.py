@@ -9,6 +9,8 @@ library and of the configuration.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -78,6 +80,16 @@ class AccuracyError(GibbsflowError):
         if extra:
             message = f"{message} ({', '.join(extra)})"
         super().__init__(message)
+
+
+# numpy refuses an array of more than 2^63 - 1 bytes with ValueError, and
+# ``arange`` a few hundred bytes earlier.  A count up to MAX_COUNT (2^59 - 1,
+# half the float64 entries that allows) and a dimension up to MAX_DIM
+# (2^30 - 1, whose (d, d) float64 matrix it allows) at worst fail to
+# allocate, with MemoryError.
+_FLOATS = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize
+MAX_COUNT = _FLOATS // 2
+MAX_DIM = math.isqrt(_FLOATS)
 
 
 def _number_problem(value, lo=None, hi=None, lo_open=False, hi_open=False, integer=False):

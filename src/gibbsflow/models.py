@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, TimeRangeError, ValidationError, _require_number
-from .linalg import HermitianOperator, eigen_entries, heat, symmetrized
+from .linalg import HermitianOperator, eigen_entries, symmetrized
 
 __all__ = [
     "TimeProfile",
@@ -114,28 +114,18 @@ def kink_profile(t0: float, beta: float, scale: float = 1.0, offset: float = 0.0
                        offset=offset, scale=scale, t0=t0, beta=beta, breakpoints=(t0,))
 
 
-class Generator:
-    """Generator A: symmetric with every eigenvalue >= 1 (checked here)."""
+class Generator(HermitianOperator):
+    """Generator A: a ``HermitianOperator`` with every eigenvalue >= 1 (checked here)."""
 
-    __slots__ = ("operator",)
+    __slots__ = ()
 
-    def __init__(self, operator):
-        if not isinstance(operator, HermitianOperator):
-            operator = HermitianOperator(operator)
-        w, _ = operator.spectrum()
+    def __init__(self, entries):
+        super().__init__(entries)
+        w, _ = self.spectrum()
         if w[0] < GENERATOR_FLOOR:
             raise ModelError(
                 f"generator spectrum must satisfy lambda_min >= 1, got {w[0]!r}"
             )
-        self.operator = operator
-
-    @property
-    def dim(self) -> int:
-        return self.operator.dim
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.operator.spectrum()[0]
 
     @property
     def diagonal(self) -> Optional[np.ndarray]:
@@ -143,13 +133,8 @@ class Generator:
 
         Read only by ``diagonal_form``, which pairs it with a spectral form in
         the standard basis, and by the closed-form product it selects."""
-        a = self.operator.entries
-        lam = np.diagonal(a)
-        return lam if np.array_equal(a, np.diag(lam)) else None
-
-    def heat(self, t: float) -> np.ndarray:
-        """Entries of e^{-tA}."""
-        return heat(self.operator, t)
+        lam = np.diagonal(self.entries)
+        return lam if np.array_equal(self.entries, np.diag(lam)) else None
 
     def __repr__(self) -> str:
         return f"Generator(dim={self.dim})"

@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DecompositionError, TimeRangeError, ValidationError, _require_number
+from .errors import (MAX_COUNT, DecompositionError, TimeRangeError, ValidationError,
+                     _require_number)
 from .linalg import checked_eigh, eigen_entries, heat, opnorm, trace_norm
 from .models import Model, diagonal_form, perturbation_entries
 from .quadrature import _refine_by_doubling, integrate_matrix, mesh_grading, panel_edges
@@ -105,7 +106,7 @@ def make_partition(s: float, t: float, n: int) -> Partition:
     s, t = _require_number("s", s), _require_number("t", t)
     if not s < t:
         raise ValidationError(f"partition requires s < t, got s={s!r}, t={t!r}")
-    n = _require_number("n", n, lo=1, integer=True)
+    n = _require_number("n", n, lo=1, hi=MAX_COUNT, integer=True)
     points = s + np.arange(n) * ((t - s) / n)
     points.setflags(write=False)
     return Partition(s, t, n, points)
@@ -115,9 +116,10 @@ def make_partition(s: float, t: float, n: int) -> Partition:
 class PropagatorResult:
     """A computed propagator over [s, t] with its provenance.
 
-    ``tail_bound`` is set only by series constructions and bounds the
-    truncation error in trace norm; a truncated series may exceed unit
-    norm by at most that much, which the contraction check allows for.
+    ``tail_bound`` is set only by series constructions.  It estimates the
+    truncation error in trace norm and does not bound it: it omits the
+    factor ||e^{-(t-s)A}||_1 (see ``dyson``).  The contraction check lets a
+    truncated series exceed unit norm by that much.
     """
 
     U: np.ndarray
@@ -218,9 +220,8 @@ def _ordered_product(model: Model, sample_times: np.ndarray, tau: float,
         b_sum = np.sum(form.profile.value(sample_times))
         return np.diag(np.exp(-tau * (n * model.generator.diagonal + b_sum * form.mu)))
 
-    a = model.generator.operator
-    ea = heat(a, tau)
-    half = heat(a, 0.5 * tau) if scheme is Scheme.SYMMETRIC else None
+    ea = heat(model.generator, tau)
+    half = heat(model.generator, 0.5 * tau) if scheme is Scheme.SYMMETRIC else None
     batch = _batch_length(model.dim)
 
     def batches():
@@ -254,7 +255,7 @@ def _magnus_product(model: Model, edges: np.ndarray) -> np.ndarray:
     ``eigh``.  Factors are built at most ``BATCH_BYTES`` at a time and
     multiplied by ``_tree_product``.
     """
-    half_a = 0.5 * model.generator.operator.entries
+    half_a = 0.5 * model.generator.entries
     dim = model.dim
     a1, a2 = _CF4_WEIGHTS
     cells = max(1, _batch_length(dim) // 2)
@@ -338,8 +339,7 @@ def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],
     and the integral is taken to ``tol`` (``integrate_matrix``).
     """
     _check_window(model, s, t)
-    a = model.generator.operator
-    lam, q = a.spectrum()
+    lam, q = model.generator.spectrum()
 
     def integrand(r: np.ndarray) -> np.ndarray:
         heats = eigen_entries(np.exp(-(t - r)[:, None] * lam), q)
@@ -350,5 +350,5 @@ def integral_equation_residual(u_fn: Callable[[float, float], np.ndarray],
     integral = integrate_matrix(integrand, s, t, tol,
                                 breakpoints=model.perturbation.breakpoints,
                                 grading=mesh_grading(model.perturbation.beta))
-    defect = np.asarray(u_fn(s, t)) - heat(a, t - s) + integral
+    defect = np.asarray(u_fn(s, t)) - heat(model.generator, t - s) + integral
     return trace_norm(defect)

@@ -45,7 +45,7 @@ def per_cell_product(scheme: "gf.Scheme", model: "gf.Model", points, tau: float)
     e^{-tau B(t_k)} from the ``HermitianOperator`` spectrum of each
     ``perturbation_entries`` matrix: a construction independent of the
     product kernel's batches and of the family's spectral form."""
-    a = model.generator.operator
+    a = model.generator
     ea, half = gf.heat(a, tau), gf.heat(a, 0.5 * tau)
     u = np.eye(model.dim)
     for b in gf.perturbation_entries(model, np.asarray(points, dtype=float)):

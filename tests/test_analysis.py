@@ -220,9 +220,9 @@ def brute_force_instance(generator, contractions, times):
     product = np.eye(generator.dim)
     norms = 1.0
     for v, t_j in zip(contractions, ts):
-        product = product @ v @ generator.heat(t_j)
+        product = product @ v @ gf.heat(generator, t_j)
         norms *= opnorm(v)
-    return trace_norm(product), norms * trace_norm(generator.heat(0.25 * sum(ts)))
+    return trace_norm(product), norms * trace_norm(gf.heat(generator, 0.25 * sum(ts)))
 
 
 def draw_group(rng, dim, n_factors):
@@ -264,7 +264,7 @@ def brute_force_lemma21(count, seed, dim_max):
 def batch_sides(generators, factor_lists, time_lists):
     """``verify_lemma21``'s evaluation of the given instances, all of one
     dimension, in one stack.  Each generator passes every ``Generator`` check."""
-    spectra = [gf.Generator(g).operator.spectrum() for g in generators]
+    spectra = [gf.Generator(g).spectrum() for g in generators]
     w, q = np.stack([w for w, _ in spectra]), np.stack([q for _, q in spectra])
     owner = [i for i, ts in enumerate(time_lists) for _ in ts]
     position = [j for ts in time_lists for j in range(len(ts))]

@@ -13,6 +13,7 @@ import pytest
 
 import gibbsflow as gf
 from gibbsflow import cli
+from gibbsflow.errors import MAX_COUNT, MAX_DIM
 
 MODEL = gf.scalar_model(1.0, gf.linear_profile(1.0))
 LEFT = gf.Scheme.LEFT
@@ -116,6 +117,16 @@ SINGLE = [
     ("panel_edges", "a", lambda x: gf.panel_edges(x, 1.0, 4), -math.inf, gf.ValidationError),
     ("integrate_matrix", "b", lambda x: gf.integrate_matrix(_integrand, 0.0, x), math.inf,
      gf.ValidationError),
+    # A count past the largest size numpy can index, not numpy's "Maximum
+    # allowed size exceeded" or "high is out of bounds for int64".
+    ("estimate_constants", "grid", lambda x: gf.estimate_constants(MODEL, 0.0, 1.0, grid=x),
+     10 ** 400, gf.ValidationError),
+    ("make_partition", "n", lambda x: gf.make_partition(0.0, 1.0, x), 10 ** 400,
+     gf.ValidationError),
+    ("product_approximant", "n", lambda x: gf.product_approximant(LEFT, MODEL, 0.0, 1.0, x),
+     10 ** 400, gf.ValidationError),
+    ("lemma21_ensemble", "dim_max", lambda x: gf.lemma21_ensemble(4, dim_max=x), 10 ** 400,
+     gf.ValidationError),
 ]
 
 ROWS = (
@@ -151,7 +162,21 @@ SCALAR = "model: {family: scalar, a: 1.0, b: 0.5}\n"
     (f"model: {{family: scalar, a: {BIG}}}", "error: model.a: must be finite, got inf"),
     (f"model: {{family: commuting, lambdas: [1.0, {BIG}], d0: [0.1, 0.2]}}",
      "error: model.lambdas: must be finite, got inf"),
-], ids=["t", "model.a", "lambdas-entry"])
+    # A count past the most entries numpy can size.
+    (SCALAR + f"grid: {BIG}", f"error: grid: must be <= {MAX_COUNT}, got {BIG}"),
+    (SCALAR + f"n_list: [8, 16, {BIG}]",
+     f"error: n_list: must be strictly increasing integers >= 1 and <= {MAX_COUNT}, "
+     f"got [8, 16, {BIG}]"),
+    (SCALAR + f"verify: {{lifting_ns: [4, {BIG}]}}",
+     f"error: verify.lifting_ns: must be even integers >= 4 and <= {MAX_COUNT}, "
+     f"got [4, {BIG}]"),
+    (SCALAR + f"verify: {{contraction_ns: [4, {BIG}]}}",
+     f"error: verify.contraction_ns: must be integers >= 1 and <= {MAX_COUNT}, "
+     f"got [4, {BIG}]"),
+    (SCALAR + f"verify: {{dim_max: {BIG}}}",
+     f"error: verify.dim_max: must be <= {MAX_DIM}, got {BIG}"),
+], ids=["t", "model.a", "lambdas-entry", "grid", "n_list-entry", "lifting_ns-entry",
+        "contraction_ns-entry", "dim_max"])
 def test_a_config_integer_too_large_for_a_float_is_a_config_error(document, line, tmp_path,
                                                                   capsys):
     path = tmp_path / "big.yaml"
@@ -159,3 +184,17 @@ def test_a_config_integer_too_large_for_a_float_is_a_config_error(document, line
     assert cli.main(["constants", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [line] and captured.out == ""
+
+
+def test_a_config_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # PyYAML's int constructor raises ValueError past Python's 4300-digit
+    # string conversion limit.
+    path = tmp_path / "digits.yaml"
+    path.write_text(SCALAR + "t: 1" + "0" * 5000 + "\n")
+    with pytest.raises(gf.ConfigError, match="invalid YAML: Exceeds the limit"):
+        gf.parse_config(path.read_text())
+    assert cli.main(["constants", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid YAML: ")
+    assert captured.out == ""

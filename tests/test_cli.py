@@ -249,12 +249,17 @@ class TestExitCodes:
          "error: model.lambdas: must not be empty"),
         ("model: {family: rotating, lambdas: [], b0: [1.0, 2.0], omega: 1.0}",
          "error: model.lambdas: must not be empty"),
-        # Only a count no array can hold: numpy refuses it before allocating.
+        # Counts past the most entries numpy can size: numpy would refuse
+        # them with ValueError before allocating.
         ("model: {family: commuting, lambdas: {start: 1, stop: 2,"
          " count: 100000000000000000000}, d0: [1.0], b: 1.0}",
-         "error: model.lambdas.count: is too large (Maximum allowed size exceeded), "
+         "error: model.lambdas.count: must be <= 576460752303423487, "
          "got 100000000000000000000"),
-    ], ids=["commuting-empty", "rotating-empty", "count-1e20"])
+        ("model: {family: commuting, lambdas: {start: 1, stop: 2,"
+         " count: 2305843009213693952}, d0: [1.0], b: 1.0}",
+         "error: model.lambdas.count: must be <= 576460752303423487, "
+         "got 2305843009213693952"),
+    ], ids=["commuting-empty", "rotating-empty", "count-1e20", "count-2^61"])
     def test_unbuildable_eigenvalue_lists_are_config_errors(self, document, line,
                                                             tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -291,7 +296,8 @@ class TestExitCodes:
          "n >= 2), got [1, 2, 4, 8]"),
         ("verify", "model: {family: scalar, a: 1.0, b: {kind: linear, slope: 1.0}}\n"
                    "verify: {contraction_ns: [true, 4]}",
-         "error: verify.contraction_ns: must be integers >= 1, got [True, 4]"),
+         "error: verify.contraction_ns: must be integers >= 1 and <= 576460752303423487, "
+         "got [True, 4]"),
     ], ids=["n-1-at-beta-1", "boolean-contraction-n"])
     def test_inputs_rejected_before_any_job(self, command, document, line, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

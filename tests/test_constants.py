@@ -27,7 +27,7 @@ README_B0 = [0.5, 0.3, 0.8, 0.2, 0.9, 0.4, 0.7, 0.1,
 
 def generator_power(model, p):
     """A^p from the generator's spectrum, Q diag(lambda^p) Q^T."""
-    w, q = model.generator.operator.spectrum()
+    w, q = model.generator.spectrum()
     return HermitianOperator(gf.eigen_entries(np.power(w, p), q)).entries
 
 

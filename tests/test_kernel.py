@@ -32,7 +32,7 @@ COMMUTING = gf.commuting_model(np.linspace(1.0, 3.0, 4), [0.6, 0.1, 0.9, 0.3],
 def _dense_generator(model, seed):
     """``model`` with A = Q diag(lambda) Q^T for a random orthogonal Q."""
     q = np.linalg.qr(np.random.default_rng(seed).standard_normal((model.dim, model.dim)))[0]
-    generator = gf.Generator((q * model.generator.eigenvalues) @ q.T)
+    generator = gf.Generator((q * model.generator.spectrum()[0]) @ q.T)
     return dataclasses.replace(model, generator=generator, exact=None)
 
 
@@ -89,7 +89,7 @@ def test_contracts_at_generator_rate(name, scheme, window, n, cells):
     model = MODELS[name]
     s, width = window
     u = _kernel(model, scheme, s, s + width, n, cells)
-    bound = math.exp(-width * float(model.generator.eigenvalues[0]))
+    bound = math.exp(-width * float(model.generator.spectrum()[0][0]))
     assert gf.opnorm(u) <= bound * (1.0 + 1e-12)
 
 
